@@ -10,19 +10,30 @@ why iso-time experiments reintroduce oracle latency virtually.
 These tests use pytest-benchmark's real measurement loop (multiple rounds)
 rather than a single pedantic round — per-step costs are microseconds and
 benefit from statistics.
+
+The per-step means land in ``BENCH_step_costs.json`` (via
+``write_bench_json``) as ``*_ms`` keys, which ``check_trajectory.py`` gates
+lower-is-better against the committed snapshot in
+``benchmarks/trajectory/`` — the decode+project step among them.
 """
 
-from conftest import add_report
+import pytest
+
+from conftest import add_report, write_bench_json
 from repro.costmodel import CostModel
 from repro.harness import format_table
 from repro.mapspace import MapSpace
 from repro.workloads import problem_by_name
 
+#: Step -> mean seconds per call, filled by the tests below.
 _RESULTS = {}
+
+#: The workload every step is timed on.
+PROBLEM = "ResNet_Conv4"
 
 
 def _problem_and_space(accelerator):
-    problem = problem_by_name("ResNet_Conv4")
+    problem = problem_by_name(PROBLEM)
     return problem, MapSpace(problem, accelerator)
 
 
@@ -32,7 +43,7 @@ def test_step_oracle_query(benchmark, accelerator):
     model = CostModel(accelerator)
     mapping = space.sample(0)
     result = benchmark(model.evaluate_edp, mapping, problem)
-    _RESULTS["oracle query"] = benchmark.stats.stats.mean
+    _RESULTS["oracle_query"] = benchmark.stats.stats.mean
     assert result > 0
 
 
@@ -41,7 +52,7 @@ def test_step_surrogate_gradient(benchmark, accelerator, cnn_mm):
     problem, space = _problem_and_space(accelerator)
     whitened = cnn_mm.surrogate.whiten_mapping(space.sample(0), problem)
     benchmark(cnn_mm.surrogate.objective_and_gradient, whitened)
-    _RESULTS["surrogate fwd+bwd"] = benchmark.stats.stats.mean
+    _RESULTS["surrogate_fwd_bwd"] = benchmark.stats.stats.mean
 
 
 def test_step_projection(benchmark, accelerator, cnn_mm):
@@ -49,7 +60,7 @@ def test_step_projection(benchmark, accelerator, cnn_mm):
     problem, space = _problem_and_space(accelerator)
     raw = cnn_mm.surrogate.encoder.encode(space.sample(0), problem)
     benchmark(cnn_mm.surrogate.encoder.decode, raw, space)
-    _RESULTS["decode+project"] = benchmark.stats.stats.mean
+    _RESULTS["decode_project"] = benchmark.stats.stats.mean
 
 
 def test_step_map_space_sample(benchmark, accelerator):
@@ -57,8 +68,19 @@ def test_step_map_space_sample(benchmark, accelerator):
     _, space = _problem_and_space(accelerator)
     seeds = iter(range(10_000_000))
     benchmark(lambda: space.sample(next(seeds)))
-    _RESULTS["map-space sample"] = benchmark.stats.stats.mean
+    _RESULTS["map_space_sample"] = benchmark.stats.stats.mean
 
+
+@pytest.fixture(scope="module", autouse=True)
+def step_cost_report():
+    """After every step ran: the report table and ``BENCH_step_costs.json``."""
+    yield
+    if not _RESULTS:
+        return
+    write_bench_json("step_costs", {
+        "problem": PROBLEM,
+        **{f"{name}_ms": seconds * 1e3 for name, seconds in _RESULTS.items()},
+    })
     rows = [
         (name, f"{seconds * 1e6:,.0f} us")
         for name, seconds in sorted(_RESULTS.items(), key=lambda kv: kv[1])

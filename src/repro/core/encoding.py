@@ -22,11 +22,11 @@ is 40 — matching the paper's reported input widths exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from repro.mapspace.factors import nearest_composition, nearest_factorization
+from repro.mapspace.factors import nearest_composition, nearest_factorizations
 from repro.mapspace.mapping import ALLOC_LEVELS, Mapping, ORDER_LEVELS
 from repro.mapspace.space import MapSpace
 from repro.utils import log2_safe
@@ -99,17 +99,15 @@ class MappingEncoder:
         return self.layout.length
 
     def encode(self, mapping: Mapping, problem: Problem) -> np.ndarray:
-        """Encode ``mapping`` (for ``problem``) into a raw float vector."""
-        vector = np.empty(self.length, dtype=np.float64)
-        vector[self.layout.pid_slice] = self.pid_vector(problem)
-        self._encode_mapping_into(vector, mapping)
-        return vector
+        """Encode ``mapping`` (for ``problem``) into a raw float vector: the
+        one-row case of :meth:`encode_batch`."""
+        return self.encode_batch([mapping], problem)[0]
 
     def encode_batch(self, mappings: Sequence[Mapping], problem: Problem) -> np.ndarray:
         """Encode ``mappings`` into an ``(N, length)`` matrix for ``problem``.
 
-        Row ``i`` equals ``encode(mappings[i], problem)`` exactly, but the
-        sections are computed column-wise across the whole batch: the
+        The only encoding path (``encode`` is its one-row case).  Sections
+        are computed column-wise across the whole batch: the
         problem-id once, tile log2s and allocation fractions as single
         vectorized array ops.  This is the input layout — and a large part
         of the speedup — of every batched surrogate path (stacked forward
@@ -154,32 +152,6 @@ class MappingEncoder:
         batch[:, self.layout.alloc_slice] = allocation.reshape(n, -1)
         return batch
 
-    def _encode_mapping_into(self, vector: np.ndarray, mapping: Mapping) -> None:
-        """Fill the mapping sections (tiles/orders/allocations) of one row."""
-        if mapping.dims != self.dims:
-            raise ValueError(f"mapping dims {mapping.dims} != encoder dims {self.dims}")
-        if mapping.tensors != self.tensors:
-            raise ValueError(
-                f"mapping tensors {mapping.tensors} != encoder tensors {self.tensors}"
-            )
-        tiles: List[float] = []
-        for dim in self.dims:
-            tiles.extend(log2_safe(f) for f in mapping.factors(dim))
-        vector[self.layout.tile_slice] = tiles
-        orders: List[float] = []
-        denominator = max(len(self.dims) - 1, 1)
-        for level in ORDER_LEVELS:
-            order = mapping.loop_order(level)
-            rank = {dim: position for position, dim in enumerate(order)}
-            orders.extend(rank[dim] / denominator for dim in self.dims)
-        vector[self.layout.order_slice] = orders
-        allocations: List[float] = []
-        for level in ALLOC_LEVELS:
-            banks = mapping.alloc_banks(level)
-            total = sum(banks.values())
-            allocations.extend(banks[t] / total for t in self.tensors)
-        vector[self.layout.alloc_slice] = allocations
-
     def decode(self, vector: np.ndarray, space: MapSpace) -> Mapping:
         """Decode a raw vector into the nearest valid mapping of ``space``.
 
@@ -188,39 +160,39 @@ class MappingEncoder:
         factorization in log space, order ranks argsort into permutations,
         allocation fractions round to bank compositions, and the result is
         passed through :meth:`MapSpace.project` for capacity repair.
+
+        Every dimension rounds in one vectorized pass over the problem's
+        cached factorization tables, and all three loop orders come from
+        one stable argsort; the result is bitwise what rounding each
+        dimension and level on its own gives (see the decode contract in
+        ``docs/BATCH_CONTRACTS.md``).  A NaN tile entry raises
+        ``ValueError``; infinite ones clip like any out-of-range entry.
         """
         vector = np.asarray(vector, dtype=np.float64)
         if vector.shape != (self.length,):
             raise ValueError(f"vector shape {vector.shape} != ({self.length},)")
+        n_dims, n_tensors = len(self.dims), len(self.tensors)
         bounds = space.problem.bounds
-        tile_section = vector[self.layout.tile_slice]
-        tile_factors = []
-        for index, dim in enumerate(self.dims):
-            logs = tile_section[4 * index : 4 * index + 4]
-            target = np.exp2(np.clip(logs, 0.0, 40.0))
-            tile_factors.append(nearest_factorization(bounds[dim], 4, target))
-        order_section = vector[self.layout.order_slice]
-        loop_orders = []
-        for level_index in range(len(ORDER_LEVELS)):
-            ranks = order_section[
-                level_index * len(self.dims) : (level_index + 1) * len(self.dims)
-            ]
-            permutation = tuple(self.dims[i] for i in np.argsort(ranks, kind="stable"))
-            loop_orders.append(permutation)
-        alloc_section = vector[self.layout.alloc_slice]
-        allocation = []
-        for level_index, level in enumerate(ALLOC_LEVELS):
-            fractions = alloc_section[
-                level_index * len(self.tensors) : (level_index + 1) * len(self.tensors)
-            ]
-            total = space.accelerator.banks(level)
-            allocation.append(nearest_composition(total, len(self.tensors), fractions))
+        targets = np.exp2(np.clip(vector[self.layout.tile_slice], 0.0, 40.0))
+        tile_factors = nearest_factorizations(
+            tuple(bounds[dim] for dim in self.dims), 4, targets.reshape(n_dims, 4)
+        )
+        ranks = vector[self.layout.order_slice].reshape(len(ORDER_LEVELS), n_dims)
+        loop_orders = tuple(
+            tuple(self.dims[i] for i in permutation)
+            for permutation in np.argsort(ranks, axis=1, kind="stable").tolist()
+        )
+        fractions = vector[self.layout.alloc_slice].reshape(len(ALLOC_LEVELS), n_tensors)
+        allocation = tuple(
+            nearest_composition(space.accelerator.banks(level), n_tensors, row)
+            for level, row in zip(ALLOC_LEVELS, fractions)
+        )
         candidate = Mapping(
             dims=self.dims,
-            tile_factors=tuple(tile_factors),
-            loop_orders=tuple(loop_orders),
+            tile_factors=tile_factors,
+            loop_orders=loop_orders,
             tensors=self.tensors,
-            allocation=tuple(allocation),
+            allocation=allocation,
         )
         return space.project(candidate)
 

@@ -8,6 +8,7 @@ search in log space (paper section 4.2, "Projected Gradient Descent").
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List, Sequence, Tuple
 
@@ -28,32 +29,80 @@ def sample_factorization(n: int, parts: int, rng: SeedLike = None) -> Tuple[int,
     return options[int(generator.integers(0, len(options)))]
 
 
+@functools.lru_cache(maxsize=256)
+def _factorization_table(
+    ns: Tuple[int, ...], parts: int
+) -> Tuple[Tuple[Tuple[int, ...], ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The ordered factorizations of every ``n`` in ``ns``, concatenated.
+
+    Returns the options, their ``math.log2`` values, and each ``n``'s
+    segment start and length.  ``math.log2`` because that is what the
+    scalar scan used: ``np.log2`` is one ulp off on a few integers (1621
+    is the smallest).
+    """
+    per_n = [factorizations(n, parts) for n in ns]
+    options = tuple(option for table in per_n for option in table)
+    logs = np.array([[math.log2(v) for v in option] for option in options])
+    counts = np.array([len(table) for table in per_n])
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    for array in (logs, counts, starts):
+        array.setflags(write=False)
+    return options, logs, starts, counts
+
+
+def nearest_factorizations(
+    ns: Sequence[int], parts: int, targets: np.ndarray
+) -> Tuple[Tuple[int, ...], ...]:
+    """The ordered factorization of each ``ns[i]`` closest to ``targets[i]``.
+
+    ``targets`` is an ``(len(ns), parts)`` array of desired (possibly
+    fractional, possibly non-dividing) factors, e.g. produced by a gradient
+    step.  Distance is the squared L2 norm of per-part ``log2`` ratios, so
+    halving and doubling a factor are equally wrong — matching the log2
+    encoding the surrogate sees.  Non-positive targets are floored at 1e-9.
+
+    One vectorized pass over the concatenated option tables resolves every
+    ``n`` at once.  Distances are summed part by part from left to right
+    and the first minimum of each segment wins, so the result is bitwise
+    the scalar scan's answer (its early break and strict ``<`` reduce to
+    the first argmin).  Raises ``ValueError`` for a NaN or infinite target.
+    """
+    ns = tuple(int(n) for n in ns)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.shape != (len(ns), parts):
+        raise ValueError(f"targets shape {targets.shape} != ({len(ns)}, {parts})")
+    finite = np.isfinite(targets).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(
+            f"cannot round target {tuple(targets[row].tolist())} to a "
+            f"factorization of {ns[row]}: target is not finite"
+        )
+    want = np.array(
+        [math.log2(max(t, 1e-9)) for t in targets.ravel().tolist()]
+    ).reshape(targets.shape)
+    options, logs, starts, counts = _factorization_table(ns, parts)
+    delta = logs - np.repeat(want, counts, axis=0)
+    squared = delta * delta
+    distance = squared[:, 0].copy()
+    for part in range(1, parts):
+        distance += squared[:, part]
+    minima = np.repeat(np.minimum.reduceat(distance, starts), counts)
+    hits = np.flatnonzero(distance == minima)
+    first = hits[np.searchsorted(hits, starts)]
+    return tuple(options[index] for index in first.tolist())
+
+
 def nearest_factorization(
     n: int, parts: int, target: Sequence[float]
 ) -> Tuple[int, ...]:
     """The ordered factorization of ``n`` closest to ``target`` in log space.
 
-    ``target`` holds desired (possibly fractional, possibly non-dividing)
-    factors, e.g. produced by a gradient step.  Distance is the L2 norm of
-    per-part ``log2`` ratios, so halving and doubling a factor are equally
-    wrong — matching the log2 encoding the surrogate sees.
+    The one-``n`` case of :func:`nearest_factorizations`.
     """
     if len(target) != parts:
         raise ValueError(f"target has {len(target)} parts, expected {parts}")
-    logs = [math.log2(max(float(t), 1e-9)) for t in target]
-    best: Tuple[int, ...] = ()
-    best_distance = math.inf
-    for option in factorizations(n, parts):
-        distance = 0.0
-        for value, want in zip(option, logs):
-            delta = math.log2(value) - want
-            distance += delta * delta
-            if distance >= best_distance:
-                break
-        if distance < best_distance:
-            best_distance = distance
-            best = option
-    return best
+    return nearest_factorizations((n,), parts, [[float(t) for t in target]])[0]
 
 
 def compositions(total: int, parts: int, min_each: int = 1) -> Tuple[Tuple[int, ...], ...]:
@@ -163,6 +212,7 @@ __all__ = [
     "compositions",
     "nearest_composition",
     "nearest_factorization",
+    "nearest_factorizations",
     "sample_composition",
     "sample_factorization",
     "smallest_prime_factor",

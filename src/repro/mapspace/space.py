@@ -137,8 +137,11 @@ class MapSpace:
             factors = list(sample_factorization(self._bounds[dim], 4, rng))
             tile_factors.append(factors)
         self._cap_spatial(tile_factors)
+        # Permuting indices draws the stream permuting the names would, but
+        # keeps plain ``str`` names (``numpy.str_`` copies cost memory).
         orders = tuple(
-            tuple(rng.permutation(list(self.dims))) for _ in ORDER_LEVELS
+            tuple(self.dims[i] for i in rng.permutation(len(self.dims)).tolist())
+            for _ in ORDER_LEVELS
         )
         mapping = Mapping(
             dims=self.dims,
@@ -204,6 +207,10 @@ class MapSpace:
         (demote to L2-temporal), over-committed bank allocations (largest
         remainder rounding), and buffer-capacity violations (hoist tile
         factors toward DRAM until each tensor's tile fits its banks).
+
+        Whatever needs no repair keeps its input tuple, and a mapping that
+        needs none comes back as itself: immutable parts are shared, so
+        the many near-identical mappings a search retains cost less.
         """
         tile_factors = [list(f) for f in mapping.tile_factors]
         for index, dim in enumerate(self.dims):
@@ -215,14 +222,24 @@ class MapSpace:
         self._cap_spatial(tile_factors)
         allocation = self._repair_allocation(mapping)
         tile_factors = self._repair_capacity(tile_factors, allocation)
-        repaired = Mapping(
+        factors = tuple(
+            original if list(original) == repaired else tuple(repaired)
+            for original, repaired in zip(mapping.tile_factors, tile_factors)
+        )
+        if (
+            factors == mapping.tile_factors
+            and allocation == mapping.allocation
+            and mapping.dims == self.dims
+            and mapping.tensors == self.tensor_names
+        ):
+            return mapping
+        return Mapping(
             dims=self.dims,
-            tile_factors=tuple(tuple(f) for f in tile_factors),
+            tile_factors=factors,
             loop_orders=mapping.loop_orders,
             tensors=self.tensor_names,
             allocation=allocation,
         )
-        return repaired
 
     def _repair_allocation(self, mapping: Mapping) -> Tuple[Tuple[int, ...], ...]:
         allocation = []

@@ -32,6 +32,10 @@ class TestDirection:
         ("sample_count", None),
         ("train_mse", None),          # "_ms" must not match inside "mse"
         ("surrogate_mse", None),
+        ("oracle_query_ms", "down"),  # BENCH_step_costs.json's steps
+        ("surrogate_fwd_bwd_ms", "down"),
+        ("decode_project_ms", "down"),
+        ("map_space_sample_ms", "down"),
     ])
     def test_key_directions(self, key, expected):
         assert check_trajectory._direction(key) == expected
@@ -105,6 +109,20 @@ class TestCompare:
         assert regressions == []
         assert checked == [c for c in checked if "p99_ms" in c]
         assert len(checked) == 1
+
+
+def test_committed_step_cost_snapshot_gates_every_step():
+    """The nightly lane ratchets each per-step cost, decode+project
+    included, against the committed snapshot."""
+    snapshot = json.loads(
+        (Path(check_trajectory.__file__).parent / "trajectory"
+         / "BENCH_step_costs.json").read_text()
+    )
+    _, checked = check_trajectory.compare_documents(snapshot, snapshot, band=0.25)
+    assert sorted(line.split(":")[0] for line in checked) == [
+        "results.decode_project_ms", "results.map_space_sample_ms",
+        "results.oracle_query_ms", "results.surrogate_fwd_bwd_ms",
+    ]
 
 
 class TestMain:

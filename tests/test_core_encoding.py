@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import MappingEncoder
 from repro.mapspace import MapSpace
-from repro.workloads import problem_by_name
+from repro.workloads import make_gemm, problem_by_name
 
 
 class TestLengths:
@@ -68,6 +68,19 @@ class TestEncode:
         with pytest.raises(ValueError):
             encoder.encode(cnn_space.sample(0), mttkrp_problem)
 
+    def test_encode_is_the_batch_row_bitwise_at_a_prime_bound(self, accelerator):
+        """1621 is the smallest integer whose ``np.log2`` and ``math.log2``
+        differ (by one ulp); a separate scalar encoder once disagreed with
+        the batch path there."""
+        problem = make_gemm("prime_1621", m=1621, n=4, k=8)
+        space = MapSpace(problem, accelerator)
+        encoder = MappingEncoder.for_problem(problem)
+        for seed in range(4):
+            mapping = space.sample(seed)
+            assert 1621 in mapping.factors("M")
+            row = encoder.encode_batch([mapping], problem)[0]
+            assert encoder.encode(mapping, problem).tobytes() == row.tobytes()
+
 
 class TestDecodeRoundtrip:
     @pytest.mark.parametrize("seed", range(10))
@@ -100,6 +113,25 @@ class TestDecodeRoundtrip:
         encoder = MappingEncoder.for_problem(cnn_problem)
         with pytest.raises(ValueError):
             encoder.decode(np.zeros(10), cnn_space)
+
+    def test_nan_tile_raises_naming_the_bound(self, cnn_space, cnn_problem):
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        vector = encoder.encode(cnn_space.sample(0), cnn_problem)
+        vector[encoder.layout.tile_slice.start + 5] = np.nan  # dim 1, slot 1
+        bound = cnn_problem.bounds[encoder.dims[1]]
+        with pytest.raises(ValueError, match=rf"nan.*factorization of {bound}\b"):
+            encoder.decode(vector, cnn_space)
+
+    def test_infinite_tiles_clip_like_out_of_range_entries(self, cnn_space, cnn_problem):
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        vector = encoder.encode(cnn_space.sample(2), cnn_problem)
+        tiles = encoder.layout.tile_slice
+        infinite, clipped = vector.copy(), vector.copy()
+        infinite[tiles.start : tiles.start + 4] = [np.inf, -np.inf, np.inf, -np.inf]
+        clipped[tiles.start : tiles.start + 4] = [40.0, 0.0, 40.0, 0.0]
+        decoded = encoder.decode(infinite, cnn_space)
+        assert cnn_space.is_member(decoded)
+        assert decoded == encoder.decode(clipped, cnn_space)
 
     def test_mttkrp_roundtrip(self, mttkrp_problem, accelerator):
         space = MapSpace(mttkrp_problem, accelerator)

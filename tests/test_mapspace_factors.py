@@ -10,6 +10,7 @@ from repro.mapspace.factors import (
     compositions,
     nearest_composition,
     nearest_factorization,
+    nearest_factorizations,
     sample_composition,
     sample_factorization,
     smallest_prime_factor,
@@ -47,6 +48,20 @@ class TestNearestFactorization:
     def test_wrong_length_raises(self):
         with pytest.raises(ValueError):
             nearest_factorization(12, 3, [1, 2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_raises_naming_n(self, bad):
+        with pytest.raises(ValueError, match=r"factorization of 36\b.*not finite"):
+            nearest_factorization(36, 4, [2.0, bad, 3.0, 1.0])
+
+    def test_batched_rounding_resolves_each_n(self):
+        assert nearest_factorizations(
+            (24, 36, 1), 3, [[2, 3, 4], [6, 6, 1], [5, 5, 5]]
+        ) == ((2, 3, 4), (6, 6, 1), (1, 1, 1))
+
+    def test_batched_rounding_checks_the_target_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            nearest_factorizations((24, 36), 3, [[2, 3, 4]])
 
     @given(
         st.integers(min_value=1, max_value=256),
