@@ -14,9 +14,11 @@ benefit from statistics.
 The per-step means land in ``BENCH_step_costs.json`` (via
 ``write_bench_json``) as ``*_ms`` keys, which ``check_trajectory.py`` gates
 lower-is-better against the committed snapshot in
-``benchmarks/trajectory/`` — the decode+project step among them.
+``benchmarks/trajectory/`` — the decode+project step among them, and the
+map space's projection and neighbourhood move on their own.
 """
 
+import numpy as np
 import pytest
 
 from conftest import add_report, write_bench_json
@@ -69,6 +71,38 @@ def test_step_map_space_sample(benchmark, accelerator):
     seeds = iter(range(10_000_000))
     benchmark(lambda: space.sample(next(seeds)))
     _RESULTS["map_space_sample"] = benchmark.stats.stats.mean
+
+
+def _repair_candidate(space):
+    """A fixed seeded candidate that needs bound *and* capacity repair.
+
+    K's factors multiply to 3 (its bound is 256), and all of C moves into
+    the innermost tile, which overflows the Input tile's L2 banks.
+    """
+    bounds = space.problem.bounds
+    mapping = space.sample(0).with_tile_factors("K", (1, 1, 1, 3))
+    return mapping.with_tile_factors("C", (1, 1, 1, bounds["C"]))
+
+
+def test_step_map_space_project(benchmark, accelerator):
+    """One projection that repairs a factor product and buffer capacity."""
+    _, space = _problem_and_space(accelerator)
+    candidate = _repair_candidate(space)
+    errors = space.validity_errors(candidate)
+    assert any("multiply to" in e for e in errors)
+    assert any("exceeds its" in e for e in errors)
+    repaired = benchmark(space.project, candidate)
+    _RESULTS["map_space_project"] = benchmark.stats.stats.mean
+    assert space.is_member(repaired)
+
+
+def test_step_map_space_neighbor(benchmark, accelerator):
+    """One neighbourhood move (SA's step), from one seeded stream."""
+    _, space = _problem_and_space(accelerator)
+    mapping = space.sample(0)
+    rng = np.random.default_rng(0)
+    benchmark(space.random_neighbor, mapping, rng)
+    _RESULTS["map_space_neighbor"] = benchmark.stats.stats.mean
 
 
 @pytest.fixture(scope="module", autouse=True)

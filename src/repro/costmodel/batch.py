@@ -834,7 +834,7 @@ def compile_megabatch(
 
     # Group-major rows: lower each problem's lanes contiguously.  Tile rows
     # land in a ones-filled (N, Dmax, 4) array (padding dims keep factor 1
-    # at every level) via each mapping's cached ``factor_array``; memoized
+    # at every level) through one ``np.array`` per group; memoized
     # order rows are stored already padded (padding positions name the
     # problem's first padding dim, whose factors are all 1, so the
     # nest-bound gather below reads bound 1 for them without a second
@@ -859,7 +859,7 @@ def compile_megabatch(
         cache = tab.order_cache.setdefault(max_dims, {})
         memo = tab.order_memo.setdefault(max_dims, {})
         rows = tab.order_rows.setdefault(max_dims, [])
-        tile_rows: List[np.ndarray] = []
+        tile_rows: List[Tuple[Tuple[int, ...], ...]] = []
         codes: List[int] = []
         for i in lane_groups[g]:
             mapping = mappings[i]
@@ -867,7 +867,7 @@ def compile_megabatch(
                 raise ValueError(
                     f"mapping dims {mapping.dims} do not match problem dims {dims}"
                 )
-            tile_rows.append(mapping.factor_array)
+            tile_rows.append(mapping.tile_factors)
             orders = mapping.loop_orders
             entry = memo.get(id(orders))
             if entry is not None and entry[0] is orders:
@@ -890,9 +890,7 @@ def compile_megabatch(
                 memo[id(orders)] = (orders, code)
             codes.append(code)
         row_end = row_start + len(codes)
-        tile_factors[row_start:row_end, :d, :] = np.concatenate(tile_rows).reshape(
-            len(tile_rows), d, 4
-        )
+        tile_factors[row_start:row_end, :d, :] = np.array(tile_rows, dtype=np.int64)
         code_arr = np.fromiter(codes, dtype=np.int64, count=len(codes))
         if overflow_rows:
             cached_mask = code_arr >= 0

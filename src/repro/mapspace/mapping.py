@@ -8,11 +8,8 @@ the four entries must equal the dimension bound, making tile extents exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Dict, Mapping as MappingType, Sequence, Tuple
-
-import numpy as np
 
 from repro.utils import prod
 
@@ -53,42 +50,30 @@ class Mapping:
     allocation: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.tile_factors) != len(self.dims):
+        dims, n_dims = self.dims, len(self.dims)
+        if len(self.tile_factors) != n_dims:
             raise ValueError("tile_factors must align with dims")
-        for dim, factors in zip(self.dims, self.tile_factors):
+        for dim, factors in zip(dims, self.tile_factors):
             if len(factors) != len(FACTOR_SLOTS):
                 raise ValueError(f"dimension {dim!r} needs {len(FACTOR_SLOTS)} factors")
-            if any(f < 1 for f in factors):
+            if min(factors) < 1:
                 raise ValueError(f"dimension {dim!r} has non-positive factor {factors}")
         if len(self.loop_orders) != len(ORDER_LEVELS):
             raise ValueError(f"need {len(ORDER_LEVELS)} loop orders")
-        expected = frozenset(self.dims)
+        expected = frozenset(dims)
         for level, order in zip(ORDER_LEVELS, self.loop_orders):
-            if frozenset(order) != expected or len(order) != len(self.dims):
+            if len(order) != n_dims or frozenset(order) != expected:
                 raise ValueError(f"loop order at {level} is not a permutation of dims")
         if len(self.allocation) != len(ALLOC_LEVELS):
             raise ValueError(f"need allocations for {ALLOC_LEVELS}")
+        n_tensors = len(self.tensors)
         for level, banks in zip(ALLOC_LEVELS, self.allocation):
-            if len(banks) != len(self.tensors):
+            if len(banks) != n_tensors:
                 raise ValueError(f"allocation at {level} must align with tensors")
-            if any(b < 1 for b in banks):
+            if n_tensors and min(banks) < 1:
                 raise ValueError(f"allocation at {level} must give every tensor a bank")
 
     # ---- tiling accessors -------------------------------------------------
-
-    @cached_property
-    def factor_array(self) -> np.ndarray:
-        """``(len(dims), 4)`` int64 array of ``tile_factors``, cached.
-
-        The vectorized cost kernels lower every batch lane's nested factor
-        tuples into one small array; caching that array on the value object
-        makes re-pricing a mapping (replay, cohort prewarm rounds) pay the
-        conversion once per mapping instead of once per batch compile.  The
-        array is frozen read-only so sharing it across batches is safe.
-        """
-        factors = np.asarray(self.tile_factors, dtype=np.int64)
-        factors.setflags(write=False)
-        return factors
 
     def dim_index(self, dim: str) -> int:
         try:
@@ -174,21 +159,27 @@ class Mapping:
         index = self.dim_index(dim)
         updated = list(self.tile_factors)
         updated[index] = tuple(int(f) for f in factors)  # type: ignore[assignment]
-        return replace(self, tile_factors=tuple(updated))
+        return type(self)(
+            self.dims, tuple(updated), self.loop_orders, self.tensors, self.allocation
+        )
 
     def with_loop_order(self, level: str, order: Sequence[str]) -> "Mapping":
         """Copy of this mapping with the loop order at ``level`` replaced."""
         index = ORDER_LEVELS.index(level)
         updated = list(self.loop_orders)
         updated[index] = tuple(order)
-        return replace(self, loop_orders=tuple(updated))
+        return type(self)(
+            self.dims, self.tile_factors, tuple(updated), self.tensors, self.allocation
+        )
 
     def with_allocation(self, level: str, banks: Sequence[int]) -> "Mapping":
         """Copy of this mapping with the bank split at ``level`` replaced."""
         index = ALLOC_LEVELS.index(level)
         updated = list(self.allocation)
         updated[index] = tuple(int(b) for b in banks)
-        return replace(self, allocation=tuple(updated))
+        return type(self)(
+            self.dims, self.tile_factors, self.loop_orders, self.tensors, tuple(updated)
+        )
 
     # ---- serialization ------------------------------------------------------
 

@@ -13,9 +13,10 @@ RL) operate with, and exhaustive enumeration for tiny spaces (tests and the
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from repro.mapspace.factors import (
     nearest_composition,
     nearest_factorization,
     sample_composition,
-    sample_factorization,
     smallest_prime_factor,
 )
 from repro.mapspace.mapping import ALLOC_LEVELS, FACTOR_SLOTS, Mapping, ORDER_LEVELS
@@ -36,12 +36,40 @@ from repro.workloads.problem import Problem
 #: Tile-factor slot indices (see ``FACTOR_SLOTS``).
 _DRAM, _L2, _SPATIAL, _L1 = 0, 1, 2, 3
 
+#: Allocatable-level indices (see ``ALLOC_LEVELS``).
+_AT_L2, _AT_L1 = 0, 1
+
+
+@functools.lru_cache(maxsize=5040)
+def _loop_order(dims: Tuple[str, ...], perm: Tuple[int, ...]) -> Tuple[str, ...]:
+    """``dims`` permuted by index tuple ``perm``, shared across map spaces.
+
+    Module-level because a :class:`MapSpace` is rebuilt per request; sized
+    for the 7! orders of a seven-dimension problem.
+    """
+    return tuple(dims[i] for i in perm)
+
+
+def _level_extents(tile_factors: Sequence[Sequence[int]]) -> Tuple[List[int], List[int]]:
+    """Per-dimension L2 and L1 tile extents (``ALLOC_LEVELS`` order).
+
+    The L2 tile spans L1 x spatial x L2 factors; the L1 tile the L1 factor.
+    """
+    return (
+        [f[_L1] * f[_SPATIAL] * f[_L2] for f in tile_factors],
+        [f[_L1] for f in tile_factors],
+    )
+
 
 class MapSpace:
     """All valid mappings of one problem onto one accelerator.
 
-    Construction is cheap; all expensive enumeration is lazy.  Instances are
-    immutable and safe to share between searchers.
+    Construction builds small integer tables: each dimension's ordered
+    factorizations, each tensor's footprint axes as dimension indices, and
+    each buffer level's bank words and bank count.  Sampling, membership
+    and projection compute on those tables and build a :class:`Mapping`
+    only for what they return.  Exhaustive enumeration stays lazy.
+    Instances are immutable and safe to share between searchers.
     """
 
     def __init__(self, problem: Problem, accelerator: Accelerator) -> None:
@@ -51,13 +79,44 @@ class MapSpace:
         self.tensor_names: Tuple[str, ...] = tuple(t.name for t in problem.tensors)
         self._tensors = problem.tensors
         self._bounds = problem.bounds
+        dim_index = {dim: i for i, dim in enumerate(self.dims)}
+        #: Per dimension (dim order): its bound and its ordered factorizations.
+        self._dim_bounds = tuple(self._bounds[dim] for dim in self.dims)
+        self._options = tuple(factorizations(bound, 4) for bound in self._dim_bounds)
+        #: Per tensor, as dim indices: its footprint axes, split into plain
+        #: axes and sliding-window axes (see ``_footprints``), and its
+        #: relevant dimensions.
+        self._axes = tuple(
+            (
+                tuple(dim_index[axis[0]] for axis in tensor.axes if len(axis) == 1),
+                tuple(
+                    tuple(dim_index[dim] for dim in axis)
+                    for axis in tensor.axes
+                    if len(axis) > 1
+                ),
+            )
+            for tensor in self._tensors
+        )
+        self._relevant = tuple(
+            tuple(sorted(dim_index[dim] for dim in tensor.dims))
+            for tensor in self._tensors
+        )
+        #: Per allocatable level (``ALLOC_LEVELS`` order).
+        self._bank_totals = tuple(accelerator.banks(level) for level in ALLOC_LEVELS)
+        self._bank_words = tuple(accelerator.bank_words(level) for level in ALLOC_LEVELS)
+        self._num_pes = accelerator.num_pes
+        self._movable = tuple(dim for dim in self.dims if self._bounds[dim] > 1)
 
     # ------------------------------------------------------------------
     # Validity
     # ------------------------------------------------------------------
 
     def validity_errors(self, mapping: Mapping) -> List[str]:
-        """All reasons ``mapping`` is invalid (empty list when valid)."""
+        """All reasons ``mapping`` is invalid (empty list when valid).
+
+        The diagnostic twin of :meth:`is_member`, which answers the same
+        question on the space's tables without formatting messages.
+        """
         errors: List[str] = []
         if mapping.dims != self.dims:
             errors.append(f"dims {mapping.dims} != problem dims {self.dims}")
@@ -99,9 +158,51 @@ class MapSpace:
     def is_member(self, mapping: Mapping) -> bool:
         """True when ``mapping`` is valid for this problem and accelerator.
 
-        The paper's ``isMember(m, p)`` routine.
+        The paper's ``isMember(m, p)`` routine: ``not validity_errors(m)``,
+        short-circuited over the space's tables.
         """
-        return not self.validity_errors(mapping)
+        if mapping.dims != self.dims or mapping.tensors != self.tensor_names:
+            return False
+        tile_factors = mapping.tile_factors
+        spatial = 1
+        for (dram, l2, pes, l1), bound in zip(tile_factors, self._dim_bounds):
+            if dram * l2 * pes * l1 != bound:
+                return False
+            spatial *= pes
+        if spatial > self._num_pes:
+            return False
+        for banks, total in zip(mapping.allocation, self._bank_totals):
+            if sum(banks) > total:
+                return False
+        footprints = [self._footprints(e) for e in _level_extents(tile_factors)]
+        return self._fits(footprints, mapping.allocation)
+
+    def _footprints(self, extents: Sequence[int]) -> List[int]:
+        """Every tensor's ``TensorSpec.footprint`` for dim-order ``extents``.
+
+        Extents are products of factors >= 1, so only a sliding-window
+        axis (``x + r - 1`` positions) needs the floor at 1.
+        """
+        get = extents.__getitem__
+        footprints = []
+        for plain, windows in self._axes:
+            footprint = math.prod(map(get, plain))
+            for window in windows:
+                footprint *= max(sum(map(get, window)) - (len(window) - 1), 1)
+            footprints.append(footprint)
+        return footprints
+
+    def _fits(
+        self, footprints: List[List[int]], allocation: Sequence[Sequence[int]]
+    ) -> bool:
+        """Every tensor's tile fits its banks at every level."""
+        for level_footprints, banks, words in zip(
+            footprints, allocation, self._bank_words
+        ):
+            for footprint, tensor_banks in zip(level_footprints, banks):
+                if footprint > tensor_banks * words:
+                    return False
+        return True
 
     # ------------------------------------------------------------------
     # Sampling
@@ -112,49 +213,94 @@ class MapSpace:
 
         Rejection-samples uniform candidates; if ``max_tries`` candidates are
         all invalid (tight buffers), deterministically repairs the last one
-        via :meth:`project` so sampling always terminates.
+        via :meth:`project` so sampling always terminates.  Candidates are
+        tested as raw parts; only the returned one becomes a ``Mapping``.
+        Bounds, spatial size and bank totals hold by construction, so the
+        capacity check is exactly ``is_member`` of the assembled mapping.
         """
+        if max_tries < 1:
+            raise ValueError(f"max_tries must be >= 1, got {max_tries}")
         rng = ensure_rng(seed)
-        candidate: Optional[Mapping] = None
+        n_tensors = len(self._tensors)
         for attempt in range(max_tries):
-            candidate = self._sample_candidate(rng, proportional_alloc=attempt % 2 == 1)
-            if self.is_member(candidate):
-                return candidate
-        assert candidate is not None
-        return self.project(candidate)
+            tile_factors = self._sample_tile_factors(rng)
+            orders = tuple(self.random_loop_order(rng) for _ in ORDER_LEVELS)
+            footprints = [self._footprints(e) for e in _level_extents(tile_factors)]
+            if attempt % 2 == 1:
+                # The footprint-proportional split draws nothing, so it is
+                # skipped when no split can hold the tiles, unless this is
+                # the candidate projected below.
+                if attempt < max_tries - 1 and not self._splittable(footprints):
+                    continue
+                allocation = tuple(
+                    nearest_composition(
+                        total,
+                        n_tensors,
+                        np.array([max(f, 1) for f in level_footprints], dtype=float),
+                    )
+                    for total, level_footprints in zip(self._bank_totals, footprints)
+                )
+            else:
+                allocation = tuple(
+                    sample_composition(total, n_tensors, rng)
+                    for total in self._bank_totals
+                )
+            if self._fits(footprints, allocation):
+                return Mapping(
+                    self.dims, tile_factors, orders, self.tensor_names, allocation
+                )
+        return self.project(
+            Mapping(self.dims, tile_factors, orders, self.tensor_names, allocation)
+        )
 
     def sample_many(self, count: int, seed: SeedLike = None) -> List[Mapping]:
         """``count`` independent valid samples from one deterministic stream."""
         rng = ensure_rng(seed)
         return [self.sample(rng) for _ in range(count)]
 
-    def _sample_candidate(
-        self, rng: np.random.Generator, proportional_alloc: bool = False
-    ) -> Mapping:
-        """One structurally-valid candidate (may violate capacity limits)."""
-        tile_factors = []
-        for dim in self.dims:
-            factors = list(sample_factorization(self._bounds[dim], 4, rng))
-            tile_factors.append(factors)
-        self._cap_spatial(tile_factors)
-        # Permuting indices draws the stream permuting the names would, but
-        # keeps plain ``str`` names (``numpy.str_`` copies cost memory).
-        orders = tuple(
-            tuple(self.dims[i] for i in rng.permutation(len(self.dims)).tolist())
-            for _ in ORDER_LEVELS
+    def random_loop_order(self, rng: np.random.Generator) -> Tuple[str, ...]:
+        """A uniform permutation of ``dims`` (one ``rng.permutation`` draw).
+
+        Permuting indices draws the stream permuting the names would, and
+        the shared order table keeps plain, interned ``str`` names.
+        """
+        perm = rng.permutation(len(self.dims)).tolist()
+        return _loop_order(self.dims, tuple(perm))
+
+    def _sample_tile_factors(
+        self, rng: np.random.Generator
+    ) -> Tuple[Tuple[int, ...], ...]:
+        """One uniform factorization per dimension, spatially capped.
+
+        Rows are the shared factorization tuples unless the cap changes them.
+        """
+        tile_factors = [
+            options[int(rng.integers(0, len(options)))] for options in self._options
+        ]
+        if prod(f[_SPATIAL] for f in tile_factors) > self._num_pes:
+            capped = [list(f) for f in tile_factors]
+            self._cap_spatial(capped)
+            tile_factors = [
+                f if list(f) == c else tuple(c) for f, c in zip(tile_factors, capped)
+            ]
+        return tuple(tile_factors)
+
+    def _splittable(self, footprints: List[List[int]]) -> bool:
+        """Whether some bank split could hold these per-level footprints.
+
+        Each tensor needs ``ceil(footprint / bank words)`` banks, so when a
+        level's needs exceed its banks every split of them fails ``_fits``.
+        """
+        return all(
+            sum(-(-footprint // words) for footprint in level_footprints) <= total
+            for level_footprints, words, total in zip(
+                footprints, self._bank_words, self._bank_totals
+            )
         )
-        mapping = Mapping(
-            dims=self.dims,
-            tile_factors=tuple(tuple(f) for f in tile_factors),
-            loop_orders=orders,
-            tensors=self.tensor_names,
-            allocation=self._sample_allocation(rng, tile_factors, proportional_alloc),
-        )
-        return mapping
 
     def _cap_spatial(self, tile_factors: List[List[int]]) -> None:
         """Demote spatial factors to L2-temporal until they fit the PE array."""
-        while prod(f[_SPATIAL] for f in tile_factors) > self.accelerator.num_pes:
+        while prod(f[_SPATIAL] for f in tile_factors) > self._num_pes:
             index = max(
                 range(len(tile_factors)), key=lambda i: tile_factors[i][_SPATIAL]
             )
@@ -162,38 +308,6 @@ class MapSpace:
             prime = smallest_prime_factor(factors[_SPATIAL])
             factors[_SPATIAL] //= prime
             factors[_L2] *= prime
-
-    def _sample_allocation(
-        self,
-        rng: np.random.Generator,
-        tile_factors: Sequence[Sequence[int]],
-        proportional: bool,
-    ) -> Tuple[Tuple[int, ...], ...]:
-        """Bank split per level: uniform, or footprint-proportional."""
-        n_tensors = len(self._tensors)
-        allocation = []
-        for level in ALLOC_LEVELS:
-            total = self.accelerator.banks(level)
-            if not proportional:
-                allocation.append(sample_composition(total, n_tensors, rng))
-                continue
-            extents = self._extents_for(level, tile_factors)
-            footprints = np.array(
-                [max(t.footprint(extents), 1) for t in self._tensors], dtype=float
-            )
-            allocation.append(nearest_composition(total, n_tensors, footprints))
-        return tuple(allocation)
-
-    def _extents_for(
-        self, level: str, tile_factors: Sequence[Sequence[int]]
-    ) -> Dict[str, int]:
-        extents = {}
-        for dim, factors in zip(self.dims, tile_factors):
-            if level == "L1":
-                extents[dim] = factors[_L1]
-            else:  # L2 tile spans L1 x spatial x L2 factors
-                extents[dim] = factors[_L1] * factors[_SPATIAL] * factors[_L2]
-        return extents
 
     # ------------------------------------------------------------------
     # Projection (the paper's getProjection, used by PGD)
@@ -208,13 +322,14 @@ class MapSpace:
         remainder rounding), and buffer-capacity violations (hoist tile
         factors toward DRAM until each tensor's tile fits its banks).
 
-        Whatever needs no repair keeps its input tuple, and a mapping that
-        needs none comes back as itself: immutable parts are shared, so
-        the many near-identical mappings a search retains cost less.
+        A valid mapping comes back as itself, and whatever needs no repair
+        keeps its input tuple: immutable parts are shared, so the many
+        near-identical mappings a search retains cost less.
         """
+        if self.is_member(mapping):
+            return mapping
         tile_factors = [list(f) for f in mapping.tile_factors]
-        for index, dim in enumerate(self.dims):
-            bound = self._bounds[dim]
+        for index, bound in enumerate(self._dim_bounds):
             if prod(tile_factors[index]) != bound:
                 tile_factors[index] = list(
                     nearest_factorization(bound, 4, tile_factors[index])
@@ -243,8 +358,7 @@ class MapSpace:
 
     def _repair_allocation(self, mapping: Mapping) -> Tuple[Tuple[int, ...], ...]:
         allocation = []
-        for level, banks in zip(ALLOC_LEVELS, mapping.allocation):
-            total = self.accelerator.banks(level)
+        for total, banks in zip(self._bank_totals, mapping.allocation):
             if sum(banks) > total or any(b < 1 for b in banks):
                 banks = nearest_composition(total, len(banks), banks)
             allocation.append(tuple(banks))
@@ -262,28 +376,22 @@ class MapSpace:
         spatial -> DRAM, then L1 -> DRAM as a last resort.  Terminates
         because each step strictly shrinks the product of non-DRAM factors.
         """
-        alloc_by_level = {
-            level: dict(zip(self.tensor_names, banks))
-            for level, banks in zip(ALLOC_LEVELS, allocation)
-        }
+        alloc_by_level = [dict(zip(self.tensor_names, banks)) for banks in allocation]
 
-        def violating_tensor(level: str) -> Optional[int]:
-            extents = self._extents_for(level, tile_factors)
-            bank_words = self.accelerator.bank_words(level)
-            for t_index, tensor in enumerate(self._tensors):
-                capacity = alloc_by_level[level][tensor.name] * bank_words
-                if tensor.footprint(extents) > capacity:
+        def violating_tensor(level: int) -> Optional[int]:
+            footprints = self._footprints(_level_extents(tile_factors)[level])
+            bank_words = self._bank_words[level]
+            banks = alloc_by_level[level]
+            for t_index, name in enumerate(self.tensor_names):
+                if footprints[t_index] > banks[name] * bank_words:
                     return t_index
             return None
 
         def hoist(t_index: int, source_slots: Sequence[int], dest_slot: int) -> bool:
             """Move one prime factor of a relevant dim up; False if stuck."""
-            relevant = self._tensors[t_index].dims
             for slot in source_slots:
                 candidates = [
-                    i
-                    for i, dim in enumerate(self.dims)
-                    if dim in relevant and tile_factors[i][slot] > 1
+                    i for i in self._relevant[t_index] if tile_factors[i][slot] > 1
                 ]
                 if candidates:
                     index = max(candidates, key=lambda i: tile_factors[i][slot])
@@ -295,13 +403,13 @@ class MapSpace:
 
         # L1 first: shrinking L1 tiles never worsens L2 residency.
         while True:
-            t_index = violating_tensor("L1")
+            t_index = violating_tensor(_AT_L1)
             if t_index is None:
                 break
             if not hoist(t_index, (_L1,), _L2):
                 break  # tile already minimal; nothing more to shrink
         while True:
-            t_index = violating_tensor("L2")
+            t_index = violating_tensor(_AT_L2)
             if t_index is None:
                 break
             if not hoist(t_index, (_L2, _SPATIAL, _L1), _DRAM):
@@ -341,12 +449,9 @@ class MapSpace:
         return self.project(neighbor)
 
     def _move_tile(self, mapping: Mapping, rng: np.random.Generator) -> Mapping:
-        movable = [
-            dim for dim in self.dims if self._bounds[dim] > 1
-        ]
-        if not movable:
+        if not self._movable:
             return mapping
-        dim = movable[int(rng.integers(0, len(movable)))]
+        dim = self._movable[int(rng.integers(0, len(self._movable)))]
         factors = list(mapping.factors(dim))
         sources = [slot for slot in range(4) if factors[slot] > 1]
         if not sources:
@@ -448,8 +553,8 @@ class MapSpace:
         (e.g. ~1e25 for ResNet Conv_4 in the paper).
         """
         total = 1.0
-        for dim in self.dims:
-            total *= len(factorizations(self._bounds[dim], 4))
+        for options in self._options:
+            total *= len(options)
         total *= math.factorial(len(self.dims)) ** len(ORDER_LEVELS)
         for level in ALLOC_LEVELS:
             spare = self.accelerator.banks(level) - len(self.tensor_names)
@@ -470,7 +575,7 @@ class MapSpace:
         multiplies the space by hundreds).  Raises ``ValueError`` when the
         enumeration would exceed ``limit``.
         """
-        factor_options = [factorizations(self._bounds[dim], 4) for dim in self.dims]
+        factor_options = self._options
         # Count candidates arithmetically BEFORE materializing anything: a
         # 7-dim space has (7!)^3 ~ 1.3e11 order combinations, so eager
         # construction must never happen.

@@ -88,7 +88,7 @@ class GeneticSearcher(OracleSearcher):
             if kind == "tile":
                 value = sample_factorization(bounds[key], 4, rng)
             elif kind == "order":
-                value = tuple(rng.permutation(list(self.space.dims)))
+                value = self.space.random_loop_order(rng)
             else:  # alloc
                 value = sample_composition(
                     self.space.accelerator.banks(key), len(self.space.tensor_names), rng

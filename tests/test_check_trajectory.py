@@ -36,6 +36,8 @@ class TestDirection:
         ("surrogate_fwd_bwd_ms", "down"),
         ("decode_project_ms", "down"),
         ("map_space_sample_ms", "down"),
+        ("map_space_project_ms", "down"),
+        ("map_space_neighbor_ms", "down"),
     ])
     def test_key_directions(self, key, expected):
         assert check_trajectory._direction(key) == expected
@@ -120,7 +122,8 @@ def test_committed_step_cost_snapshot_gates_every_step():
     )
     _, checked = check_trajectory.compare_documents(snapshot, snapshot, band=0.25)
     assert sorted(line.split(":")[0] for line in checked) == [
-        "results.decode_project_ms", "results.map_space_sample_ms",
+        "results.decode_project_ms", "results.map_space_neighbor_ms",
+        "results.map_space_project_ms", "results.map_space_sample_ms",
         "results.oracle_query_ms", "results.surrogate_fwd_bwd_ms",
     ]
 

@@ -1,5 +1,10 @@
 """Tests for MapSpace: sampling, validity, projection, moves, enumeration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,6 +41,33 @@ class TestSampleValidity:
         # property-style sweep without hypothesis (fixtures + @given clash)
         for seed in np.random.default_rng(0).integers(0, 100_000, size=25):
             assert cnn_space.is_member(cnn_space.sample(int(seed)))
+
+    @pytest.mark.parametrize("max_tries", [0, -1])
+    def test_sample_rejects_max_tries_below_one(self, cnn_space, max_tries):
+        with pytest.raises(ValueError, match="max_tries"):
+            cnn_space.sample(0, max_tries=max_tries)
+
+    def test_sample_rejects_max_tries_below_one_under_optimize(self):
+        """The check is not an ``assert``: ``python -O`` raises it too."""
+        script = (
+            "from repro.costmodel.accelerator import default_accelerator\n"
+            "from repro.mapspace import MapSpace\n"
+            "from repro.workloads import problem_by_name\n"
+            "space = MapSpace(problem_by_name('ResNet_Conv4'), default_accelerator())\n"
+            "try:\n"
+            "    space.sample(0, max_tries=0)\n"
+            "except ValueError as error:\n"
+            "    print('ValueError:', error)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("ValueError:") and "max_tries" in result.stdout
 
 
 class TestValidityChecks:
