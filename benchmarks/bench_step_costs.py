@@ -14,9 +14,12 @@ benefit from statistics.
 The per-step means land in ``BENCH_step_costs.json`` (via
 ``write_bench_json``) as ``*_ms`` keys, which ``check_trajectory.py`` gates
 lower-is-better against the committed snapshot in
-``benchmarks/trajectory/`` — the decode+project step among them, and the
-map space's projection and neighbourhood move on their own.
+``benchmarks/trajectory/`` — the decode+project step among them, the map
+space's projection and neighbourhood move on their own, and the batched
+oracle at one and 64 lanes.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -33,10 +36,20 @@ _RESULTS = {}
 #: The workload every step is timed on.
 PROBLEM = "ResNet_Conv4"
 
+#: Pre-sampled mappings the batched-oracle steps cycle through, so each
+#: call prices mappings it has not just priced.
+POOL_SIZE = 4096
+
 
 def _problem_and_space(accelerator):
     problem = problem_by_name(PROBLEM)
     return problem, MapSpace(problem, accelerator)
+
+
+@pytest.fixture(scope="module")
+def mapping_pool(accelerator):
+    _, space = _problem_and_space(accelerator)
+    return space.sample_many(POOL_SIZE, seed=2021)
 
 
 def test_step_oracle_query(benchmark, accelerator):
@@ -47,6 +60,24 @@ def test_step_oracle_query(benchmark, accelerator):
     result = benchmark(model.evaluate_edp, mapping, problem)
     _RESULTS["oracle_query"] = benchmark.stats.stats.mean
     assert result > 0
+
+
+@pytest.mark.parametrize("lanes", [1, 64])
+def test_step_oracle_batch(benchmark, accelerator, mapping_pool, lanes):
+    """One batched analytical query: ``CostModel.evaluate_many`` over 1
+    lane (an annealing step below the cohort's prewarm floor) or 64 lanes
+    (a population), each call over the next mappings of the pool."""
+    problem, _ = _problem_and_space(accelerator)
+    model = CostModel(accelerator)
+    starts = itertools.cycle(range(0, POOL_SIZE - lanes + 1, lanes))
+
+    def step():
+        start = next(starts)
+        return model.evaluate_many(mapping_pool[start:start + lanes], problem)
+
+    result = benchmark(step)
+    _RESULTS[f"oracle_batch_{lanes}"] = benchmark.stats.stats.mean
+    assert len(result) == lanes and min(result) > 0
 
 
 def test_step_surrogate_gradient(benchmark, accelerator, cnn_mm):

@@ -22,12 +22,9 @@ from repro.costmodel.accelerator import Accelerator, EnergyTable, default_accele
 from repro.costmodel.stats import CostStats, TensorLevelEnergy
 from repro.costmodel.batch import (
     BatchCostStats,
-    MappingBatch,
     MegaBatch,
     MegaBatchCostStats,
-    compile_batch,
     compile_megabatch,
-    edp_batch,
     evaluate_batch,
     evaluate_megabatch,
 )
@@ -48,16 +45,13 @@ __all__ = [
     "CostStats",
     "EnergyTable",
     "LoopNest",
-    "MappingBatch",
     "MegaBatch",
     "MegaBatchCostStats",
     "TensorLevelEnergy",
     "algorithmic_minimum",
     "build_nest",
-    "compile_batch",
     "compile_megabatch",
     "default_accelerator",
-    "edp_batch",
     "evaluate_batch",
     "evaluate_megabatch",
     "get_objective",

@@ -1,30 +1,35 @@
-"""Vectorized batched analytical cost model.
+"""Vectorized batched analytical cost model: one kernel for every batch.
 
 The scalar :class:`~repro.costmodel.model.CostModel` prices one mapping at a
 time: it builds a :class:`~repro.costmodel.nest.LoopNest` of Python objects,
 walks it per tensor for the Timeloop-style temporal-reuse products, and
 assembles a :class:`~repro.costmodel.stats.CostStats`.  Every batched caller
 — Phase 1 training-set generation, the ask/tell baselines' generation
-scoring, :class:`~repro.costmodel.cache.CachedOracle` miss batches, harness
-trace re-scoring — ultimately prices *populations* of mappings against one
-``(problem, accelerator)`` pair, so this module amortizes the analysis
-across the population instead:
+scoring, :class:`~repro.costmodel.cache.CachedOracle` miss batches, serving
+rounds, harness trace re-scoring — prices *populations* of mappings, so
+this module amortizes the analysis across the population instead:
 
-1. :func:`compile_batch` lowers ``N`` mappings into stacked numpy arrays —
-   per-level tile factors ``(N, D, 4)``, the concatenated temporal loop
-   nest as aligned bound/dimension matrices ``(N, 3D)`` (outermost
-   position first), per-level tile extents, and spatial sizes — with the
-   same structural validation as ``CostModel._check_structure``.
-2. :func:`evaluate_batch` runs the traffic/energy/cycles kernels over those
-   arrays: fill/reuse products via masked cumulative products along the
-   nest axis, footprints and multicast copies via gathers over the dim
-   axis, then the exact scalar traffic formulas applied elementwise.
+1. :func:`compile_megabatch` lowers ``N`` (mapping, problem) lanes into one
+   rectangular array set — per-level tile factors ``(N, Dmax, 4)``, the
+   concatenated temporal loop nest as aligned bound/dimension matrices
+   ``(N, 3 * Dmax)`` (outermost position first), spatial sizes, and
+   per-problem tensor tables gathered per lane — with the same structural
+   validation as ``CostModel._check_structure``.  It keeps no per-mapping
+   state: only per-problem tables and per-problem-set slot blocks, both
+   bounded by the problems served, are memoized.
+2. :func:`evaluate_mega_compiled` runs the traffic/energy/cycles kernels
+   over those arrays: fill/reuse products from the running bound product
+   along the nest axis, footprints and multicast copies over the dim axis,
+   then the exact scalar traffic formulas applied elementwise.
 
-The result is a :class:`BatchCostStats` holding per-(mapping, tensor,
-level) access counts and ``(N,)`` energy/cycles/utilization/EDP vectors —
-enough to rebuild any row's full :class:`CostStats` (:meth:`BatchCostStats.
-stats_at`) and to build the surrogate's meta-statistics targets without a
-per-row Python loop (:meth:`BatchCostStats.meta_matrix`).
+:func:`evaluate_megabatch` is the two in sequence, returning a
+:class:`MegaBatchCostStats`.  :func:`evaluate_batch` — ``N`` mappings of
+one problem — is its one-group case, ``problem_slice(0)`` of the result: a
+:class:`BatchCostStats` holding per-(mapping, tensor, level) access counts
+and ``(N,)`` energy/cycles/utilization/EDP vectors, enough to rebuild any
+row's full :class:`CostStats` (:meth:`BatchCostStats.stats_at`) and to
+build the surrogate's meta-statistics targets without a per-row Python
+loop (:meth:`BatchCostStats.meta_matrix`).
 
 Semantics are *identical* to the scalar model, not approximated: the
 bound-1 loop elision rule is reproduced by masking bound-1 loops out of
@@ -37,31 +42,25 @@ accelerator configurations; in practice agreement is at machine precision
 for all realistic problem sizes (all intermediate reuse products stay
 below 2**53 and stay exact in float64).
 
-Cross-problem megabatching
---------------------------
-
-:func:`compile_batch` requires every mapping to share one problem, so a
-serving round over a diverse traffic mix degenerates to one kernel call
-per distinct problem.  :func:`compile_megabatch` /
-:func:`evaluate_megabatch` lift that restriction with the wide-with-masks
-idiom: heterogeneous ``(mapping, problem)`` lanes are lowered into one
-rectangular array set by padding the dimension axis to ``max(D)`` with
+Lanes of different problems share one kernel pass through the
+wide-with-masks idiom: the dimension axis is padded to ``max(D)`` with
 ``(1, 1, 1, 1)`` tile factors and the nest axis to ``3 * max(D)`` with
 bound-1 loops (inert by the same elision masking), while everything
 per-problem — tensor relevance, sliding-window footprint axes, output
 roles, ops per point — lives in per-problem tables gathered per lane
-through ``problem_idx``.  The kernels then run *once* over the union,
+through ``problem_idx``.  The kernels run *once* over the union,
 vectorized over the tensor-slot axis as well, with invalid (padding)
-slots masked to zero traffic.  Every lane's arithmetic is ordered exactly
-as the homogeneous kernel orders it, and padding only ever multiplies by
-1.0 or adds 0.0, so a lane's statistics are **bitwise identical** to
-evaluating its problem's slice through :func:`evaluate_batch` — which is
-what lets the serving layer union a whole round across all live problems
-into a single kernel call without perturbing any response.
+slots masked to zero traffic.  Every lane's arithmetic is ordered the same
+whatever its batchmates, and padding only ever multiplies by 1.0 or adds
+0.0, so a lane's statistics are **bitwise independent** of which lanes
+and problems share its megabatch — which is what lets the serving layer
+union a whole round across all live problems into a single kernel call
+without perturbing any response.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -71,7 +70,7 @@ import numpy as np
 from repro.costmodel.accelerator import Accelerator, MEMORY_LEVELS
 from repro.costmodel.stats import CostStats, TensorLevelEnergy
 from repro.mapspace.mapping import Mapping
-from repro.workloads.problem import Problem, TensorSpec
+from repro.workloads.problem import Problem
 
 #: Tile-factor slot indices within a mapping's per-dimension factor tuple.
 _DRAM, _L2, _SPATIAL, _L1 = 0, 1, 2, 3
@@ -83,123 +82,52 @@ _TEMPORAL_SLOTS: Tuple[Tuple[str, int], ...] = (("DRAM", _DRAM), ("L2", _L2), ("
 _LEVEL_SLOTS = np.asarray([slot for _, slot in _TEMPORAL_SLOTS], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class MappingBatch:
-    """``N`` mappings over one problem, lowered to stacked arrays.
+def _check_row(index: int, rows: int) -> None:
+    """``stats_at`` contract: plain bounds, no negative wrap-around.
 
-    Arrays are aligned with ``problem.dim_names`` on the dimension axis and
-    with the mapping order on the batch axis.  ``nest_bounds`` /
-    ``nest_dims`` describe the full concatenated temporal loop nest (DRAM
-    loops, then L2, then L1 — each level in its mapping's loop order,
-    outermost loop first): position ``p`` of row ``n`` is a loop over
-    dimension index ``nest_dims[n, p]`` with bound ``nest_bounds[n, p]``.
-    Bound-1 loops are *kept* in place (unlike the scalar
-    :func:`~repro.costmodel.nest.build_nest`, which elides them): they
-    multiply every product by 1, and the reuse kernels mask them out of
-    relevance tests, which reproduces the elision semantics exactly while
-    keeping the arrays rectangular.
+    Numpy's negative indexing would silently serve ``stats_at(-1)`` from
+    the last row while ``stats_at(N)`` raises — an out-of-contract index
+    must never return a valid-looking row.
     """
-
-    problem: Problem
-    tile_factors: np.ndarray  # (N, D, 4) int64
-    nest_bounds: np.ndarray  # (N, 3D) float64, outermost position first
-    nest_dims: np.ndarray  # (N, 3D) int64 dimension index per position
-    spatial: np.ndarray  # (N,) float64 — PEs used per mapping
-
-    def __len__(self) -> int:
-        return self.tile_factors.shape[0]
-
-    @property
-    def n_dims(self) -> int:
-        return self.tile_factors.shape[1]
-
-    def level_extents(self, level: str) -> np.ndarray:
-        """Per-dimension tile extents at ``level`` as an ``(N, D)`` array.
-
-        Mirrors :meth:`repro.mapspace.mapping.Mapping.tile_extents`; the
-        extra pseudo-level ``"union"`` is the union of all PEs' L1 tiles
-        (L1 x spatial), the granularity L2 serves multicast reads at.
-        """
-        tf = self.tile_factors
-        if level == "L1":
-            return tf[:, :, _L1]
-        if level == "union":
-            return tf[:, :, _L1] * tf[:, :, _SPATIAL]
-        if level == "L2":
-            return tf[:, :, _L1] * tf[:, :, _SPATIAL] * tf[:, :, _L2]
-        if level == "DRAM":
-            return np.prod(tf, axis=2)
-        raise KeyError(f"unknown level {level!r}")
+    if not 0 <= index < rows:
+        raise IndexError(f"batch index {index} out of range for {rows} rows")
 
 
-def compile_batch(mappings: Sequence[Mapping], problem: Problem) -> MappingBatch:
-    """Lower ``mappings`` into a :class:`MappingBatch` for ``problem``.
-
-    Performs the scalar model's structural validation across the whole
-    batch: every mapping's dims must match the problem's and every
-    dimension's factors must multiply to its bound.  Raises ``ValueError``
-    naming the first offender, like ``CostModel.evaluate`` does.
-    """
-    dims = problem.dim_names
-    dim_index = {dim: i for i, dim in enumerate(dims)}
-    n = len(mappings)
-    n_dims = len(dims)
-
-    for mapping in mappings:
-        if mapping.dims != dims:
-            raise ValueError(
-                f"mapping dims {mapping.dims} do not match problem dims {dims}"
-            )
-    tile_factors = np.asarray(
-        [mapping.tile_factors for mapping in mappings], dtype=np.int64
-    ).reshape(n, n_dims, 4)
-    order_index = np.asarray(
-        [
-            [[dim_index[dim] for dim in order] for order in mapping.loop_orders]
-            for mapping in mappings
-        ],
-        dtype=np.int64,
-    ).reshape(n, 3, n_dims)
-
-    if n:
-        implied = np.prod(tile_factors, axis=2)  # (N, D)
-        bounds = np.asarray([d.bound for d in problem.dims], dtype=np.int64)
-        bad = np.argwhere(implied != bounds[None, :])
-        if bad.size:
-            row, col = bad[0]
-            raise ValueError(
-                f"mapping factors of {dims[col]} multiply to {implied[row, col]}, "
-                f"problem bound is {bounds[col]}"
-            )
-
-    # Concatenated temporal nest: per level, gather that level's factor slot
-    # through the level's loop order, then stack levels outermost first.
-    per_level = [
-        np.take_along_axis(tile_factors[:, :, slot], order_index[:, l, :], axis=1)
-        for l, (_, slot) in enumerate(_TEMPORAL_SLOTS)
-    ]
-    nest_bounds = np.concatenate(per_level, axis=1).astype(np.float64)
-    nest_dims = np.concatenate([order_index[:, l, :] for l in range(3)], axis=1)
-    spatial = np.prod(tile_factors[:, :, _SPATIAL], axis=1).astype(np.float64)
-    return MappingBatch(
-        problem=problem,
-        tile_factors=tile_factors,
-        nest_bounds=nest_bounds,
-        nest_dims=nest_dims,
-        spatial=spatial,
+def _access_energy(accelerator: Accelerator) -> np.ndarray:
+    """Per-word access energy at each of ``MEMORY_LEVELS``, ``(L,)``."""
+    return np.asarray(
+        [accelerator.energy.access(level) for level in MEMORY_LEVELS],
+        dtype=np.float64,
     )
 
 
-class _AggregateStats:
-    """Shared derived views over stacked access/energy arrays.
+@dataclass(frozen=True)
+class BatchCostStats:
+    """Vectorized evaluation result for ``N`` mappings of one problem.
 
-    Mixed into :class:`BatchCostStats` and :class:`MegaBatchCostStats`,
-    which both carry ``accesses`` / ``access_energy_pj`` / ``noc_words`` /
-    ``cycles`` arrays plus a ``mac_energy_pj`` (scalar for a homogeneous
-    batch, per-lane vector for a megabatch — the formulas broadcast).  All
-    reductions use explicit axes so zero-row batches stay well-formed:
-    every derived property of an empty batch is ``(0,)``-shaped.
+    What :meth:`MegaBatchCostStats.problem_slice` returns, and therefore
+    what :func:`evaluate_batch` returns.  The batched analogue of
+    :class:`~repro.costmodel.stats.CostStats`: ``accesses[n, t, l]`` is the
+    word-access count of mapping ``n`` for the problem's ``t``-th tensor at
+    memory level ``l`` (``MEMORY_LEVELS`` order), and the remaining fields
+    are ``(N,)`` vectors or constants shared by the whole batch.
+    Aggregates (energy, EDP) are derived properties, mirroring the scalar
+    formulas elementwise.  All reductions use explicit axes so zero-row
+    batches stay well-formed: every derived property of an empty batch is
+    ``(0,)``-shaped.
     """
+
+    problem_name: str
+    tensor_names: Tuple[str, ...]
+    accesses: np.ndarray  # (N, T, L) word accesses
+    access_energy_pj: np.ndarray  # (L,) per-word access energy
+    noc_words: np.ndarray  # (N,)
+    noc_hop_pj: float
+    mac_energy_pj: float  # identical across the batch (same problem)
+    cycles: np.ndarray  # (N,)
+    utilization: np.ndarray  # (N,)
+    spatial_pes: np.ndarray  # (N,) int64
+    clock_ghz: float = 1.0
 
     def __len__(self) -> int:
         return self.accesses.shape[0]
@@ -234,43 +162,6 @@ class _AggregateStats:
         """Energy-delay products in joule-seconds, shape ``(N,)``."""
         return self.energy_j * self.delay_s
 
-    def _check_index(self, index: int) -> None:
-        """``stats_at`` contract: plain bounds, no negative wrap-around.
-
-        Numpy's negative indexing would silently serve ``stats_at(-1)``
-        from the last row while ``stats_at(N)`` raises — an out-of-contract
-        index must never return a valid-looking row.
-        """
-        if not 0 <= index < len(self):
-            raise IndexError(
-                f"batch index {index} out of range for {len(self)} rows"
-            )
-
-
-@dataclass(frozen=True)
-class BatchCostStats(_AggregateStats):
-    """Vectorized evaluation result for ``N`` mappings of one problem.
-
-    The batched analogue of :class:`~repro.costmodel.stats.CostStats`:
-    ``accesses[n, t, l]`` is the word-access count of mapping ``n`` for the
-    problem's ``t``-th tensor at memory level ``l`` (``MEMORY_LEVELS``
-    order), and the remaining fields are ``(N,)`` vectors or constants
-    shared by the whole batch.  Aggregates (energy, EDP) are derived
-    properties, mirroring the scalar formulas elementwise.
-    """
-
-    problem_name: str
-    tensor_names: Tuple[str, ...]
-    accesses: np.ndarray  # (N, T, L) word accesses
-    access_energy_pj: np.ndarray  # (L,) per-word access energy
-    noc_words: np.ndarray  # (N,)
-    noc_hop_pj: float
-    mac_energy_pj: float  # identical across the batch (same problem)
-    cycles: np.ndarray  # (N,)
-    utilization: np.ndarray  # (N,)
-    spatial_pes: np.ndarray  # (N,) int64
-    clock_ghz: float = 1.0
-
     # ---- interop ---------------------------------------------------------
 
     def stats_at(self, index: int) -> CostStats:
@@ -278,7 +169,7 @@ class BatchCostStats(_AggregateStats):
 
         Raises ``IndexError`` unless ``0 <= index < len(self)``.
         """
-        self._check_index(index)
+        _check_row(index, len(self))
         energies = self.energies_pj[index]
         records = tuple(
             TensorLevelEnergy(
@@ -329,192 +220,6 @@ class BatchCostStats(_AggregateStats):
 
 
 # ----------------------------------------------------------------------
-# Reuse kernels
-# ----------------------------------------------------------------------
-
-
-def _fill_events(
-    cumprod: np.ndarray, relevant: np.ndarray, prefix: int
-) -> np.ndarray:
-    """Vectorized :func:`repro.costmodel.nest.fill_events` over a batch.
-
-    ``cumprod[n, p]`` is the running product of nest bounds through
-    position ``p``; ``relevant[n, p]`` marks loops that both iterate
-    (bound > 1) and touch the tensor.  The fill count is the cumulative
-    product at the *last* relevant position — and because bounds are >= 1
-    the cumulative product is non-decreasing along the nest, so that value
-    is simply the masked maximum (1.0 when no loop above is relevant).
-    """
-    if prefix == 0:
-        return np.ones(cumprod.shape[0], dtype=np.float64)
-    masked = np.where(relevant[:, :prefix], cumprod[:, :prefix], 1.0)
-    return masked.max(axis=1)
-
-
-def _distinct_tiles(
-    bounds: np.ndarray, relevant: np.ndarray, prefix: int
-) -> np.ndarray:
-    """Vectorized :func:`repro.costmodel.nest.distinct_tiles` over a batch:
-    the product of relevant loop bounds above the storage level."""
-    if prefix == 0:
-        return np.ones(bounds.shape[0], dtype=np.float64)
-    return np.where(relevant[:, :prefix], bounds[:, :prefix], 1.0).prod(axis=1)
-
-
-def _footprints(
-    tensor: TensorSpec, extents: np.ndarray, dim_index: Dict[str, int]
-) -> np.ndarray:
-    """Vectorized :meth:`TensorSpec.footprint` over ``(N, D)`` extents.
-
-    Sliding-window axes like ``(X, R)`` add their extents and subtract the
-    overlap (``x + r - 1`` positions), exactly as the scalar rule.
-    """
-    total = np.ones(extents.shape[0], dtype=np.float64)
-    for axis in tensor.axes:
-        span = np.full(extents.shape[0], -(len(axis) - 1), dtype=np.int64)
-        for dim in axis:
-            span = span + extents[:, dim_index[dim]]
-        total = total * np.maximum(span, 1)
-    return total
-
-
-# ----------------------------------------------------------------------
-# The batched kernels
-# ----------------------------------------------------------------------
-
-
-def evaluate_batch(
-    accelerator: Accelerator, mappings: Sequence[Mapping], problem: Problem
-) -> BatchCostStats:
-    """Price ``mappings`` against ``problem`` in one vectorized pass.
-
-    Produces per-tensor/per-level traffic, NoC words, cycles, utilization
-    — everything the scalar :meth:`CostModel.evaluate` computes — as
-    stacked arrays, with semantics identical to evaluating each mapping
-    independently (see the parity suite).
-    """
-    batch = compile_batch(mappings, problem)
-    return evaluate_compiled(accelerator, batch)
-
-
-def evaluate_compiled(accelerator: Accelerator, batch: MappingBatch) -> BatchCostStats:
-    """The traffic/energy/cycles kernels over an already-compiled batch."""
-    problem = batch.problem
-    n = len(batch)
-    n_dims = batch.n_dims
-    dims = problem.dim_names
-    dim_index = {dim: i for i, dim in enumerate(dims)}
-    tensors = problem.tensors
-    n_tensors = len(tensors)
-
-    bounds = batch.nest_bounds  # (N, 3D)
-    cumprod = np.cumprod(bounds, axis=1) if n else bounds
-    iterating = bounds > 1.0  # bound-1 loops are transparent to reuse
-    spatial = batch.spatial
-    spatial_factors = batch.tile_factors[:, :, _SPATIAL]  # (N, D)
-
-    l1_extents = batch.level_extents("L1")
-    union_extents = batch.level_extents("union")
-    l2_extents = batch.level_extents("L2")
-
-    #: Loops strictly outside each storage level, as nest-position prefixes:
-    #: DRAM loops only (above L2), DRAM+L2 (above L1), all (above REG).
-    above_l2, above_l1, above_reg = n_dims, 2 * n_dims, 3 * n_dims
-
-    accesses = np.empty((n, n_tensors, len(MEMORY_LEVELS)), dtype=np.float64)
-    noc_words = np.zeros(n, dtype=np.float64)
-    for t, tensor in enumerate(tensors):
-        relevant_dims = np.zeros(n_dims, dtype=bool)
-        for dim in tensor.dims:
-            relevant_dims[dim_index[dim]] = True
-        relevant = relevant_dims[batch.nest_dims] & iterating  # (N, 3D)
-
-        fp_l2 = _footprints(tensor, l2_extents, dim_index)
-        fp_union = _footprints(tensor, union_extents, dim_index)
-
-        if tensor.is_output:
-            fp_l1 = _footprints(tensor, l1_extents, dim_index)
-            installs = _fill_events(cumprod, relevant, above_l2)
-            distinct = _distinct_tiles(bounds, relevant, above_l2)
-            spills = installs - distinct
-            dram_words = distinct * fp_l2 + 2.0 * spills * fp_l2
-
-            installs_l1 = _fill_events(cumprod, relevant, above_l1)
-            distinct_l1 = _distinct_tiles(bounds, relevant, above_l1)
-            spills_l1 = installs_l1 - distinct_l1
-            drains = installs_l1 * fp_union
-            restores = spills_l1 * fp_union
-            l2_words = dram_words + drains + restores
-
-            reg_updates = _fill_events(cumprod, relevant, above_reg)
-            l1_words = (
-                2.0 * reg_updates * spatial
-                + (installs_l1 + spills_l1) * fp_l1 * spatial
-            )
-            noc_words += (installs_l1 + spills_l1) * fp_l1 * spatial
-            accesses[:, t, 0] = dram_words
-            accesses[:, t, 1] = l2_words
-            accesses[:, t, 2] = l1_words
-        else:
-            fills_l2 = _fill_events(cumprod, relevant, above_l2)
-            dram_reads = fills_l2 * fp_l2
-
-            fills_l1 = _fill_events(cumprod, relevant, above_l1)
-            l2_reads = fills_l1 * fp_union  # multicast: unique words read once
-            copies = np.where(relevant_dims[None, :], 1, spatial_factors).prod(axis=1)
-            deliveries = fills_l1 * fp_union * copies
-
-            reg_fills = _fill_events(cumprod, relevant, above_reg)
-            l1_reads = reg_fills * spatial
-
-            noc_words += deliveries
-            accesses[:, t, 0] = dram_reads
-            accesses[:, t, 1] = dram_reads + l2_reads  # fill writes + drains
-            accesses[:, t, 2] = deliveries + l1_reads  # fills + compute reads
-
-    # ---- cycles (max of compute-bound and bandwidth-bound counts) --------
-    temporal_points = cumprod[:, -1] if n else np.ones(0)
-    compute_cycles = temporal_points * problem.ops_per_point
-    level_words = accesses.sum(axis=1)  # (N, L) summed over tensors
-    dram_cycles = level_words[:, 0] / accelerator.bandwidth("DRAM")
-    l2_cycles = level_words[:, 1] / accelerator.bandwidth("L2")
-    per_pe_l1 = level_words[:, 2] / np.maximum(spatial, 1.0)
-    l1_cycles = per_pe_l1 / accelerator.bandwidth("L1")
-    cycles = np.maximum.reduce(
-        [compute_cycles, dram_cycles, l2_cycles, l1_cycles, np.ones(n)]
-    )
-    ideal = problem.total_ops / accelerator.num_pes
-    utilization = np.minimum(ideal / cycles, 1.0) if n else np.ones(0)
-
-    access_energy = np.asarray(
-        [accelerator.energy.access(level) for level in MEMORY_LEVELS],
-        dtype=np.float64,
-    )
-    return BatchCostStats(
-        problem_name=problem.name,
-        tensor_names=tuple(tensor.name for tensor in tensors),
-        accesses=accesses,
-        access_energy_pj=access_energy,
-        noc_words=noc_words,
-        noc_hop_pj=accelerator.energy.noc_hop,
-        mac_energy_pj=problem.total_ops * accelerator.energy.mac,
-        cycles=cycles,
-        utilization=utilization,
-        spatial_pes=spatial.astype(np.int64),
-        clock_ghz=accelerator.clock_ghz,
-    )
-
-
-def edp_batch(
-    accelerator: Accelerator, mappings: Sequence[Mapping], problem: Problem
-) -> np.ndarray:
-    """``(N,)`` EDP vector — the batched form of ``CostModel.evaluate_edp``."""
-    if not len(mappings):
-        return np.empty(0, dtype=np.float64)
-    return evaluate_batch(accelerator, mappings, problem).edp
-
-
-# ----------------------------------------------------------------------
 # Cross-problem megabatching
 # ----------------------------------------------------------------------
 
@@ -534,19 +239,10 @@ class _ProblemTables:
     of integer extents are exact in any order, which keeps the dot-product
     form bitwise identical to the scalar member-by-member sum.
 
-    ``order_cache[padded_width]`` memoizes ``loop_orders`` keys to small
-    integer *codes* into ``order_rows[padded_width]``, a growing list of
-    flat dim-index rows already padded to the union's nest width;
-    ``order_matrices`` caches each width's rows as one stacked matrix so a
-    steady-state compile lowers orders with a single fancy-index gather
-    instead of re-converting Python ints.  ``order_memo[padded_width]``
-    fronts the equality cache with an identity map — re-evaluating a
-    mapping (replay, prewarm hits priced again) re-presents the *same*
-    ``loop_orders`` tuple object, whose code is then found by one int-key
-    lookup instead of re-hashing a nested tuple of strings.  Entries pin
-    the keyed tuple, so a memoized id can never be recycled to a different
-    object.  Servers see the same orders over and over, and bounded caches
-    keep a long-lived process from growing them without limit.
+    Tables depend only on the problem, never on the mappings priced
+    against it, so memoizing them (:data:`_PROBLEM_TABLES`) grows with the
+    problems served, not with the traffic.  Loop orders are lowered per
+    call in :func:`compile_megabatch`.
     """
 
     dim_index: Dict[str, int]
@@ -556,10 +252,6 @@ class _ProblemTables:
     sel: np.ndarray  # (T, A, D + 1) int64 axis-span selection tensor
     ops_per_point: float
     total_ops: float
-    order_cache: Dict[int, Dict[Hashable, int]]
-    order_rows: Dict[int, List[List[int]]]
-    order_matrices: Dict[int, Tuple[int, np.ndarray]]
-    order_memo: Dict[int, Dict[int, Tuple[Hashable, int]]]
 
     @property
     def n_dims(self) -> int:
@@ -569,35 +261,14 @@ class _ProblemTables:
     def n_tensors(self) -> int:
         return self.is_output.shape[0]
 
-    def order_matrix(self, width: int) -> np.ndarray:
-        """The stacked ``(n_rows, width)`` order-row matrix for ``width``.
-
-        Rebuilt only when new rows were memoized since the last call; the
-        steady state (serving the same orders repeatedly) is a dict hit.
-        """
-        rows = self.order_rows[width]
-        cached = self.order_matrices.get(width)
-        if cached is None or cached[0] != len(rows):
-            cached = (len(rows), np.asarray(rows, dtype=np.int64))
-            self.order_matrices[width] = cached
-        return cached[1]
-
 
 #: Memoized per-problem tables.  Keyed by the same identity the oracle
 #: cache uses; values are immutable once built, so a benign double-build
 #: race just produces an equal value (``setdefault`` keeps one winner).
 _PROBLEM_TABLES: Dict[Hashable, _ProblemTables] = {}
 
-#: Bound on each problem's loop-order memo; beyond this, rows are computed
-#: without being stored (searchers can emit unboundedly many orders).
-_ORDER_CACHE_LIMIT = 4096
 
-
-def _problem_tables(problem: Problem, key: Hashable = None) -> _ProblemTables:
-    if key is None:
-        from repro.costmodel.cache import problem_key  # deferred: avoids cycle risk
-
-        key = problem_key(problem)
+def _problem_tables(problem: Problem, key: Hashable) -> _ProblemTables:
     tables = _PROBLEM_TABLES.get(key)
     if tables is not None:
         return tables
@@ -626,10 +297,6 @@ def _problem_tables(problem: Problem, key: Hashable = None) -> _ProblemTables:
         sel=sel,
         ops_per_point=float(problem.ops_per_point),
         total_ops=float(problem.total_ops),
-        order_cache={},
-        order_rows={},
-        order_matrices={},
-        order_memo={},
     )
     return _PROBLEM_TABLES.setdefault(key, tables)
 
@@ -714,16 +381,16 @@ def _slot_block(
 class MegaBatch:
     """``N`` heterogeneous (mapping, problem) lanes as one rectangular set.
 
-    The cross-problem analogue of :class:`MappingBatch`: the dim axis is
+    The lowered form of every batch the kernels price: the dim axis is
     padded to the union's ``max(D)`` with ``(1, 1, 1, 1)`` tile factors and
     the nest axis to ``3 * max(D)`` with bound-1 loops at the end of each
     level segment (semantically inert — the kernels mask bound-1 loops out
     of every relevance test, and they multiply every product by 1).
     Per-problem tensor tables are padded to the union's ``max(T)`` slots in
     each problem's *own tensor order* (``slot_valid`` masks the padding
-    slots), which keeps every per-lane reduction ordered exactly as the
-    homogeneous kernel orders it — megabatched statistics are bitwise
-    identical to :func:`evaluate_batch` of the same lanes.
+    slots), which keeps every per-lane reduction ordered the same whatever
+    the lane's batchmates — a lane's statistics are bitwise independent of
+    which lanes and problems share its megabatch.
 
     Rows are stored *group-major* (all of problem 0's lanes, then problem
     1's, ...; within a group, input order) so per-problem lowering needs no
@@ -759,20 +426,6 @@ class MegaBatch:
         """The union's padded tensor-slot count, ``max(T)`` over problems."""
         return self.slot_valid.shape[1]
 
-    def level_extents(self, level: str) -> np.ndarray:
-        """Per-dimension tile extents at ``level``, ``(N, Dmax)`` (padding
-        dims have extent 1 at every level)."""
-        tf = self.tile_factors
-        if level == "L1":
-            return tf[:, :, _L1]
-        if level == "union":
-            return tf[:, :, _L1] * tf[:, :, _SPATIAL]
-        if level == "L2":
-            return tf[:, :, _L1] * tf[:, :, _SPATIAL] * tf[:, :, _L2]
-        if level == "DRAM":
-            return np.prod(tf, axis=2)
-        raise KeyError(f"unknown level {level!r}")
-
 
 def compile_megabatch(
     mappings: Sequence[Mapping], problems: Sequence[Problem]
@@ -782,8 +435,10 @@ def compile_megabatch(
     ``problems`` may repeat freely (a serving round lists each lane's
     problem); distinct problems are deduplicated by cost identity
     (:func:`~repro.costmodel.cache.problem_key`) in first-appearance order.
-    Validation matches :func:`compile_batch` per lane: mismatched dims or
-    factor products raise ``ValueError`` naming the first offender.
+    Validation matches ``CostModel._check_structure`` per lane: mismatched
+    dims or factor products raise ``ValueError`` naming the first offender.
+    Nothing derived from the mappings is memoized, so a long-lived process
+    pricing fresh mappings retains nothing per call.
     """
     from repro.costmodel.cache import problem_key
 
@@ -832,13 +487,14 @@ def compile_megabatch(
     block = _slot_block(tuple(keys), tables)
     max_dims = block.n_dims
 
-    # Group-major rows: lower each problem's lanes contiguously.  Tile rows
-    # land in a ones-filled (N, Dmax, 4) array (padding dims keep factor 1
-    # at every level) through one ``np.array`` per group; memoized
-    # order rows are stored already padded (padding positions name the
+    # Group-major rows: lower each problem's lanes contiguously, with one
+    # flat ``np.fromiter`` per group for the tile factors and one for the
+    # loop orders (flat conversion skips numpy's nested-sequence shape
+    # discovery).  Tile rows land in a ones-filled (N, Dmax, 4) array
+    # (padding dims keep factor 1 at every level).  Each level's order is
+    # the lane's dims as indices, then padding positions naming the
     # problem's first padding dim, whose factors are all 1, so the
-    # nest-bound gather below reads bound 1 for them without a second
-    # pass).
+    # nest-bound gather below reads bound 1 for them without a second pass.
     lane_index = np.asarray(
         [i for group in lane_groups for i in group], dtype=np.int64
     )
@@ -846,67 +502,40 @@ def compile_megabatch(
         np.arange(len(distinct), dtype=np.int64),
         [len(group) for group in lane_groups],
     )
-    width = 3 * max_dims
     tile_factors = np.ones((n, max_dims, 4), dtype=np.int64)
-    overflow_rows: List[List[int]] = []
-    nest_dims = np.empty((n, width), dtype=np.int64)
+    nest_dims = np.empty((n, 3, max_dims), dtype=np.int64)
+    flatten = itertools.chain.from_iterable
     row_start = 0
     for g, (problem, tab) in enumerate(zip(distinct, tables)):
         dims = problem.dim_names
         d = tab.n_dims
-        pad_order = [d] * (max_dims - d)
-        dim_index = tab.dim_index
-        cache = tab.order_cache.setdefault(max_dims, {})
-        memo = tab.order_memo.setdefault(max_dims, {})
-        rows = tab.order_rows.setdefault(max_dims, [])
-        tile_rows: List[Tuple[Tuple[int, ...], ...]] = []
-        codes: List[int] = []
-        for i in lane_groups[g]:
-            mapping = mappings[i]
+        group = [mappings[i] for i in lane_groups[g]]
+        for mapping in group:
             if mapping.dims != dims:
                 raise ValueError(
                     f"mapping dims {mapping.dims} do not match problem dims {dims}"
                 )
-            tile_rows.append(mapping.tile_factors)
-            orders = mapping.loop_orders
-            entry = memo.get(id(orders))
-            if entry is not None and entry[0] is orders:
-                codes.append(entry[1])
-                continue
-            code = cache.get(orders)
-            if code is None:
-                row: List[int] = []
-                for order in orders:
-                    row.extend(dim_index[dim] for dim in order)
-                    row.extend(pad_order)
-                if len(cache) < _ORDER_CACHE_LIMIT:
-                    code = len(rows)
-                    rows.append(row)
-                    cache[orders] = code
-                else:  # memo full: lower this lane without storing the row
-                    code = -1 - len(overflow_rows)
-                    overflow_rows.append(row)
-            if code >= 0 and len(memo) < _ORDER_CACHE_LIMIT:
-                memo[id(orders)] = (orders, code)
-            codes.append(code)
-        row_end = row_start + len(codes)
-        tile_factors[row_start:row_end, :d, :] = np.array(tile_rows, dtype=np.int64)
-        code_arr = np.fromiter(codes, dtype=np.int64, count=len(codes))
-        if overflow_rows:
-            cached_mask = code_arr >= 0
-            group_nest = np.empty((len(codes), width), dtype=np.int64)
-            if cached_mask.any():
-                group_nest[cached_mask] = tab.order_matrix(max_dims)[
-                    code_arr[cached_mask]
-                ]
-            group_nest[~cached_mask] = np.asarray(
-                [overflow_rows[-1 - c] for c in codes if c < 0], dtype=np.int64
-            )
-            nest_dims[row_start:row_end] = group_nest
-            overflow_rows.clear()
-        else:
-            nest_dims[row_start:row_end] = tab.order_matrix(max_dims)[code_arr]
+        # Mapping guarantees d factor 4-tuples and three permutations of
+        # its dims, so both counts are exact.
+        row_end = row_start + len(group)
+        tile_factors[row_start:row_end, :d, :] = np.fromiter(
+            flatten(flatten(mapping.tile_factors for mapping in group)),
+            dtype=np.int64,
+            count=len(group) * d * 4,
+        ).reshape(-1, d, 4)
+        group_nest = nest_dims[row_start:row_end]
+        group_nest[:, :, :d] = np.fromiter(
+            map(
+                tab.dim_index.__getitem__,
+                flatten(flatten(mapping.loop_orders for mapping in group)),
+            ),
+            dtype=np.int64,
+            count=len(group) * 3 * d,
+        ).reshape(-1, 3, d)
+        if d < max_dims:
+            group_nest[:, :, d:] = d
         row_start = row_end
+    nest_dims = nest_dims.reshape(n, 3 * max_dims)
 
     if n:
         implied = tile_factors.prod(axis=2)  # (N, Dmax)
@@ -956,8 +585,7 @@ class MegaBatchCostStats:
     problem's ``t``-th tensor (the problem's own tensor order; slots past
     the lane's tensor count are zero), and per-problem constants are
     gathered per lane through ``problem_idx``.  ``problem_slice`` carves
-    one problem's lanes back out as a genuine :class:`BatchCostStats` —
-    bitwise identical to evaluating those lanes homogeneously.
+    one problem's lanes back out as a :class:`BatchCostStats`.
 
     Storage is *group-major* (``row_*`` fields, all of one problem's lanes
     contiguous, matching the compiled :class:`MegaBatch` rows); the public
@@ -990,12 +618,6 @@ class MegaBatchCostStats:
         out = np.empty_like(rows)
         out[self.lane_index] = rows
         return out
-
-    def _check_index(self, index: int) -> None:
-        if not 0 <= index < len(self):
-            raise IndexError(
-                f"batch index {index} out of range for {len(self)} rows"
-            )
 
     @cached_property
     def _row_of_lane(self) -> np.ndarray:
@@ -1036,7 +658,7 @@ class MegaBatchCostStats:
         """Per-lane MAC energy, gathered from the lane's problem, ``(N,)``."""
         return self.mac_by_problem[self.problem_idx]
 
-    # -- aggregates (same formulas/operation order as _AggregateStats, -----
+    # -- aggregates (same formulas/operation order as BatchCostStats, ------
     # -- computed row-major and permuted at the end) -----------------------
 
     @cached_property
@@ -1096,10 +718,11 @@ class MegaBatchCostStats:
 
         Rows follow :meth:`problem_lanes` order (the group's input-lane
         order, which group-major storage keeps contiguous); slots are
-        trimmed to the problem's tensor count.  Values are bitwise
-        identical to :func:`evaluate_batch` over the same lanes, so
-        downstream consumers of homogeneous batches (replay-buffer labels,
-        meta matrices) cannot tell the difference.
+        trimmed to the problem's tensor count.  A lane's values do not
+        depend on its batchmates, so the slice equals :func:`evaluate_batch`
+        over the same lanes bitwise, and downstream consumers of
+        homogeneous batches (replay-buffer labels, meta matrices) cannot
+        tell how the lanes were grouped.
         """
         problem = self.problems[group]
         rows = self._group_rows(group)
@@ -1123,31 +746,11 @@ class MegaBatchCostStats:
 
         Raises ``IndexError`` unless ``0 <= index < len(self)``.
         """
-        self._check_index(index)
+        _check_row(index, len(self))
         row = int(self._row_of_lane[index])
         group = int(self.row_problem_idx[row])
-        problem = self.problems[group]
-        energies = self._row_energies_pj[row]
-        records = tuple(
-            TensorLevelEnergy(
-                tensor=tensor.name,
-                level=level,
-                accesses=float(self.row_accesses[row, t, l]),
-                energy_pj=float(energies[t, l]),
-            )
-            for t, tensor in enumerate(problem.tensors)
-            for l, level in enumerate(MEMORY_LEVELS)
-        )
-        return CostStats(
-            problem_name=problem.name,
-            records=records,
-            noc_energy_pj=float(self.row_noc_words[row] * self.noc_hop_pj),
-            mac_energy_pj=float(self.mac_by_problem[group]),
-            cycles=float(self.row_cycles[row]),
-            utilization=float(self.row_utilization[row]),
-            spatial_pes=int(self.row_spatial_pes[row]),
-            clock_ghz=self.clock_ghz,
-        )
+        start = self._group_rows(group).start
+        return self.problem_slice(group).stats_at(row - start)
 
 
 #: Widest nest (3 * Dmax) the bit-packed fills position recovery handles:
@@ -1160,7 +763,7 @@ _BITPACK_MAX_WIDTH = 53
 def _slot_footprints(
     extents3: np.ndarray, sel: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_footprints` vectorized over tensor slots *and* levels.
+    """:meth:`TensorSpec.footprint` vectorized over lanes, slots and levels.
 
     ``extents3`` stacks the per-level tile extents ``(3, N, Dmax)``;
     ``sel[n, t, a, :]`` is the lane's axis-span selection row — dim-extent
@@ -1188,14 +791,43 @@ def evaluate_megabatch(
     mappings: Sequence[Mapping],
     problems: Sequence[Problem],
 ) -> MegaBatchCostStats:
-    """Price heterogeneous ``(mappings[i], problems[i])`` lanes in one pass.
+    """Price aligned ``(mappings[i], problems[i])`` lanes in one pass.
 
-    The cross-problem form of :func:`evaluate_batch`: one compile, one run
-    of the traffic/energy/cycles kernels over the whole union, however
-    many distinct problems the lanes span.  Per-lane results are bitwise
-    identical to evaluating each problem's slice homogeneously.
+    One compile, one run of the traffic/energy/cycles kernels over the
+    whole union, however many distinct problems the lanes span.  Each
+    lane's results are bitwise independent of the other lanes in the call.
     """
     return evaluate_mega_compiled(accelerator, compile_megabatch(mappings, problems))
+
+
+def evaluate_batch(
+    accelerator: Accelerator, mappings: Sequence[Mapping], problem: Problem
+) -> BatchCostStats:
+    """Price ``mappings`` against one ``problem``: the one-group megabatch.
+
+    Produces per-tensor/per-level traffic, NoC words, cycles, utilization
+    — everything the scalar :meth:`CostModel.evaluate` computes — as
+    stacked arrays, with semantics identical to evaluating each mapping
+    independently (see the parity suite).  An empty batch returns a
+    zero-row :class:`BatchCostStats` of the problem's tensor count.
+    """
+    n = len(mappings)
+    if n:
+        stats = evaluate_megabatch(accelerator, mappings, [problem] * n)
+        return stats.problem_slice(0)
+    return BatchCostStats(
+        problem_name=problem.name,
+        tensor_names=tuple(tensor.name for tensor in problem.tensors),
+        accesses=np.empty((0, len(problem.tensors), len(MEMORY_LEVELS))),
+        access_energy_pj=_access_energy(accelerator),
+        noc_words=np.empty(0),
+        noc_hop_pj=accelerator.energy.noc_hop,
+        mac_energy_pj=float(problem.total_ops) * accelerator.energy.mac,
+        cycles=np.empty(0),
+        utilization=np.empty(0),
+        spatial_pes=np.empty(0, dtype=np.int64),
+        clock_ghz=accelerator.clock_ghz,
+    )
 
 
 def evaluate_mega_compiled(
@@ -1203,9 +835,9 @@ def evaluate_mega_compiled(
 ) -> MegaBatchCostStats:
     """The megabatch kernels over an already-compiled :class:`MegaBatch`.
 
-    Runs the same fill/reuse/traffic formulas as :func:`evaluate_compiled`
-    but vectorized over the tensor-slot axis too: both the output-tensor
-    and operand kernels are computed for every slot and selected by the
+    Runs the scalar model's fill/reuse/traffic formulas vectorized over
+    lanes and the tensor-slot axis: both the output-tensor and operand
+    kernels are computed for every slot and selected by the
     per-lane output-role mask (the wide-with-masks idiom — lanes never
     branch).  Invalid padding slots are masked to zero traffic, which
     keeps every cross-slot sum exact.  The compiled rows are group-major
@@ -1217,10 +849,7 @@ def evaluate_mega_compiled(
     n = len(mega)
     n_dims = mega.n_dims
     n_slots = mega.n_slots
-    access_energy = np.asarray(
-        [accelerator.energy.access(level) for level in MEMORY_LEVELS],
-        dtype=np.float64,
-    )
+    access_energy = _access_energy(accelerator)
     mac_by_problem = mega.total_ops * accelerator.energy.mac
     if not n:
         return MegaBatchCostStats(
@@ -1328,7 +957,7 @@ def evaluate_mega_compiled(
     # the relevant DRAM (resp. DRAM*L2) tile factors, one per dim, so the
     # segment reduction collapses to per-dim integer products.  Factor
     # products stay below 2**53, hence exact in any order and bitwise
-    # identical to the homogeneous masked float product.
+    # identical to the scalar model's product of relevant loop bounds.
     distinct_l2 = (
         np.where(relevant_dims, tf[:, None, :, _DRAM], 1)
         .prod(axis=2)
@@ -1401,14 +1030,19 @@ def megabatch_shape_stats(problems: Sequence[Problem]) -> Dict[str, object]:
     attributes (lane count, union width, padding waste) to its trace
     spans without paying for :func:`compile_megabatch`.
 
-    ``padding_waste_ratio`` is the fraction of padded per-lane cells that
-    hold inert padding rather than real loops/slots: lanes are padded to
-    ``union_dims`` dimensions and ``union_slots`` tensor slots (the
-    rectangular union :func:`compile_megabatch` lowers to), so a
-    homogeneous union wastes 0.0 and a union mixing narrow lanes into a
-    wide rectangle approaches the fraction of cells that are bound-1 /
-    invalid-slot filler.
+    ``problems`` counts distinct problems by cost identity
+    (:func:`~repro.costmodel.cache.problem_key`), as
+    :func:`compile_megabatch` dedups them: two decoded copies of one
+    problem are one problem.  ``padding_waste_ratio`` is the fraction of
+    padded per-lane cells that hold inert padding rather than real
+    loops/slots: lanes are padded to ``union_dims`` dimensions and
+    ``union_slots`` tensor slots (the rectangular union
+    :func:`compile_megabatch` lowers to), so a homogeneous union wastes 0.0
+    and a union mixing narrow lanes into a wide rectangle approaches the
+    fraction of cells that are bound-1 / invalid-slot filler.
     """
+    from repro.costmodel.cache import problem_key
+
     if not problems:
         return {
             "lanes": 0,
@@ -1421,7 +1055,9 @@ def megabatch_shape_stats(problems: Sequence[Problem]) -> Dict[str, object]:
     slot_counts = [len(problem.tensors) for problem in problems]
     union_dims = max(dim_counts)
     union_slots = max(slot_counts)
-    distinct = len({id(problem) for problem in problems})
+    # Key each distinct object once; lanes repeat the same objects.
+    objects = {id(problem): problem for problem in problems}
+    distinct = len({problem_key(problem) for problem in objects.values()})
     used = sum(dim_counts) + sum(slot_counts)
     padded = len(problems) * (union_dims + union_slots)
     return {
@@ -1435,14 +1071,10 @@ def megabatch_shape_stats(problems: Sequence[Problem]) -> Dict[str, object]:
 
 __all__ = [
     "BatchCostStats",
-    "MappingBatch",
     "MegaBatch",
     "MegaBatchCostStats",
-    "compile_batch",
     "compile_megabatch",
-    "edp_batch",
     "evaluate_batch",
-    "evaluate_compiled",
     "evaluate_megabatch",
     "evaluate_mega_compiled",
     "megabatch_shape_stats",

@@ -180,67 +180,44 @@ class CachedOracle:
                 f"({error.__class__.__name__}: {error}); sample dropped"
             )
 
-    def _price_misses(
-        self, mappings: Sequence[Mapping], problem: Problem
-    ) -> List[float]:
-        """Price uncached mappings through the widest inner path.
+    def _price_misses_grouped(
+        self, groups: Sequence[Tuple[Problem, Sequence[Mapping]]]
+    ) -> List[List[float]]:
+        """Price per-problem miss lists, the cache's one pricing path.
 
-        With a miss listener installed and an inner backend exposing
-        ``evaluate_batch`` (the analytical :class:`CostModel` does), the
-        batch is priced through the full-statistics kernels so the tap
-        receives meta-statistics labels — the EDPs are derived from the
-        same :class:`BatchCostStats` the scalar path would compute, so
-        values are bitwise unchanged.  Otherwise this is the plain
-        ``evaluate_many``/``evaluate_edp`` miss path.
+        ``groups`` pairs each distinct problem with its uncached mappings.
+        When the inner backend exposes ``evaluate_megabatch`` (the
+        analytical :class:`~repro.costmodel.model.CostModel` and
+        ``AnalyticalOracle`` do), every group — one or many — is lowered
+        into a single megabatch and priced by one run of the cost kernels,
+        and the tap receives each group's ``problem_slice``, a
+        :class:`~repro.costmodel.batch.BatchCostStats`, as its labels.
+        Other backends (surrogates, caller-supplied oracles) have no
+        kernel to share, so each group goes through their own
+        ``evaluate_many`` — or a scalar ``evaluate_edp`` loop — and the
+        tap receives bare EDPs.
         """
-        listener = self._miss_listener
-        inner_batch = getattr(self.inner, "evaluate_batch", None)
         # The ambient kernel span is a no-op unless a request trace is
         # active; ``attrs_fn`` defers the shape stats to that case.  Spans
         # wrap only real inner-oracle work — cache-hit replays never get
         # here — so ``kernel_s`` measures actual kernel time.
-        shape = _shape_attrs([problem] * len(mappings))
-        if listener is not None and inner_batch is not None:
-            with _kernel_span("megabatch.kernel", stage="kernel_s",
-                              attrs_fn=shape):
-                batch_stats = inner_batch(mappings, problem)
-            values = [float(v) for v in batch_stats.edp]
-            self._notify_misses(problem, mappings, values, batch_stats)
-            return values
-        inner_many = getattr(self.inner, "evaluate_many", None)
-        with _kernel_span("megabatch.kernel", stage="kernel_s",
-                          attrs_fn=shape):
-            if inner_many is not None:
-                values = [float(v) for v in inner_many(mappings, problem)]
-            else:
-                values = [
-                    float(self.inner.evaluate_edp(mapping, problem))
-                    for mapping in mappings
-                ]
-        self._notify_misses(problem, mappings, values, None)
-        return values
-
-    def _price_misses_grouped(
-        self, groups: Sequence[Tuple[Problem, Sequence[Mapping]]]
-    ) -> List[List[float]]:
-        """Price per-problem miss lists through **one** inner kernel call.
-
-        ``groups`` pairs each distinct problem with its uncached mappings.
-        When the inner backend exposes ``evaluate_megabatch`` (the
-        analytical :class:`~repro.costmodel.model.CostModel` does), the
-        whole union is lowered into a single cross-problem megabatch and
-        priced by one run of the cost kernels; per-problem EDP slices and
-        the tap's :class:`~repro.costmodel.batch.BatchCostStats` labels
-        (``problem_slice``) are bitwise identical to pricing each group
-        through :meth:`_price_misses` separately.  Backends without the
-        megabatch path fall back to exactly that per-group loop.
-        """
         inner_mega = getattr(self.inner, "evaluate_megabatch", None)
-        if inner_mega is None or len(groups) <= 1:
-            return [
-                self._price_misses(mappings, problem)
-                for problem, mappings in groups
-            ]
+        if inner_mega is None:
+            inner_many = getattr(self.inner, "evaluate_many", None)
+            results: List[List[float]] = []
+            for problem, mappings in groups:
+                with _kernel_span("megabatch.kernel", stage="kernel_s",
+                                  attrs_fn=_shape_attrs([problem] * len(mappings))):
+                    if inner_many is not None:
+                        values = [float(v) for v in inner_many(mappings, problem)]
+                    else:
+                        values = [
+                            float(self.inner.evaluate_edp(mapping, problem))
+                            for mapping in mappings
+                        ]
+                self._notify_misses(problem, mappings, values, None)
+                results.append(values)
+            return results
         lane_mappings: List[Mapping] = []
         lane_problems: List[Problem] = []
         for problem, mappings in groups:
@@ -251,7 +228,7 @@ class CachedOracle:
             mega = inner_mega(lane_mappings, lane_problems)
         edp = mega.edp
         listener = self._miss_listener
-        results: List[List[float]] = []
+        results = []
         start = 0
         for g, (problem, mappings) in enumerate(groups):
             end = start + len(mappings)
@@ -321,20 +298,52 @@ class CachedOracle:
         return value
 
     def evaluate_many(self, mappings: Sequence[Mapping], problem: Problem) -> List[float]:
-        """Batched EDP with hit/miss partitioning.
+        """Batched EDP for mappings of one problem.
 
-        Answers what it can from the cache, forwards *only the misses* to
-        the inner oracle — in one ``evaluate_many`` call when the backend
-        has one — and merges the results back in input order.  Counters
-        match the sequential loop exactly: a batch of k cached mappings and
-        m uncached ones counts k hits and m misses, and a mapping repeated
+        :meth:`evaluate_many_grouped` with every lane on ``problem``:
+        answers what it can from the cache, prices *only the misses*
+        through the inner oracle in one call, and merges the results back
+        in input order.
+        """
+        return self.evaluate_many_grouped(mappings, [problem] * len(mappings))
+
+    def evaluate_many_grouped(
+        self, mappings: Sequence[Mapping], problems: Sequence[Problem]
+    ) -> List[float]:
+        """Batched EDP for aligned ``(mappings[i], problems[i])`` lanes.
+
+        Hits are answered from cache per lane, and the misses of *all*
+        problems are priced in one :meth:`_price_misses_grouped` union — a
+        single inner megabatch when the backend has one.  Counters match
+        the sequential loop exactly: a batch of k cached mappings and m
+        uncached ones counts k hits and m misses, and a mapping repeated
         within a batch is one miss plus hits for the repeats (the repeats
         are served from the first occurrence's result, never re-priced).
         """
-        pkey = problem_key(problem)
-        keys = [(pkey, mapping) for mapping in mappings]
+        if len(mappings) != len(problems):
+            raise ValueError(
+                f"grouped lanes misaligned: {len(mappings)} mappings vs "
+                f"{len(problems)} problems"
+            )
+        # Lanes come in runs of one Problem object (all of them, from
+        # evaluate_many), so a problem's key is computed once per object
+        # and looked up once per run; equal problems behind different
+        # objects still share entries through the key.
+        pkey_by_id: Dict[int, Hashable] = {}
+        keys: List[Tuple[Hashable, Mapping]] = []
+        prev: Optional[Problem] = None
+        pkey: Hashable = None
+        for mapping, problem in zip(mappings, problems):
+            if problem is not prev:
+                prev = problem
+                pkey = pkey_by_id.get(id(problem))
+                if pkey is None:
+                    pkey = pkey_by_id[id(problem)] = problem_key(problem)
+            keys.append((pkey, mapping))
         values: List[Optional[float]] = [None] * len(keys)
-        miss_indices: List[int] = []
+        miss_groups: Dict[Hashable, Tuple[Problem, List[int]]] = {}
+        group_key: Hashable = None
+        group_indices: List[int] = []
         first_miss: Dict[object, int] = {}
         duplicate_of: Dict[int, int] = {}
         with self._lock:
@@ -354,70 +363,12 @@ class CachedOracle:
                     duplicate_of[index] = first_miss[key]
                 else:
                     first_miss[key] = index
-                    miss_indices.append(index)
-        if miss_indices:
-            misses = [mappings[index] for index in miss_indices]
-            miss_values = self._price_misses(misses, problem)
-            with self._lock:
-                self._misses += len(miss_indices)
-                for index, value in zip(miss_indices, miss_values):
-                    values[index] = value
-                    self._insert(keys[index], value)
-        for index, source in duplicate_of.items():
-            values[index] = values[source]
-        return [float(value) for value in values]
-
-    def evaluate_many_grouped(
-        self, mappings: Sequence[Mapping], problems: Sequence[Problem]
-    ) -> List[float]:
-        """Batched EDP for aligned ``(mappings[i], problems[i])`` lanes.
-
-        The cross-problem analogue of :meth:`evaluate_many`: hits are
-        answered from cache per lane, and the misses of *all* problems are
-        forwarded in one :meth:`_price_misses_grouped` union — a single
-        inner megabatch when the backend has one.  Counter semantics are
-        identical to calling :meth:`evaluate_many` once per problem group
-        (hits, misses, and in-batch duplicate hits attribute the same
-        way), and so are the values.
-        """
-        if len(mappings) != len(problems):
-            raise ValueError(
-                f"grouped lanes misaligned: {len(mappings)} mappings vs "
-                f"{len(problems)} problems"
-            )
-        pkey_by_id: Dict[int, Hashable] = {}
-        keys: List[Tuple[Hashable, Mapping]] = []
-        for mapping, problem in zip(mappings, problems):
-            pkey = pkey_by_id.get(id(problem))
-            if pkey is None:
-                pkey = problem_key(problem)
-                pkey_by_id[id(problem)] = pkey
-            keys.append((pkey, mapping))
-        values: List[Optional[float]] = [None] * len(keys)
-        miss_groups: "OrderedDict[Hashable, Tuple[Problem, List[int]]]" = (
-            OrderedDict()
-        )
-        first_miss: Dict[object, int] = {}
-        duplicate_of: Dict[int, int] = {}
-        with self._lock:
-            for index, key in enumerate(keys):
-                cached = self._store.get(key)
-                if cached is not None:
-                    self._hits += 1
-                    self._store.move_to_end(key)
-                    values[index] = (
-                        cached.edp if isinstance(cached, CostStats) else float(cached)
-                    )
-                elif key in first_miss:
-                    self._hits += 1
-                    duplicate_of[index] = first_miss[key]
-                else:
-                    first_miss[key] = index
-                    entry = miss_groups.get(key[0])
-                    if entry is None:
-                        miss_groups[key[0]] = (problems[index], [index])
-                    else:
-                        entry[1].append(index)
+                    if key[0] is not group_key:
+                        group_key = key[0]
+                        group_indices = miss_groups.setdefault(
+                            group_key, (problems[index], [])
+                        )[1]
+                    group_indices.append(index)
         if miss_groups:
             grouped_values = self._price_misses_grouped(
                 [

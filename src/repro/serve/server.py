@@ -21,7 +21,10 @@
   :func:`~repro.serve.cohort.serve_batch` whose cohort rounds union every
   live problem into a single prewarmed kernel call.
 * **Workers** — a small thread pool drains flushed batches in
-  ``(priority, arrival)`` order; per-request responses are bit-identical
+  ``(priority, arrival)`` order.  Deadline flushes wait for an idle
+  server, so a second batch never starts beside a running one only
+  because a timer fired (size and priority flushes take any idle
+  worker).  Per-request responses are bit-identical
   to solo serving regardless of scheduling (seeded requests + row-exact
   kernels), so concurrency never changes answers.
 * **Lifecycle** — ``drain()`` stops admission and waits for in-flight
@@ -103,7 +106,8 @@ class ServeConfig:
 
     #: Flush a group at this many requests (size trigger).
     max_batch: int = 32
-    #: Flush a group when its oldest request has waited this long.
+    #: Flush a group when its oldest request has waited this long and the
+    #: server has been idle this long (deadline trigger).
     max_wait_s: float = 0.005
     #: Admission bound: queued + running requests before rejection.
     max_queue: int = 256
@@ -245,8 +249,9 @@ class MappingServer:
         #: duplicate-request storm can't grow state past admission control.
         self._follower_count = 0
         self._response_cache: "OrderedDict[Hashable, MappingResponse]" = OrderedDict()
-        self._idle_workers = self.config.workers
         self._running_batches = 0
+        #: When the last batch ended with nothing queued behind it.
+        self._idle_since = float("-inf")
         self._running_requests = 0
         self._accepting = True
         self._stopping = False
@@ -643,29 +648,38 @@ class MappingServer:
         self._work_available.notify()
 
     def _dispatch_loop(self) -> None:
-        """Flush deadline-due groups — but only into spare worker capacity.
+        """Flush deadline-due groups — but only onto an idle server.
 
-        ``max_wait_s`` bounds *added* latency: a request never waits out
-        the deadline when a worker sits idle.  When every worker is busy,
-        flushing early would buy nothing (the batch would just queue), so
-        due groups are left in the batcher to keep coalescing — they grow
-        toward ``max_batch`` (the size trigger still fires under the lock
-        at admission) and flush the moment a worker frees up.  This is
-        what makes batch sizes adapt to load: singletons when idle, full
-        batches under saturation.
+        Batches are CPU-bound under one interpreter lock, so a batch
+        started beside a running one buys no parallelism: the two hand
+        the lock back and forth and both crawl (two concurrent batches of
+        four ``gradient`` requests took ~1.2 s each on a 2-vCPU VM, one
+        batch of all eight ~0.55 s).  And two batches started apart keep
+        finishing apart, so a closed-loop client's waves stay split.  So
+        while a batch runs or waits for a worker, due groups stay in the
+        batcher and keep coalescing — they grow toward ``max_batch`` (the
+        size trigger still fires under the lock at admission, and
+        high-priority arrivals still flush at once).  On an idle server
+        ``max_wait_s`` bounds the *added* latency: a group flushes once
+        its oldest request has waited ``max_wait_s`` and the server has
+        been idle for ``max_wait_s``.  The second window lets the
+        requests just answered return and join a held group, so a split
+        wave merges again on its next round.  Batch sizes still adapt to
+        load: singletons when idle, full batches under saturation.
         """
         with self._lock:
             while not self._stopping:
                 now = self._clock()
-                if self._idle_workers > 0:
-                    for batch in self._batcher.poll(now):
-                        self._enqueue_batch_locked(batch)
-                deadline = self._batcher.next_deadline()
-                # With no spare capacity there is nothing to do at the
-                # deadline; sleep until a worker's idle notification.
+                # Busy: sleep until a worker's idle notification.
                 wait = None
-                if self._idle_workers > 0 and deadline is not None:
-                    wait = max(deadline - now, 0.0)
+                if not self._running_batches and not self._ready:
+                    settled = self._idle_since + self.config.max_wait_s
+                    if now >= settled:
+                        for batch in self._batcher.poll(now):
+                            self._enqueue_batch_locked(batch)
+                    deadline = self._batcher.next_deadline()
+                    if deadline is not None:
+                        wait = max(max(deadline, settled) - now, 0.0)
                 self._dispatch_wake.wait(timeout=wait)
 
     def _work_loop(self) -> None:
@@ -676,7 +690,6 @@ class MappingServer:
                 if self._stopping and not self._ready:
                     return
                 job = heapq.heappop(self._ready)
-                self._idle_workers -= 1
                 self._running_batches += 1
                 self._running_requests += len(job.batch)
             try:
@@ -690,9 +703,10 @@ class MappingServer:
                     self._fail_item(item, error)
             finally:
                 with self._lock:
-                    self._idle_workers += 1
                     self._running_batches -= 1
                     self._running_requests -= len(job.batch)
+                    if not self._running_batches and not self._ready:
+                        self._idle_since = self._clock()
                     # A worker just freed up: due groups may now flush.
                     self._dispatch_wake.notify()
                     self._idle.notify_all()

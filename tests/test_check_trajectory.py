@@ -33,6 +33,8 @@ class TestDirection:
         ("train_mse", None),          # "_ms" must not match inside "mse"
         ("surrogate_mse", None),
         ("oracle_query_ms", "down"),  # BENCH_step_costs.json's steps
+        ("oracle_batch_1_ms", "down"),
+        ("oracle_batch_64_ms", "down"),
         ("surrogate_fwd_bwd_ms", "down"),
         ("decode_project_ms", "down"),
         ("map_space_sample_ms", "down"),
@@ -124,6 +126,7 @@ def test_committed_step_cost_snapshot_gates_every_step():
     assert sorted(line.split(":")[0] for line in checked) == [
         "results.decode_project_ms", "results.map_space_neighbor_ms",
         "results.map_space_project_ms", "results.map_space_sample_ms",
+        "results.oracle_batch_1_ms", "results.oracle_batch_64_ms",
         "results.oracle_query_ms", "results.surrogate_fwd_bwd_ms",
     ]
 

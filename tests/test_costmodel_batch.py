@@ -14,6 +14,9 @@ scalar model's reuse analysis, so these tests are the proof it is *exact*:
   path can feed downstream, not just the scalar objective.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +25,7 @@ from repro.core import TargetCodec
 from repro.costmodel import (
     CostModel,
     algorithmic_minimum,
-    compile_batch,
-    edp_batch,
+    compile_megabatch,
     evaluate_batch,
 )
 from repro.costmodel.accelerator import (
@@ -34,7 +36,12 @@ from repro.costmodel.accelerator import (
 from repro.mapspace import MapSpace
 from repro.mapspace.mapping import Mapping
 from repro.utils import factorizations
-from repro.workloads import TABLE1_PROBLEMS, make_cnn_layer, make_conv1d
+from repro.workloads import (
+    TABLE1_PROBLEMS,
+    make_cnn_layer,
+    make_conv1d,
+    problem_by_name,
+)
 
 PARITY_RTOL = 1e-9
 
@@ -102,7 +109,8 @@ class TestSeededParityAllWorkloads:
         population = space.sample_many(256, seed=0xBEEF)
         scalar = np.array([model.evaluate(m, problem).edp for m in population])
         np.testing.assert_allclose(
-            edp_batch(accel, population, problem), scalar, rtol=PARITY_RTOL
+            evaluate_batch(accel, population, problem).edp, scalar,
+            rtol=PARITY_RTOL,
         )
 
 
@@ -271,7 +279,7 @@ class TestBatchSurfaces:
 
     def test_empty_batch(self, cnn_problem, accelerator, cost_model):
         assert cost_model.evaluate_many([], cnn_problem) == []
-        assert edp_batch(accelerator, [], cnn_problem).shape == (0,)
+        assert evaluate_batch(accelerator, [], cnn_problem).edp.shape == (0,)
 
     def test_empty_batch_full_stats(self, cnn_problem, accelerator):
         """Regression: the full-statistics path used to die in the energy
@@ -312,7 +320,7 @@ class TestBatchSurfaces:
     def test_compile_rejects_wrong_dims(self, cnn_problem, mttkrp_problem, accelerator):
         mapping = MapSpace(mttkrp_problem, accelerator).sample(0)
         with pytest.raises(ValueError, match="do not match problem dims"):
-            compile_batch([mapping], cnn_problem)
+            compile_megabatch([mapping], [cnn_problem])
 
     def test_compile_rejects_wrong_factor_product(self, cnn_problem, accelerator):
         mapping = MapSpace(cnn_problem, accelerator).sample(0)
@@ -320,19 +328,31 @@ class TestBatchSurfaces:
         factors[0] *= 2
         broken = mapping.with_tile_factors("K", factors)
         with pytest.raises(ValueError, match="multiply to"):
-            compile_batch([broken], cnn_problem)
+            compile_megabatch([broken], [cnn_problem])
 
-    def test_level_extents_match_mapping(self, cnn_batch, cnn_problem):
-        population, _ = cnn_batch
-        batch = compile_batch(population, cnn_problem)
-        for level in ("L1", "L2", "DRAM"):
-            extents = batch.level_extents(level)
-            for index, mapping in enumerate(population):
-                expected = mapping.tile_extents(level)
-                for d, dim in enumerate(cnn_problem.dim_names):
-                    assert extents[index, d] == expected[dim]
 
-    def test_level_extents_unknown_level_raises(self, cnn_batch, cnn_problem):
-        population, _ = cnn_batch
-        with pytest.raises(KeyError):
-            compile_batch(population, cnn_problem).level_extents("L3")
+class TestCompileRetention:
+    """Compiling keeps no per-mapping state: a long-lived process pricing
+    fresh mappings one lane at a time (annealing rounds below the serving
+    cohort's prewarm floor) must not grow with the traffic."""
+
+    FRESH = 3000
+    LIMIT_BYTES = 64 * 1024
+
+    def test_fresh_one_lane_compiles_retain_under_64_kib(self):
+        problem = problem_by_name("ResNet_Conv4")
+        warm, *fresh = MapSpace(problem, default_accelerator()).sample_many(
+            self.FRESH + 1, seed=17
+        )
+        compile_megabatch([warm], [problem])  # the problem's tables exist now
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for mapping in fresh:
+                compile_megabatch([mapping], [problem])
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < self.LIMIT_BYTES

@@ -546,8 +546,9 @@ class TestGroupedPaths:
             [(cnn_problem, sampled[:3]), (cnn_problem, sampled[3:] + sampled[:1])]
         )
         assert inserted == 6  # the repeated mapping inserts once
-        # One merged group -> the single-group fallback, still one call.
-        assert inner.mega_calls + inner.many_calls + inner.batch_calls == 1
+        # One merged group still goes through the one megabatch path.
+        assert inner.mega_calls == 1
+        assert inner.many_calls == 0 and inner.batch_calls == 0
 
     def test_evaluate_many_grouped_values_and_counters(
         self, cost_model, three_groups

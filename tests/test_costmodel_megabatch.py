@@ -1,12 +1,17 @@
 """Cross-problem megabatch parity: heterogeneous lanes, homogeneous answers.
 
 The megabatch backend (:func:`repro.costmodel.batch.evaluate_megabatch`)
-prices (mapping, problem) lanes over *different* problems — different dim
-counts, tensor counts, and shapes — in one padded/masked kernel pass.
-These tests hold it to the two contracts everything upstream leans on:
+is the one batched kernel: it prices (mapping, problem) lanes over
+*different* problems — different dim counts, tensor counts, and shapes —
+in one padded/masked kernel pass, and :func:`evaluate_batch` is its
+one-group case.  These tests hold it to the two contracts everything
+upstream leans on:
 
-* **bitwise** identity with :func:`evaluate_batch` over each problem's
-  slice of the union (the padding/masking layout is inert), and
+* **bitwise lane independence**: a lane's statistics do not depend on
+  which lanes and problems share its megabatch — a mixed union, the
+  one-problem union of the same lanes (:func:`evaluate_batch`) and the
+  lane priced alone agree bit for bit (the padding/masking layout is
+  inert), and
 * rtol 1e-9 parity with the scalar model for every Table 1 and
   transformer workload on both accelerator configurations, in mixed
   shuffled batches.
@@ -28,6 +33,7 @@ from repro.costmodel import (
     evaluate_batch,
     evaluate_megabatch,
 )
+from repro.costmodel.batch import megabatch_shape_stats
 from repro.costmodel.accelerator import default_accelerator, small_accelerator
 from repro.mapspace import MapSpace
 from repro.workloads import (
@@ -36,6 +42,7 @@ from repro.workloads import (
     make_cnn_layer,
     make_conv1d,
     make_gemm,
+    make_mttkrp,
 )
 
 PARITY_RTOL = 1e-9
@@ -66,12 +73,18 @@ class TestMixedParity:
     """The acceptance sweep: every workload, both accelerators, one union."""
 
     def test_bitwise_vs_homogeneous_batch(self, accel):
+        """Each lane of a mixed union equals the same lane in its
+        one-problem union, and the first lane of each problem equals
+        itself priced alone: batchmates never move a lane's bits."""
         mappings, lane_problems = _mixed_lanes(ALL_PROBLEMS, accel, 4, seed=3)
         mega = evaluate_megabatch(accel, mappings, lane_problems)
         assert len(mega) == len(mappings)
         for g, problem in enumerate(mega.problems):
             lanes = mega.problem_lanes(g)
             assert all(lane_problems[i].name == problem.name for i in lanes)
+            alone = evaluate_batch(accel, [mappings[lanes[0]]], problem)
+            assert np.array_equal(mega.edp[lanes[:1]], alone.edp)
+            assert np.array_equal(mega.cycles[lanes[:1]], alone.cycles)
             ref = evaluate_batch(accel, [mappings[i] for i in lanes], problem)
             nt = len(problem.tensors)
             assert np.array_equal(mega.accesses[lanes][:, :nt, :], ref.accesses)
@@ -89,6 +102,8 @@ class TestMixedParity:
         np.testing.assert_allclose(edp, scalar, rtol=PARITY_RTOL)
 
     def test_problem_slice_bitwise(self, accel):
+        """A mixed union's ``problem_slice`` equals the one-problem union
+        of the same lanes, field by field."""
         mappings, lane_problems = _mixed_lanes(TABLE1_PROBLEMS[:3], accel, 5, seed=5)
         mega = evaluate_megabatch(accel, mappings, lane_problems)
         for g, problem in enumerate(mega.problems):
@@ -190,11 +205,18 @@ class TestEdgesAndValidation:
         assert CostModel(accel).evaluate_many_grouped([], []) == []
 
     def test_single_lane(self):
+        """A lane priced alone equals its row in a wider union."""
         accel = default_accelerator()
-        mapping = MapSpace(self.PROBLEM, accel).sample(1)
-        mega = evaluate_megabatch(accel, [mapping], [self.PROBLEM])
-        ref = evaluate_batch(accel, [mapping], self.PROBLEM)
-        assert np.array_equal(mega.edp, ref.edp)
+        mapping, *others = MapSpace(self.PROBLEM, accel).sample_many(5, seed=1)
+        gemm = make_gemm("mega_single_gemm", m=8, n=16, k=8)
+        wide = [mapping] + others + MapSpace(gemm, accel).sample_many(3, seed=1)
+        lane_problems = [self.PROBLEM] * 5 + [gemm] * 3
+        mega = evaluate_megabatch(accel, wide, lane_problems)
+        alone = evaluate_megabatch(accel, [mapping], [self.PROBLEM])
+        assert len(alone) == 1
+        assert np.array_equal(alone.edp, mega.edp[:1])
+        nt = len(self.PROBLEM.tensors)
+        assert np.array_equal(alone.accesses, mega.accesses[:1, :nt, :])
 
     def test_misaligned_lanes_raise(self):
         accel = default_accelerator()
@@ -235,3 +257,52 @@ class TestEdgesAndValidation:
         mega = compile_megabatch(mappings, [self.PROBLEM, twin, self.PROBLEM, twin])
         assert len(mega.problems) == 1
         assert len(mega) == 4
+
+
+class TestShapeStats:
+    """``megabatch_shape_stats``: the kernel span's shape attributes."""
+
+    CONV = make_cnn_layer("shape_conv", n=2, k=8, c=6, h=8, w=8, r=3, s=3)
+    MTTKRP = make_mttkrp("shape_mttkrp", i=8, j=8, k=8, l=8)
+
+    def test_empty(self):
+        assert megabatch_shape_stats([]) == {
+            "lanes": 0,
+            "problems": 0,
+            "union_dims": 0,
+            "union_slots": 0,
+            "padding_waste_ratio": 0.0,
+        }
+
+    def test_homogeneous_union_wastes_nothing(self):
+        assert megabatch_shape_stats([self.CONV] * 5) == {
+            "lanes": 5,
+            "problems": 1,
+            "union_dims": 7,
+            "union_slots": 3,
+            "padding_waste_ratio": 0.0,
+        }
+
+    def test_mixed_dim_and_slot_widths(self):
+        # conv: 7 dims, 3 tensors; MTTKRP: 4 dims, 4 tensors.  Lanes are
+        # padded to 7 + 4 cells; real cells are 7+3, 7+3 and 4+4 of 33.
+        stats = megabatch_shape_stats([self.CONV, self.MTTKRP, self.CONV])
+        assert stats["lanes"] == 3
+        assert stats["problems"] == 2
+        assert stats["union_dims"] == 7
+        assert stats["union_slots"] == 4
+        assert stats["padding_waste_ratio"] == pytest.approx(5 / 33)
+
+    def test_decoded_copies_are_one_problem(self):
+        """A shard decodes a fresh ``Problem`` per request; equal copies
+        are one problem, as ``compile_megabatch`` lowers them."""
+        from repro.serve.codec import problem_from_dict, problem_to_dict
+
+        first, second = (
+            problem_from_dict(problem_to_dict(self.CONV)) for _ in range(2)
+        )
+        assert first is not second
+        stats = megabatch_shape_stats([first, second, first])
+        assert stats["problems"] == 1
+        mappings = MapSpace(self.CONV, small_accelerator()).sample_many(3, seed=0)
+        assert len(compile_megabatch(mappings, [first, second, first]).problems) == 1

@@ -1,5 +1,6 @@
 """MappingServer: determinism, collapsing, backpressure, priority, drain."""
 
+import sys
 import threading
 import time
 
@@ -285,6 +286,143 @@ class TestBackpressure:
         # Leader (carrying the HIGH follower) ran right after the batch
         # that was already in flight, ahead of the earlier NORMAL backlog.
         assert order.index("leader") <= 1
+
+
+class _BatchRecorder:
+    """Stub runner recording each batch's tags as it starts; the first
+    batch blocks until released."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.started = threading.Event()
+        self.batches = []
+
+    def __call__(self, engine, requests):
+        self.batches.append([request.tag for request in requests])
+        if len(self.batches) == 1:
+            self.started.set()
+            self.gate.wait(timeout=10.0)
+        return [None] * len(requests)
+
+
+def _dispatch_server(engine, runner, max_batch=64, max_wait_s=0.01):
+    return MappingServer(
+        engine,
+        ServeConfig(max_batch=max_batch, max_wait_s=max_wait_s, workers=2,
+                    collapse_duplicates=False, response_cache_size=0),
+        runner=runner,
+    )
+
+
+class TestDispatch:
+    def test_due_group_waits_for_the_running_batch(self, engine):
+        """A deadline-due group never starts beside a running batch, even
+        with a worker idle: it keeps coalescing until the server is idle."""
+        runner = _BatchRecorder()
+        server = _dispatch_server(engine, runner)
+        try:
+            first = server.submit(_request(seed=0, tag="first"))
+            assert runner.started.wait(timeout=10.0)
+            late = [server.submit(_request(seed=s, tag=f"late-{s}"))
+                    for s in (1, 2)]
+            time.sleep(0.1)  # ten deadlines pass with a worker idle
+            assert runner.batches == [["first"]]
+            runner.gate.set()
+            for future in [first] + late:
+                future.result(timeout=30)
+        finally:
+            runner.gate.set()
+            server.shutdown(timeout=10.0)
+        assert runner.batches == [["first"], ["late-1", "late-2"]]
+
+    def test_held_group_merges_with_requests_answered_meanwhile(self, engine):
+        """Once idle, the server waits ``max_wait_s`` before flushing a
+        held group, so a closed-loop client's next request joins it."""
+        runner = _BatchRecorder()
+        server = _dispatch_server(engine, runner, max_wait_s=0.2)
+        try:
+            first = server.submit(_request(seed=0, tag="first"))
+            assert runner.started.wait(timeout=10.0)
+            held = server.submit(_request(seed=1, tag="held"))
+            time.sleep(0.3)  # "held" is past its deadline
+            runner.gate.set()
+            first.result(timeout=30)
+            time.sleep(0.05)  # a client's think time, inside the window
+            again = server.submit(_request(seed=2, tag="again"))
+            held.result(timeout=30)
+            again.result(timeout=30)
+        finally:
+            runner.gate.set()
+            server.shutdown(timeout=10.0)
+        assert runner.batches == [["first"], ["held", "again"]]
+
+    def test_deadline_batches_never_overlap_under_stress(self, engine):
+        """Eight submitting threads, four workers, a tiny switch interval:
+        with only deadline flushes, no two batches ever run at once, and
+        every request is served exactly once."""
+        lock = threading.Lock()
+        active = [0, 0]  # running now, most ever running at once
+        served = []
+
+        def runner(engine_, requests):
+            with lock:
+                active[0] += 1
+                active[1] = max(active)
+            time.sleep(0.001)
+            with lock:
+                active[0] -= 1
+                served.extend(request.tag for request in requests)
+            return [None] * len(requests)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        server = MappingServer(
+            engine,
+            ServeConfig(max_batch=100_000, max_wait_s=0.001, max_queue=1000,
+                        workers=4, collapse_duplicates=False,
+                        response_cache_size=0),
+            runner=runner,
+        )
+        futures = []
+
+        def submit_many(first):
+            for seed in range(first, first + 50):
+                futures.append(server.submit(_request(seed=seed, tag=str(seed))))
+
+        try:
+            threads = [threading.Thread(target=submit_many, args=(50 * i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+            server.shutdown(timeout=10.0)
+        assert active[1] == 1
+        assert sorted(served, key=int) == [str(seed) for seed in range(400)]
+
+    def test_size_trigger_still_takes_an_idle_worker(self, engine):
+        runner = _BatchRecorder()
+        server = _dispatch_server(engine, runner, max_batch=2)
+        try:
+            futures = [server.submit(_request(seed=s, tag=f"r{s}"))
+                       for s in range(2)]
+            assert runner.started.wait(timeout=10.0)
+            futures += [server.submit(_request(seed=s, tag=f"r{s}"))
+                        for s in (2, 3)]
+            deadline = time.monotonic() + 10.0
+            while len(runner.batches) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert runner.batches == [["r0", "r1"], ["r2", "r3"]]
+            runner.gate.set()
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            runner.gate.set()
+            server.shutdown(timeout=10.0)
 
 
 class TestLifecycle:
