@@ -15,8 +15,9 @@ The per-step means land in ``BENCH_step_costs.json`` (via
 ``write_bench_json``) as ``*_ms`` keys, which ``check_trajectory.py`` gates
 lower-is-better against the committed snapshot in
 ``benchmarks/trajectory/`` — the decode+project step among them, the map
-space's projection and neighbourhood move on their own, and the batched
-oracle at one and 64 lanes.
+space's projection and neighbourhood move on their own, the batched
+oracle at one and 64 lanes, a surrogate prediction, and the
+forward+backward through the paper's 9-layer surrogate widths.
 """
 
 import itertools
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 
 from conftest import add_report, write_bench_json
+from repro.core import PAPER_HIDDEN_LAYERS, Surrogate
 from repro.costmodel import CostModel
 from repro.harness import format_table
 from repro.mapspace import MapSpace
@@ -86,6 +88,30 @@ def test_step_surrogate_gradient(benchmark, accelerator, cnn_mm):
     whitened = cnn_mm.surrogate.whiten_mapping(space.sample(0), problem)
     benchmark(cnn_mm.surrogate.objective_and_gradient, whitened)
     _RESULTS["surrogate_fwd_bwd"] = benchmark.stats.stats.mean
+
+
+def test_step_surrogate_gradient_paper_widths(benchmark, accelerator, cnn_mm):
+    """One forward+backward through an untrained surrogate of the paper's
+    9-layer topology (``PAPER_HIDDEN_LAYERS``, up to 2048 wide): the
+    per-step cost section 5.4.2 compares against oracle queries."""
+    problem, space = _problem_and_space(accelerator)
+    trained = cnn_mm.surrogate
+    paper = Surrogate.build(
+        trained.encoder, trained.codec, trained.input_whitener,
+        trained.target_whitener, trained.algorithm,
+        hidden_layers=PAPER_HIDDEN_LAYERS, rng=0,
+    )
+    whitened = paper.whiten_mapping(space.sample(0), problem)
+    benchmark(paper.objective_and_gradient, whitened)
+    _RESULTS["surrogate_fwd_bwd_paper"] = benchmark.stats.stats.mean
+
+
+def test_step_surrogate_predict(benchmark, accelerator, cnn_mm):
+    """One surrogate prediction (what an MM injection candidate costs)."""
+    problem, space = _problem_and_space(accelerator)
+    whitened = cnn_mm.surrogate.whiten_mapping(space.sample(0), problem)
+    benchmark(cnn_mm.surrogate.predict_log2_norm_edp, whitened)
+    _RESULTS["surrogate_predict"] = benchmark.stats.stats.mean
 
 
 def test_step_projection(benchmark, accelerator, cnn_mm):

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.mapspace.factors import nearest_composition, nearest_factorizations
 from repro.mapspace.mapping import ALLOC_LEVELS, Mapping, ORDER_LEVELS
-from repro.mapspace.space import MapSpace
+from repro.mapspace.space import MapSpace, shared_loop_order
 from repro.utils import log2_safe
 from repro.workloads.problem import Problem
 
@@ -179,7 +179,7 @@ class MappingEncoder:
         )
         ranks = vector[self.layout.order_slice].reshape(len(ORDER_LEVELS), n_dims)
         loop_orders = tuple(
-            tuple(self.dims[i] for i in permutation)
+            shared_loop_order(self.dims, tuple(permutation))
             for permutation in np.argsort(ranks, axis=1, kind="stable").tolist()
         )
         fractions = vector[self.layout.alloc_slice].reshape(len(ALLOC_LEVELS), n_tensors)

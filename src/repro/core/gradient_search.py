@@ -25,11 +25,14 @@ from.
 
 **Vectorized multi-restart.**  ``restarts=R`` runs R independent descent
 chains at once: every ``ask`` proposes all R current points, the batched
-objective stacks them into one ``(R, D)`` tensor forward/backward
+objective stacks them into one ``(R, D)`` forward/backward
 (:meth:`Surrogate.objective_and_gradient_batch`), and ``tell`` applies all
-R projected updates.  One fused autograd pass per iteration instead of R —
-the chains share nothing except the network weights, so results are
-identical to R sequential chains with the same per-chain draws.
+R projected updates.  One fused pass per iteration instead of R.  BLAS
+blocks the R rows of each product together, so a chain can differ in its
+last bits (and then in a rounding decision) from the same chain run with
+``restarts=1``.  The ``(R, D)`` batch is never split or restacked, so a
+seeded search with a given ``restarts`` is bitwise the same whether it is
+served alone, batched, or routed.
 """
 
 from __future__ import annotations

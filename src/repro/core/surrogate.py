@@ -3,9 +3,9 @@
 Wraps the MLP together with the whitening statistics, the mapping encoder,
 and the target codec so callers can move between the three coordinate
 systems (structured mappings, raw vectors, whitened vectors) without
-bookkeeping.  Critically, :meth:`input_gradient` differentiates the
-*predicted log-EDP* with respect to the whitened input vector — the
-gradients Phase 2 descends along.
+bookkeeping.  Critically, :meth:`objective_and_gradient_batch`
+differentiates the *predicted log-EDP* with respect to the whitened input
+vector — the gradients Phase 2 descends along.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.dataset import TargetCodec
 from repro.core.encoding import MappingEncoder
 from repro.core.normalize import Whitener
-from repro.nn import MLP, Tensor, no_grad
+from repro.nn import MLP
 from repro.mapspace.mapping import Mapping
 from repro.mapspace.space import MapSpace
 from repro.utils.rng import SeedLike
@@ -117,9 +117,8 @@ class Surrogate:
 
     def predict_whitened(self, whitened_inputs: np.ndarray) -> np.ndarray:
         """Whitened target predictions for whitened input rows."""
-        with no_grad():
-            output = self.network(Tensor(np.atleast_2d(whitened_inputs)))
-        return output.numpy()
+        inputs = np.atleast_2d(np.asarray(whitened_inputs, dtype=np.float64))
+        return self.network.infer(inputs)[0]
 
     def predict_raw_targets(self, whitened_inputs: np.ndarray) -> np.ndarray:
         """De-whitened (but still log-normalized) target predictions."""
@@ -194,34 +193,23 @@ class Surrogate:
         """Per-row objectives and input gradients in one fused pass.
 
         ``whitened_inputs`` is ``(N, D)``; returns ``(values, gradients)``
-        of shapes ``(N,)`` and ``(N, D)``.  Rows flow through the network
-        independently, so summing the per-row objectives before ``backward``
-        yields each row's own gradient — one stacked forward/backward
-        instead of N scalar autograd passes.  Builds the de-whitening of the
-        EDP-relevant output entries into the autograd graph, so gradients
-        are exactly ``d log2(EDP_hat) / d x`` in whitened input coordinates.
+        of shapes ``(N,)`` and ``(N, D)``.  Values are
+        :meth:`predict_log2_norm_edp`'s; one backward from a seed holding
+        the target whitener's std in the objective's columns gives exactly
+        ``d log2(EDP_hat) / d x`` in whitened input coordinates.  Both are
+        bitwise what the autograd graph returned, but no weight gradient is
+        computed and the shared network's ``.grad`` is never written (see
+        the surrogate pass contract in ``docs/BATCH_CONTRACTS.md``).
         """
         inputs = np.atleast_2d(np.asarray(whitened_inputs, dtype=np.float64))
-        x = Tensor(inputs, requires_grad=True)
-        output = self.network(x)
+        output, tape = self.network.infer(inputs)
+        values = self.codec.log2_norm_edp_batch(self.target_whitener.inverse(output))
+        columns = [self.codec.total_energy_index, self.codec.cycles_index]
         if self.codec.mode == "edp":
-            scaled = output.select(0) * self.target_whitener.std[0]
-            objective = scaled + self.target_whitener.mean[0]
-        else:
-            e_index = self.codec.total_energy_index
-            c_index = self.codec.cycles_index
-            energy = (
-                output.select(e_index) * self.target_whitener.std[e_index]
-                + self.target_whitener.mean[e_index]
-            )
-            cycles = (
-                output.select(c_index) * self.target_whitener.std[c_index]
-                + self.target_whitener.mean[c_index]
-            )
-            objective = energy + cycles
-        objective.sum().backward()
-        assert x.grad is not None
-        return objective.data.copy(), x.grad.copy()
+            columns = [0]
+        seed = np.zeros_like(output)
+        seed[:, columns] = self.target_whitener.std[columns]
+        return values, self.network.input_gradient(seed, tape)
 
     def mapping_gradient(
         self, mapping: Mapping, problem: Problem

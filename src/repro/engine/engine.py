@@ -28,8 +28,9 @@ forward pass, instead of scalar queries in a loop.
 Responses are deterministic per request seed regardless of batch
 composition or scheduling order: the batched cost kernels are row-exact
 (each mapping's row is bitwise independent of its batchmates), searchers
-read shared surrogate weights but never write them, and each search's own
-state is private.
+read shared surrogate weights but never write them (not even their
+``.grad``; pinned by ``tests/test_engine.py::TestSharedSurrogateReadOnly``),
+and each search's own state is private.
 """
 
 from __future__ import annotations

@@ -41,11 +41,12 @@ _AT_L2, _AT_L1 = 0, 1
 
 
 @functools.lru_cache(maxsize=5040)
-def _loop_order(dims: Tuple[str, ...], perm: Tuple[int, ...]) -> Tuple[str, ...]:
+def shared_loop_order(dims: Tuple[str, ...], perm: Tuple[int, ...]) -> Tuple[str, ...]:
     """``dims`` permuted by index tuple ``perm``, shared across map spaces.
 
     Module-level because a :class:`MapSpace` is rebuilt per request; sized
-    for the 7! orders of a seven-dimension problem.
+    for the 7! orders of a seven-dimension problem.  Sampling and
+    ``MappingEncoder.decode`` both read it, so retained mappings share it.
     """
     return tuple(dims[i] for i in perm)
 
@@ -265,7 +266,7 @@ class MapSpace:
         the shared order table keeps plain, interned ``str`` names.
         """
         perm = rng.permutation(len(self.dims)).tolist()
-        return _loop_order(self.dims, tuple(perm))
+        return shared_loop_order(self.dims, tuple(perm))
 
     def _sample_tile_factors(
         self, rng: np.random.Generator
@@ -637,4 +638,4 @@ class MapSpace:
                         yield mapping
 
 
-__all__ = ["MapSpace"]
+__all__ = ["MapSpace", "shared_loop_order"]

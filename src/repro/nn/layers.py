@@ -7,7 +7,7 @@ parameter-collection contract so optimizers and serialization stay generic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -170,6 +170,45 @@ class MLP(Module):
 
     def forward(self, inputs: Tensor) -> Tensor:
         return self.network(inputs)
+
+    def infer(self, inputs: np.ndarray) -> Tuple[np.ndarray, list]:
+        """Array-only forward: the output and the tape :meth:`input_gradient`
+        walks back (per child: the ReLU mask, the Tanh output, or ``None``).
+
+        Runs the numpy ops the autograd ``forward`` runs, in the same order,
+        so the output is bitwise the graph's; no graph is built.
+        """
+        tape: list = []
+        hidden = inputs
+        for module in self.network:
+            if isinstance(module, Linear):
+                hidden = np.matmul(hidden, module.weight.data) + module.bias.data
+                tape.append(None)
+            elif isinstance(module, ReLU):
+                mask = hidden > 0
+                hidden = hidden * mask
+                tape.append(mask)
+            elif isinstance(module, Tanh):
+                hidden = np.tanh(hidden)
+                tape.append(hidden)
+            else:
+                raise TypeError(f"no array pass for {type(module).__name__}")
+        return hidden, tape
+
+    def input_gradient(self, seed: np.ndarray, tape: list) -> np.ndarray:
+        """Gradient of ``sum(output * seed)`` with respect to the input:
+        autograd's input-gradient products (``g @ W.T``, ``g * mask``,
+        ``g * (1 - out**2)``), bitwise, with no weight gradient computed and
+        no ``.grad`` written."""
+        gradient = seed
+        for module, saved in zip(reversed(self.network.children), reversed(tape)):
+            if isinstance(module, Linear):
+                gradient = gradient @ module.weight.data.T
+            elif isinstance(module, ReLU):
+                gradient = gradient * saved
+            else:
+                gradient = gradient * (1.0 - saved**2)
+        return gradient
 
 
 __all__ = ["Linear", "MLP", "Module", "ReLU", "Sequential", "Tanh"]

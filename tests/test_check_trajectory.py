@@ -36,6 +36,8 @@ class TestDirection:
         ("oracle_batch_1_ms", "down"),
         ("oracle_batch_64_ms", "down"),
         ("surrogate_fwd_bwd_ms", "down"),
+        ("surrogate_fwd_bwd_paper_ms", "down"),
+        ("surrogate_predict_ms", "down"),
         ("decode_project_ms", "down"),
         ("map_space_sample_ms", "down"),
         ("map_space_project_ms", "down"),
@@ -128,6 +130,7 @@ def test_committed_step_cost_snapshot_gates_every_step():
         "results.map_space_project_ms", "results.map_space_sample_ms",
         "results.oracle_batch_1_ms", "results.oracle_batch_64_ms",
         "results.oracle_query_ms", "results.surrogate_fwd_bwd_ms",
+        "results.surrogate_fwd_bwd_paper_ms", "results.surrogate_predict_ms",
     ]
 
 

@@ -109,6 +109,19 @@ class TestDecodeRoundtrip:
         decoded = encoder.decode(vector + 1e-6, cnn_space)
         assert decoded == mapping
 
+    def test_decoded_loop_orders_are_shared_tuples(self, cnn_space, cnn_problem):
+        """Two decodes that produce the same permutations return the same
+        tuple objects, taken from the map space's shared order table."""
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        vector = encoder.encode(cnn_space.sample(4), cnn_problem)
+        scaled = vector.copy()
+        scaled[encoder.layout.order_slice] *= 3.0  # same ranks, other floats
+        first = encoder.decode(vector, cnn_space)
+        second = encoder.decode(scaled, cnn_space)
+        assert first.loop_orders == second.loop_orders
+        for left, right in zip(first.loop_orders, second.loop_orders):
+            assert left is right
+
     def test_wrong_length_raises(self, cnn_space, cnn_problem):
         encoder = MappingEncoder.for_problem(cnn_problem)
         with pytest.raises(ValueError):

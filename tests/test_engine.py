@@ -1,5 +1,6 @@
 """MappingEngine: serving behaviour, artifact cache, batch determinism."""
 
+import numpy as np
 import pytest
 
 from repro.core import MindMappings, MindMappingsConfig, TrainingConfig
@@ -225,6 +226,29 @@ class TestBatchDeterminism:
         """The deprecated thread-pool knob is gone, not silently ignored."""
         with pytest.raises(TypeError):
             engine.map_batch([], workers=2)
+
+
+class TestSharedSurrogateReadOnly:
+    """Searches read the shared surrogate's weights but never write them:
+    no gradient request, solo or batched, single- or multi-restart, adds
+    into any parameter's ``.grad``."""
+
+    def test_gradient_searches_leave_weight_grads_untouched(self, engine):
+        parameters = engine.surrogate_for("conv1d").network.parameters()
+        before = [None if p.grad is None else p.grad.copy() for p in parameters]
+        requests = [
+            MappingRequest(TARGETS[i % 2], searcher="gradient", iterations=25,
+                           seed=seed, searcher_config={"restarts": restarts})
+            for i, (seed, restarts) in enumerate([(1, 1), (2, 4), (3, 1), (4, 4)])
+        ]
+        for request in requests:
+            engine.map(request)
+        engine.map_batch(requests)
+        for parameter, snapshot in zip(parameters, before):
+            if snapshot is None:
+                assert parameter.grad is None
+            else:
+                assert np.array_equal(parameter.grad, snapshot)
 
 
 class TestArtifactCache:

@@ -91,6 +91,14 @@ class TestMLP:
         mlp = MLP([4, 8, 2], activation="tanh", rng=0)
         assert mlp(Tensor(np.ones((1, 4)))).shape == (1, 2)
 
+    def test_array_pass_rejects_unknown_module(self):
+        """``infer``'s parity with the graph is pinned in
+        ``tests/test_surrogate_pass_parity.py``."""
+        mlp = MLP([4, 8, 2], rng=0)
+        mlp.network.children[1] = Sequential()
+        with pytest.raises(TypeError, match="Sequential"):
+            mlp.infer(np.ones((1, 4)))
+
 
 class TestStateDict:
     def test_roundtrip(self):
