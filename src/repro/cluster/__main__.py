@@ -13,11 +13,9 @@ mid-fleet, the HTTP gateway fronting the router, and graceful drain.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 import time
-import urllib.request
 from pathlib import Path
 
 from repro.costmodel.accelerator import small_accelerator
@@ -31,13 +29,8 @@ from repro.serve.codec import request_to_dict
 from repro.serve.http import install_signal_drain, start_gateway
 from repro.serve.server import ServeConfig, ServerClosed
 from repro.cluster.router import ClusterConfig, ClusterRouter
+from repro.utils.smoke import check as _check, get_json as _get, post_json as _post
 from repro.workloads.conv1d import make_conv1d
-
-
-def _check(condition: bool, message: str) -> None:
-    """Assertion that survives ``python -O`` (the selftest is a CI gate)."""
-    if not condition:
-        raise RuntimeError(f"selftest check failed: {message}")
 
 
 def selftest(verbose: bool = True) -> int:
@@ -152,28 +145,16 @@ def selftest(verbose: bool = True) -> int:
         # --- the HTTP gateway fronts the router unchanged.
         gateway = start_gateway(router)
         try:
-            with urllib.request.urlopen(
-                f"{gateway.address}/v1/healthz", timeout=10
-            ) as reply:
-                _check(json.loads(reply.read())["status"] == "ok",
-                       "gateway healthz not ok")
+            _check(_get(f"{gateway.address}/v1/healthz")["status"] == "ok",
+                   "gateway healthz not ok")
             http_request = MappingRequest(
                 problems[1], searcher="random", iterations=40, seed=7,
                 tag="via-gateway",
             )
-            body = json.dumps(
-                {"request": request_to_dict(http_request)}
-            ).encode("utf-8")
-            with urllib.request.urlopen(
-                urllib.request.Request(
-                    f"{gateway.address}/v1/map", data=body,
-                    headers={"Content-Type": "application/json"},
-                ),
-                timeout=120,
-            ) as reply:
-                served = MappingResponse.from_dict(
-                    json.loads(reply.read())["response"]
-                )
+            served = MappingResponse.from_dict(_post(
+                f"{gateway.address}/v1/map",
+                {"request": request_to_dict(http_request)},
+            )["response"])
             _check(served.mapping == solo.map(http_request).mapping,
                    "gateway-fronted response != solo mapping")
             say("HTTP gateway fronts the router; response bit-identical")

@@ -26,7 +26,10 @@ HTTP gateway fronts a cluster unchanged (``start_gateway(router)``).
   plus router-side counters (failovers, respawns, rejected) and
   router-measured end-to-end latency quantiles; ``health_snapshot``
   merges per-shard surrogate registry versions so swap propagation is
-  one GET away.
+  one GET away.  Every fleet view is one :meth:`ClusterRouter._fan_out`
+  of a shard view op followed by one pure ``merge_*`` function; the
+  router's own tracer, ring, SLOs and sampler come from
+  :class:`~repro.obs.core.Telemetry`, shared with ``MappingServer``.
 """
 
 from __future__ import annotations
@@ -37,19 +40,19 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.costmodel.accelerator import Accelerator
 from repro.engine.engine import EngineConfig, MappingRequest, MappingResponse
 from repro.engine.registry import resolve_searcher
 from repro.obs import events as obs_events
-from repro.obs.profile import span_hotspots
-from repro.obs.slo import DEFAULT_SLOS, SLOSpec, SLOTracker, worst_state
-from repro.obs.timeseries import MetricsSampler, TimeseriesRing
-from repro.obs.trace import TraceHandle, Tracer
+from repro.obs.core import Telemetry, check_telemetry_config
+from repro.obs.sketch import LatencySketch
+from repro.obs.slo import DEFAULT_SLOS, SLOSpec, worst_state
+from repro.obs.trace import TraceHandle
 from repro.serve.batcher import Priority
 from repro.serve.codec import request_to_dict, response_from_dict, trace_to_dict
-from repro.serve.metrics import Counter, LatencyTracker
+from repro.serve.metrics import Counter
 from repro.serve.server import ServeConfig, ServerClosed, ServerOverloaded
 from repro.cluster.hashing import HashRing, problem_fingerprint
 from repro.cluster.rpc import ConnectionPool
@@ -105,25 +108,7 @@ class ClusterConfig:
     sample_interval_s: float = 0.5
 
     def __post_init__(self) -> None:
-        self.slos = tuple(self.slos)
-        if self.timeseries_interval_s <= 0:
-            raise ValueError(
-                f"timeseries_interval_s must be > 0, "
-                f"got {self.timeseries_interval_s}"
-            )
-        if self.timeseries_capacity < 2:
-            raise ValueError(
-                f"timeseries_capacity must be >= 2, "
-                f"got {self.timeseries_capacity}"
-            )
-        if self.sample_interval_s <= 0:
-            raise ValueError(
-                f"sample_interval_s must be > 0, got {self.sample_interval_s}"
-            )
-        if self.trace_capacity < 1:
-            raise ValueError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}"
-            )
+        check_telemetry_config(self)
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
         if self.max_inflight < 1:
@@ -165,7 +150,7 @@ class ShardHandle:
         }
 
 
-class ClusterRouter:
+class ClusterRouter(Telemetry):
     """N shard processes behind one consistent-hash front door."""
 
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
@@ -186,7 +171,7 @@ class ClusterRouter:
         self._idle = threading.Condition(self._lock)
         self._accepting = False
         self._stopping = False
-        self.latency = LatencyTracker()
+        self.latency = LatencySketch()
         self.counters = {
             name: Counter()
             for name in (
@@ -201,21 +186,7 @@ class ClusterRouter:
         }
         self._monitor: Optional[threading.Thread] = None
         self._monitor_wake = threading.Event()
-        self.tracer = Tracer(
-            enabled=self.config.tracing,
-            max_traces=self.config.trace_capacity,
-        )
-        self.timeseries = TimeseriesRing(
-            interval_s=self.config.timeseries_interval_s,
-            capacity=self.config.timeseries_capacity,
-        )
-        self.slo = SLOTracker(self.config.slos, self.timeseries)
-        self._sampler = MetricsSampler(
-            self._observability_sample,
-            self.timeseries,
-            listeners=[self.slo.evaluate],
-            interval_s=self.config.sample_interval_s,
-        )
+        super().__init__(self.config, self._counter_values)
         self._started = time.monotonic()
 
     # ------------------------------------------------------------------
@@ -248,7 +219,7 @@ class ClusterRouter:
             target=self._monitor_loop, name="cluster-monitor", daemon=True
         )
         self._monitor.start()
-        self._sampler.start()
+        self._start_telemetry()
         return self
 
     def _spawn_shard(self, handle: ShardHandle) -> None:
@@ -318,7 +289,7 @@ class ClusterRouter:
         """Drain, gracefully stop every shard, join processes and threads."""
         finished = self.drain(timeout=timeout)
         self._stopping = True
-        self._sampler.stop()
+        self._stop_telemetry()
         self._monitor_wake.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
@@ -614,17 +585,28 @@ class ClusterRouter:
     # Fleet introspection
     # ------------------------------------------------------------------
 
-    def _shard_call(
-        self, handle: ShardHandle, payload: Dict, timeout_s: float = 10.0
-    ) -> Optional[Dict]:
-        with handle.lock:
-            pool = handle.pool if handle.live else None
-        if pool is None:
-            return None
-        try:
-            return pool.call(payload, timeout_s=timeout_s)
-        except (ConnectionError, OSError, RuntimeError):
-            return None
+    def _counter_values(self) -> Dict[str, int]:
+        return {name: counter.value for name, counter in self.counters.items()}
+
+    def _fan_out(
+        self, op: str, timeout_s: float = 10.0, **fields: object
+    ) -> Dict[str, Optional[object]]:
+        """Every shard's ``op`` view by shard id, ``None`` for a shard that
+        is down or fails the call."""
+        views: Dict[str, Optional[object]] = {}
+        for shard_id, handle in sorted(self._handles.items()):
+            with handle.lock:
+                pool = handle.pool if handle.live else None
+            reply = None
+            if pool is not None:
+                try:
+                    reply = pool.call(dict(fields, op=op), timeout_s=timeout_s)
+                except (ConnectionError, OSError, RuntimeError):
+                    pass
+            views[str(shard_id)] = (
+                reply.get(op) if reply is not None and reply.get("ok") else None
+            )
+        return views
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """Fleet view: per-shard snapshots + router aggregates.
@@ -634,24 +616,7 @@ class ClusterRouter:
         and the *end-to-end* latency quantiles (queueing + RPC + shard
         service), which per-shard snapshots cannot see.
         """
-        shards: Dict[str, object] = {}
-        fleet_counters: Dict[str, int] = {}
-        versions: Dict[str, Dict[str, Optional[int]]] = {}
-        for shard_id, handle in sorted(self._handles.items()):
-            reply = self._shard_call(handle, {"op": "metrics"})
-            if reply is None or not reply.get("ok"):
-                shards[str(shard_id)] = {"status": "unreachable"}
-                continue
-            snapshot = reply["metrics"]
-            shards[str(shard_id)] = snapshot
-            for name, value in snapshot.get("counters", {}).items():
-                fleet_counters[name] = fleet_counters.get(name, 0) + int(value)
-            for algorithm, info in snapshot.get(
-                "surrogate_versions", {}
-            ).items():
-                versions.setdefault(algorithm, {})[str(shard_id)] = info.get(
-                    "version"
-                )
+        fleet = merge_metrics(self._fan_out("metrics"))
         uptime = time.monotonic() - self._started
         served = self.counters["served"].value
         return {
@@ -659,203 +624,215 @@ class ClusterRouter:
             "throughput_rps": served / uptime if uptime > 0 else 0.0,
             "queue_depth": self.queue_depth,
             "router": {
-                "counters": {
-                    name: counter.value
-                    for name, counter in self.counters.items()
-                },
+                "counters": self._counter_values(),
                 "latency": self.latency.snapshot(),
                 "shards": {
                     str(shard_id): handle.snapshot()
                     for shard_id, handle in sorted(self._handles.items())
                 },
             },
-            "fleet": {
-                "counters": fleet_counters,
-                "surrogate_versions": {
-                    algorithm: {
-                        "per_shard": per_shard,
-                        # Converged = every reachable shard serves the same
-                        # registry version (the propagation health signal).
-                        "converged": len(set(per_shard.values())) <= 1,
-                    }
-                    for algorithm, per_shard in versions.items()
-                },
-            },
-            "shards": shards,
+            **fleet,
         }
-
-    def _observability_sample(
-        self,
-    ) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """The router sampler's pull: cumulative counters + gauges."""
-        counters = {name: float(counter.value)
-                    for name, counter in self.counters.items()}
-        gauges = {"queue_depth": float(self.queue_depth)}
-        return counters, gauges
-
-    def sample_observability(self) -> None:
-        """Force one sampler pull + SLO evaluation on the router's ring."""
-        self._sampler.sample()
-
-    def timeseries_snapshot(
-        self, metric: Optional[str] = None, windows: Optional[int] = None
-    ) -> Dict[str, object]:
-        """The router's rolling-window view (end-to-end latency digests +
-        router counter rates) for ``/v1/timeseries`` on a fleet gateway.
-        Per-shard rings stay one ``timeseries`` RPC away."""
-        self.sample_observability()
-        return self.timeseries.snapshot(metric=metric, windows=windows)
 
     def slo_snapshot(self) -> Dict[str, object]:
-        """Fleet SLO view: router burn + every shard's, rolled up.
-
-        ``fleet.by_slo`` maps each objective name to its worst state
-        across the fleet and the per-shard states behind it;
-        ``fleet.burning_shards`` names the shards whose own trackers are
-        in ``warning``/``page`` — the attribution an operator needs
-        *before* a burning shard dies."""
-        self.sample_observability()
-        router_view = self.slo.snapshot()
-        shards: Dict[str, object] = {}
-        by_slo: Dict[str, Dict[str, object]] = {}
-        burning: List[str] = []
-        states: List[str] = [str(router_view["worst_state"])]
-        for slo_entry in router_view["slos"]:  # type: ignore[index]
-            name = str(slo_entry["name"])  # type: ignore[index]
-            by_slo.setdefault(name, {"per_shard": {}})
-            by_slo[name]["router"] = slo_entry["state"]  # type: ignore[index]
-        for shard_id, handle in sorted(self._handles.items()):
-            reply = self._shard_call(handle, {"op": "slo"}, timeout_s=10.0)
-            if reply is None or not reply.get("ok"):
-                shards[str(shard_id)] = {"status": "unreachable"}
-                continue
-            view = reply["slo"]
-            shards[str(shard_id)] = view
-            shard_state = str(view.get("worst_state", "ok"))
-            states.append(shard_state)
-            if shard_state != "ok":
-                burning.append(str(shard_id))
-            for slo_entry in view.get("slos", []):
-                name = str(slo_entry.get("name"))
-                per = by_slo.setdefault(name, {"per_shard": {}})
-                per["per_shard"][str(shard_id)] = slo_entry.get("state")  # type: ignore[index]
-        for name, entry in by_slo.items():
-            entry["worst_state"] = worst_state(
-                [str(entry.get("router", "ok"))]
-                + [str(state) for state in entry["per_shard"].values()]  # type: ignore[union-attr]
-            )
-        return {
-            "router": router_view,
-            "shards": shards,
-            "fleet": {
-                "by_slo": {name: by_slo[name] for name in sorted(by_slo)},
-                "burning_shards": burning,
-            },
-            "worst_state": worst_state(states),
-        }
+        """Fleet SLO view: the router's burn + every shard's, rolled up
+        by :func:`merge_slo`."""
+        return merge_slo(super().slo_snapshot(), self._fan_out("slo"))
 
     def profile_snapshot(self, limit: Optional[int] = 50) -> Dict[str, object]:
         """Fleet profile view: the router's span-derived hotspots plus
         every reachable shard's ``profile_snapshot()`` (collapsed stacks
         when that shard runs with ``profiling=True``)."""
-        shards: Dict[str, object] = {}
-        enabled = False
-        for shard_id, handle in sorted(self._handles.items()):
-            reply = self._shard_call(
-                handle, {"op": "profile", "limit": limit}, timeout_s=10.0
-            )
-            if reply is None or not reply.get("ok"):
-                shards[str(shard_id)] = {"status": "unreachable"}
-                continue
-            view = reply["profile"]
-            shards[str(shard_id)] = view
-            enabled = enabled or bool(view.get("enabled"))
-        return {
-            "enabled": enabled,
-            "hotspots": span_hotspots(self.tracer),
-            "shards": shards,
-        }
-
-    def trace_snapshot(self, trace_id: str) -> Optional[Dict[str, object]]:
-        """One routed request's merged tree (router spans + shard spans)."""
-        return self.tracer.snapshot(trace_id)
+        return merge_profile(
+            super().profile_snapshot(limit),
+            self._fan_out("profile", limit=limit),
+        )
 
     def events_snapshot(
         self, kind: Optional[str] = None, limit: Optional[int] = None
     ) -> List[Dict[str, object]]:
         """Fleet event log: router-side events plus every reachable
-        shard's, each stamped with its ``source``.  Events are grouped by
-        source (per-process monotonic timestamps don't interleave)."""
-        events = [
-            dict(event, source="router")
-            for event in obs_events.snapshot(kind=kind)
-        ]
-        for shard_id, handle in sorted(self._handles.items()):
-            reply = self._shard_call(handle, {"op": "events"}, timeout_s=5.0)
-            if reply is None or not reply.get("ok"):
-                continue
-            for event in reply.get("events", []):
-                if kind is None or event.get("kind") == kind:
-                    events.append(dict(event, source=f"shard-{shard_id}"))
-        if limit is not None:
-            events = events[-max(limit, 0):] if limit else []
-        return events
+        shard's, each stamped with its ``source``."""
+        return merge_events(
+            super().events_snapshot(), self._fan_out("events", timeout_s=5.0),
+            kind=kind, limit=limit,
+        )
 
     def health_snapshot(self) -> Dict[str, object]:
         """The gateway's ``/v1/healthz`` body when fronting a cluster."""
-        shard_health: Dict[str, object] = {}
-        versions: Dict[str, Dict[str, Optional[int]]] = {}
-        live = 0
-        slo_states: List[str] = []
-        burning: List[str] = []
-        for shard_id, handle in sorted(self._handles.items()):
-            reply = self._shard_call(handle, {"op": "health"}, timeout_s=5.0)
-            if reply is None or not reply.get("ok"):
-                shard_health[str(shard_id)] = {"status": "unreachable"}
-                continue
-            live += 1
-            entry: Dict[str, object] = {
-                "status": reply.get("status"),
-                "queue_depth": reply.get("queue_depth"),
-                "pid": reply.get("pid"),
-            }
-            shard_slo = reply.get("slo")
-            if isinstance(shard_slo, dict):
-                # A burning shard is annotated right where an operator
-                # looks first, not just in the /v1/slo deep dive.
-                entry["slo"] = shard_slo
-                state = str(shard_slo.get("worst_state", "ok"))
-                slo_states.append(state)
-                if state != "ok":
-                    burning.append(str(shard_id))
-            shard_health[str(shard_id)] = entry
-            for algorithm, info in reply.get("surrogate_versions", {}).items():
-                versions.setdefault(algorithm, {})[str(shard_id)] = info.get(
-                    "version"
-                )
-        if not self._accepting:
-            status = "draining"
-        elif live == len(self._handles):
-            status = "ok"
-        elif live:
-            status = "degraded"
-        else:
-            status = "down"
-        router_states = self.slo.states()
-        slo_states.extend(router_states.values())
-        return {
-            "status": status,
-            "queue_depth": self.queue_depth,
-            "shards_live": live,
-            "shards_total": len(self._handles),
-            "shards": shard_health,
-            "surrogate_versions": versions,
-            "slo": {
-                "worst_state": worst_state(slo_states),
-                "router": router_states,
-                "burning_shards": burning,
+        return merge_health(
+            self._fan_out("health", timeout_s=5.0), self.slo.states(),
+            accepting=self._accepting, queue_depth=self.queue_depth,
+        )
+
+
+# ----------------------------------------------------------------------
+# Fleet merges: shard id -> the shard's view (``None`` when unreachable)
+# in, one fleet view out.  Pure, so tests feed them hand-built views.
+# ----------------------------------------------------------------------
+
+_ShardViews = Mapping[str, Optional[Dict[str, object]]]
+
+
+def _or_unreachable(views: _ShardViews) -> Dict[str, object]:
+    return {shard_id: {"status": "unreachable"} if view is None else view
+            for shard_id, view in views.items()}
+
+
+def _surrogate_versions(views: _ShardViews) -> Dict[str, Dict[str, object]]:
+    """algorithm -> shard id -> registry version, over reachable shards."""
+    versions: Dict[str, Dict[str, object]] = {}
+    for shard_id, view in views.items():
+        for algorithm, info in (view or {}).get("surrogate_versions", {}).items():
+            versions.setdefault(algorithm, {})[shard_id] = info.get("version")
+    return versions
+
+
+def merge_metrics(views: _ShardViews) -> Dict[str, object]:
+    """The ``fleet`` and ``shards`` blocks of the router's metrics view:
+    counters summed over reachable shards, and each algorithm's surrogate
+    versions, ``converged`` when every reachable shard serves the same
+    registry version (the propagation health signal)."""
+    counters: Dict[str, int] = {}
+    for view in views.values():
+        for name, value in (view or {}).get("counters", {}).items():
+            counters[name] = counters.get(name, 0) + int(value)
+    return {
+        "fleet": {
+            "counters": counters,
+            "surrogate_versions": {
+                algorithm: {
+                    "per_shard": per_shard,
+                    "converged": len(set(per_shard.values())) <= 1,
+                }
+                for algorithm, per_shard in _surrogate_versions(views).items()
             },
-        }
+        },
+        "shards": _or_unreachable(views),
+    }
+
+
+def merge_health(
+    views: _ShardViews,
+    router_states: Mapping[str, str],
+    accepting: bool,
+    queue_depth: int,
+) -> Dict[str, object]:
+    """The fleet ``/v1/healthz`` body: ``draining`` once the router stops
+    admitting, else ``ok``/``degraded``/``down`` by how many shards
+    answered; a shard whose SLOs burn is named in ``burning_shards``."""
+    shards: Dict[str, object] = {}
+    slo_states = list(router_states.values())
+    burning: List[str] = []
+    for shard_id, view in views.items():
+        if view is None:
+            shards[shard_id] = {"status": "unreachable"}
+            continue
+        entry = {key: view.get(key) for key in ("status", "queue_depth", "pid")}
+        shard_slo = view.get("slo")
+        if isinstance(shard_slo, dict):
+            # A burning shard is annotated right where an operator
+            # looks first, not just in the /v1/slo deep dive.
+            entry["slo"] = shard_slo
+            state = str(shard_slo.get("worst_state", "ok"))
+            slo_states.append(state)
+            if state != "ok":
+                burning.append(shard_id)
+        shards[shard_id] = entry
+    live = sum(view is not None for view in views.values())
+    if not accepting:
+        status = "draining"
+    elif live == len(views):
+        status = "ok"
+    else:
+        status = "degraded" if live else "down"
+    return {
+        "status": status,
+        "queue_depth": queue_depth,
+        "shards_live": live,
+        "shards_total": len(views),
+        "shards": shards,
+        "surrogate_versions": _surrogate_versions(views),
+        "slo": {
+            "worst_state": worst_state(slo_states),
+            "router": dict(router_states),
+            "burning_shards": burning,
+        },
+    }
+
+
+def merge_slo(
+    router_view: Mapping[str, object], views: _ShardViews
+) -> Dict[str, object]:
+    """The fleet ``/v1/slo`` body.  ``fleet.by_slo`` maps each objective
+    to its worst state across router and shards and the per-shard states
+    behind it; ``fleet.burning_shards`` names the shards whose own
+    trackers are in ``warning``/``page`` — the attribution an operator
+    needs *before* a burning shard dies."""
+    by_slo: Dict[str, Dict[str, object]] = {
+        str(entry["name"]): {"per_shard": {}, "router": entry["state"]}
+        for entry in router_view["slos"]  # type: ignore[union-attr]
+    }
+    burning: List[str] = []
+    states = [str(router_view["worst_state"])]
+    for shard_id, view in views.items():
+        if view is None:
+            continue
+        state = str(view.get("worst_state", "ok"))
+        states.append(state)
+        if state != "ok":
+            burning.append(shard_id)
+        for entry in view.get("slos", []):  # type: ignore[union-attr]
+            per = by_slo.setdefault(str(entry.get("name")), {"per_shard": {}})
+            per["per_shard"][shard_id] = entry.get("state")  # type: ignore[index]
+    for entry in by_slo.values():
+        entry["worst_state"] = worst_state(
+            [str(entry.get("router", "ok"))]
+            + [str(state) for state in entry["per_shard"].values()]  # type: ignore[union-attr]
+        )
+    return {
+        "router": router_view,
+        "shards": _or_unreachable(views),
+        "fleet": {
+            "by_slo": {name: by_slo[name] for name in sorted(by_slo)},
+            "burning_shards": burning,
+        },
+        "worst_state": worst_state(states),
+    }
+
+
+def merge_profile(
+    router_view: Mapping[str, object], views: _ShardViews
+) -> Dict[str, object]:
+    """The fleet ``/v1/profile`` body: the router's hotspots, every
+    shard's view, ``enabled`` when any of them profiles."""
+    return {
+        "enabled": any(bool((view or {}).get("enabled"))
+                       for view in [router_view, *views.values()]),
+        "hotspots": router_view["hotspots"],
+        "shards": _or_unreachable(views),
+    }
+
+
+def merge_events(
+    router_events: Sequence[Dict[str, object]],
+    views: Mapping[str, Optional[Sequence[Dict[str, object]]]],
+    kind: Optional[str] = None,
+    limit: Optional[int] = None,
+) -> List[Dict[str, object]]:
+    """The fleet event log: the router's events, then each reachable
+    shard's, each stamped with its ``source``, filtered to ``kind`` and
+    cut to the newest ``limit`` (the event log's own rules).  Events stay
+    grouped by source: per-process monotonic timestamps don't interleave."""
+    sources = [("router", router_events)] + [
+        (f"shard-{shard_id}", events or []) for shard_id, events in views.items()
+    ]
+    merged = [dict(event, source=source)
+              for source, events in sources for event in events
+              if kind is None or event.get("kind") == kind]
+    if limit is not None and limit >= 0:
+        merged = merged[len(merged) - min(limit, len(merged)):]
+    return merged
 
 
 def start_cluster(
@@ -877,5 +854,10 @@ __all__ = [
     "ClusterRouter",
     "NoLiveShards",
     "ShardHandle",
+    "merge_events",
+    "merge_health",
+    "merge_metrics",
+    "merge_profile",
+    "merge_slo",
     "start_cluster",
 ]

@@ -19,18 +19,20 @@ respawns never drop requests.
 
 RPC operations (all framed by :mod:`repro.cluster.rpc`):
 
-==========  ==========================================================
-``ping``    liveness probe (the router's health check)
-``map``     one ``MappingRequest`` through the shard's ``MappingServer``
-``metrics`` the shard's full ``metrics_snapshot()``
-``health``  ``health_snapshot()``: drain state, surrogate versions, SLO state
-``events``  the shard's structured event log (swaps, 429s, gate verdicts)
-``slo``     the shard's ``slo_snapshot()``: burn rates, budgets, alerts
-``timeseries``  the shard's rolling-window ``timeseries_snapshot()``
-``profile``  the shard's ``profile_snapshot()``: stacks + span hotspots
-``drain``   stop admission (in-flight requests still complete)
+============  ========================================================
+``ping``      liveness probe (the router's health check)
+``map``       one ``MappingRequest`` through the shard's ``MappingServer``
+``metrics``   the shard's full ``metrics_snapshot()``
+``health``    ``health_snapshot()``: drain state, surrogate versions, SLO state
+``events``    the shard's structured event log (swaps, 429s, gate verdicts)
+``slo``       the shard's ``slo_snapshot()``: burn rates, budgets, alerts
+``profile``   the shard's ``profile_snapshot()``: stacks + span hotspots
 ``shutdown``  acknowledge, then drain and exit the process
-==========  ==========================================================
+============  ========================================================
+
+The five view ops share one reply layout, ``{"ok": True, "shard_id":
+id, <op>: view}``; the ``metrics`` and ``health`` views also carry the
+shard's ``shard_id`` and ``pid``.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.costmodel.accelerator import Accelerator
 from repro.engine.engine import EngineConfig, MappingEngine
-from repro.obs import events as obs_events
 from repro.serve.batcher import Priority
 from repro.serve.codec import request_from_dict, trace_from_dict
 from repro.serve.http import install_signal_drain
@@ -87,6 +88,17 @@ class ShardSpec:
 
 
 _PRIORITIES = {"high": Priority.HIGH, "normal": Priority.NORMAL}
+
+#: The read-only view ops: op -> (service, payload) -> the shard's view.
+_VIEWS: Dict[str, Callable[["ShardService", Dict], object]] = {
+    "metrics": lambda shard, _: shard._stamped(shard.server.metrics_snapshot()),
+    "health": lambda shard, _: shard._stamped(shard.server.health_snapshot()),
+    "events": lambda shard, _: shard.server.events_snapshot(),
+    "slo": lambda shard, _: shard.server.slo_snapshot(),
+    "profile": lambda shard, payload: shard.server.profile_snapshot(
+        limit=50 if payload.get("limit") is None else int(payload["limit"])
+    ),
+}
 
 
 class ShardService:
@@ -133,62 +145,18 @@ class ShardService:
             return {"ok": True, "op": "ping", "shard_id": self.spec.shard_id}
         if op == "map":
             return self._handle_map(payload)
-        if op == "metrics":
-            snapshot = self.server.metrics_snapshot()
-            snapshot["shard_id"] = self.spec.shard_id
-            snapshot["pid"] = os.getpid()
-            return {"ok": True, "metrics": snapshot}
-        if op == "health":
-            health = self.server.health_snapshot()
-            health["shard_id"] = self.spec.shard_id
-            health["pid"] = os.getpid()
-            return {"ok": True, **health}
-        if op == "events":
-            return {
-                "ok": True,
-                "shard_id": self.spec.shard_id,
-                "events": obs_events.snapshot(),
-            }
-        if op == "slo":
-            return {
-                "ok": True,
-                "shard_id": self.spec.shard_id,
-                "slo": self.server.slo_snapshot(),
-            }
-        if op == "timeseries":
-            try:
-                snapshot = self.server.timeseries_snapshot(
-                    metric=payload.get("metric"),
-                    windows=payload.get("windows"),
-                )
-            except (KeyError, ValueError) as exc:
-                return {
-                    "ok": False,
-                    "kind": "bad_request",
-                    "error": str(exc),
-                }
-            return {
-                "ok": True,
-                "shard_id": self.spec.shard_id,
-                "timeseries": snapshot,
-            }
-        if op == "profile":
-            limit = payload.get("limit")
-            return {
-                "ok": True,
-                "shard_id": self.spec.shard_id,
-                "profile": self.server.profile_snapshot(
-                    limit=50 if limit is None else int(limit)
-                ),
-            }
-        if op == "drain":
-            self.server.begin_drain()
-            return {"ok": True, "status": "draining"}
+        if op in _VIEWS:
+            return {"ok": True, "shard_id": self.spec.shard_id,
+                    op: _VIEWS[op](self, payload)}
         if op == "shutdown":
             # Acknowledge first; the run loop drains and exits after us.
             self._stop.set()
             return {"ok": True, "status": "stopping"}
         return {"ok": False, "kind": "bad_request", "error": f"unknown op {op!r}"}
+
+    def _stamped(self, view: Dict[str, object]) -> Dict[str, object]:
+        """``view`` with this shard's id and process id added."""
+        return dict(view, shard_id=self.spec.shard_id, pid=os.getpid())
 
     def _handle_map(self, payload: Dict) -> Dict:
         try:

@@ -33,11 +33,19 @@ from typing import Dict, List, Optional
 
 from repro.engine.engine import MappingEngine
 from repro.learn.registry import ModelRegistry
+from repro.obs.trace import Periodic
 from repro.serve.metrics import Counter
 
 
-class RegistryWatcher:
-    """Polls one shared :class:`ModelRegistry`; hot-swaps newer versions."""
+class RegistryWatcher(Periodic):
+    """Polls one shared :class:`ModelRegistry`; hot-swaps newer versions.
+
+    :meth:`start` runs :meth:`poll` on a daemon thread every
+    ``interval_s``; a failed poll is counted in ``errors`` and warned
+    about, and the loop goes on.
+    """
+
+    thread_name = "registry-watcher"
 
     def __init__(
         self,
@@ -62,8 +70,6 @@ class RegistryWatcher:
         #: the dedup source of truth is the engine's own version record).
         self._adopted_versions: Dict[str, int] = {}
         self._state_lock = threading.Lock()
-        self._thread: Optional[threading.Thread] = None
-        self._stop_event = threading.Event()
 
     # ------------------------------------------------------------------
 
@@ -119,34 +125,15 @@ class RegistryWatcher:
 
     # ------------------------------------------------------------------
 
-    def start(self) -> "RegistryWatcher":
-        """Run :meth:`poll` on a daemon thread every ``interval_s``."""
-        if self._thread is not None:
-            return self
-        self._stop_event.clear()
+    def _tick(self) -> None:
+        self.poll()
 
-        def loop() -> None:
-            while not self._stop_event.wait(self.interval_s):
-                try:
-                    self.poll()
-                except Exception as error:  # noqa: BLE001 — loop survives
-                    self.errors.inc()
-                    warnings.warn(
-                        f"registry watcher poll failed "
-                        f"({error.__class__.__name__}: {error})"
-                    )
-
-        self._thread = threading.Thread(
-            target=loop, name="registry-watcher", daemon=True
+    def _on_error(self, error: Exception) -> None:
+        self.errors.inc()
+        warnings.warn(
+            f"registry watcher poll failed "
+            f"({error.__class__.__name__}: {error})"
         )
-        self._thread.start()
-        return self
-
-    def stop(self, timeout: Optional[float] = 5.0) -> None:
-        if self._thread is not None:
-            self._stop_event.set()
-            self._thread.join(timeout=timeout)
-            self._thread = None
 
     def __enter__(self) -> "RegistryWatcher":
         return self.start()

@@ -100,7 +100,9 @@ class Surrogate:
         keep the incumbent's coordinate systems or its predictions stop
         being comparable in the validation gate.
         """
-        network = MLP(list(self.network.layer_sizes))
+        network = MLP(
+            list(self.network.layer_sizes), activation=self.network.activation
+        )
         network.load_state_dict(self.network.state_dict())
         return Surrogate(
             network=network,
@@ -240,6 +242,7 @@ class Surrogate:
         payload["target_mean"] = self.target_whitener.mean
         payload["target_std"] = self.target_whitener.std
         payload["layer_sizes"] = np.array(self.network.layer_sizes)
+        payload["activation"] = np.array(self.network.activation)
         payload["dims"] = np.array(self.encoder.dims)
         payload["tensors"] = np.array(self.encoder.tensors)
         payload["mode"] = np.array(self.codec.mode)
@@ -266,7 +269,10 @@ class Surrogate:
             )
             codec = TargetCodec(n_tensors=len(encoder.tensors), mode=str(data["mode"]))
             sizes = [int(s) for s in data["layer_sizes"]]
-            network = MLP(sizes)
+            # Archives written before the activation was saved are ReLU.
+            activation = (str(data["activation"])
+                          if "activation" in data.files else "relu")
+            network = MLP(sizes, activation=activation)
             state = {
                 key[len("net_") :]: data[key]
                 for key in data.files

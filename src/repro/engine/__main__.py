@@ -20,6 +20,7 @@ from repro.core.trainer import TrainingConfig
 from repro.costmodel.accelerator import small_accelerator
 from repro.engine.engine import EngineConfig, MappingEngine, MappingRequest
 from repro.engine.registry import searcher_names
+from repro.utils.smoke import check as _check
 from repro.workloads.conv1d import make_conv1d
 
 
@@ -40,12 +41,6 @@ def _selftest_engine() -> MappingEngine:
         },
     )
     return MappingEngine(accelerator, config)
-
-
-def _check(condition: bool, message: str) -> None:
-    """Assertion that survives ``python -O`` (the selftest is a CI gate)."""
-    if not condition:
-        raise RuntimeError(f"selftest check failed: {message}")
 
 
 def selftest(verbose: bool = True) -> int:

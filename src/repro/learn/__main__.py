@@ -28,13 +28,8 @@ from repro.learn.lifecycle import LearnConfig, OnlineLearner
 from repro.learn.registry import ModelRegistry
 from repro.learn.replay import ReplayConfig
 from repro.learn.trainer import OnlineTrainerConfig
+from repro.utils.smoke import check as _check
 from repro.workloads.conv1d import make_conv1d
-
-
-def _check(condition: bool, message: str) -> None:
-    """Assertion that survives ``python -O`` (the selftest is a CI gate)."""
-    if not condition:
-        raise RuntimeError(f"selftest check failed: {message}")
 
 
 def _cold_engine() -> MappingEngine:

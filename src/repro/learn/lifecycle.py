@@ -48,6 +48,7 @@ from repro.learn.replay import ReplayBuffer, ReplayConfig
 from repro.learn.trainer import OnlineTrainer, OnlineTrainerConfig
 from repro.mapspace.mapping import Mapping
 from repro.obs import events as obs_events
+from repro.obs.trace import Periodic
 from repro.serve.metrics import Counter
 from repro.utils.rng import ensure_rng
 from repro.workloads.problem import Problem
@@ -85,8 +86,10 @@ class LearnConfig:
             )
 
 
-class OnlineLearner:
+class OnlineLearner(Periodic):
     """Owns the replay/train/gate/swap loop for one engine."""
+
+    thread_name = "learn-lifecycle"
 
     def __init__(
         self,
@@ -115,8 +118,6 @@ class OnlineLearner:
         self.rejected_swaps = Counter()
         self._attached = False
         self._miss_tap_active = False
-        self._thread: Optional[threading.Thread] = None
-        self._stop_event = threading.Event()
 
     # ------------------------------------------------------------------
     # Taps (serving hot path — enqueue and return)
@@ -340,36 +341,30 @@ class OnlineLearner:
     # Thread lifecycle
     # ------------------------------------------------------------------
 
+    @property
+    def interval_s(self) -> float:
+        return self.config.poll_interval_s
+
     def start(self) -> "OnlineLearner":
-        """Run :meth:`step` on a daemon thread every ``poll_interval_s``."""
-        if self._thread is not None:
-            return self
-        self.attach()
-        self._stop_event.clear()
-
-        def loop() -> None:
-            while not self._stop_event.wait(self.config.poll_interval_s):
-                try:
-                    self.step()
-                except Exception as error:  # noqa: BLE001 — loop survives
-                    warnings.warn(
-                        f"online learner step failed "
-                        f"({error.__class__.__name__}: {error})"
-                    )
-
-        self._thread = threading.Thread(
-            target=loop, name="learn-lifecycle", daemon=True
-        )
-        self._thread.start()
-        return self
+        """Attach the taps and run :meth:`step` on a daemon thread every
+        ``poll_interval_s`` (a failed step warns; the loop goes on)."""
+        if self._thread is None:
+            self.attach()
+        return super().start()
 
     def stop(self, timeout: Optional[float] = 5.0) -> None:
         """Stop the background thread and detach the taps."""
-        if self._thread is not None:
-            self._stop_event.set()
-            self._thread.join(timeout=timeout)
-            self._thread = None
+        super().stop(timeout)
         self.detach()
+
+    def _tick(self) -> None:
+        self.step()
+
+    def _on_error(self, error: Exception) -> None:
+        warnings.warn(
+            f"online learner step failed "
+            f"({error.__class__.__name__}: {error})"
+        )
 
     def __enter__(self) -> "OnlineLearner":
         return self.start()

@@ -167,6 +167,7 @@ class MLP(Module):
                     raise ValueError(f"unknown activation {activation!r}")
         self.network = Sequential(*layers)
         self.layer_sizes = tuple(layer_sizes)
+        self.activation = activation
 
     def forward(self, inputs: Tensor) -> Tensor:
         return self.network(inputs)

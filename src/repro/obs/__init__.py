@@ -2,11 +2,14 @@
 
 The observability substrate for the serving stack: per-request span trees
 with stage-attributed latency (:mod:`repro.obs.trace`), a bounded buffer
-of structured operational events (:mod:`repro.obs.events`), rolling
+of structured operational events (:mod:`repro.obs.events`), the one
+latency quantile sketch (:mod:`repro.obs.sketch`), rolling
 fixed-interval telemetry windows (:mod:`repro.obs.timeseries`),
 declarative SLOs with burn-rate alerting (:mod:`repro.obs.slo`), a
-continuous sampling profiler (:mod:`repro.obs.profile`), and Prometheus
-text rendering of the JSON metrics snapshots (:mod:`repro.obs.prom`).
+continuous sampling profiler (:mod:`repro.obs.profile`), the telemetry
+core that server and router both inherit (:mod:`repro.obs.core`), and
+Prometheus text rendering of the JSON metrics snapshots
+(:mod:`repro.obs.prom`).
 
 This package deliberately imports **nothing** from the rest of ``repro``
 so every layer — costmodel kernels, serve, cluster, learn — can
@@ -16,6 +19,7 @@ instrument itself without import cycles.  ``python -m repro.obs
 latency SLO breach drives the burn-rate state machine to page.
 """
 
+from repro.obs.core import Telemetry
 from repro.obs.events import (
     EventLog,
     KNOWN_KINDS,
@@ -26,6 +30,7 @@ from repro.obs.events import (
 )
 from repro.obs.profile import SamplingProfiler, span_hotspots
 from repro.obs.prom import render_prometheus
+from repro.obs.sketch import LatencySketch
 from repro.obs.slo import DEFAULT_SLOS, SLOSpec, SLOTracker, worst_state
 from repro.obs.timeseries import MetricsSampler, TimeseriesRing
 from repro.obs.trace import (
@@ -47,12 +52,14 @@ __all__ = [
     "EventLog",
     "FakeClock",
     "KNOWN_KINDS",
+    "LatencySketch",
     "MetricsSampler",
     "MonotonicClock",
     "SLOSpec",
     "SLOTracker",
     "SamplingProfiler",
     "Span",
+    "Telemetry",
     "TimeseriesRing",
     "TraceHandle",
     "Tracer",

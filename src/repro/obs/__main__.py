@@ -49,27 +49,8 @@ from repro.obs.slo import SLOSpec
 from repro.serve.codec import request_to_dict
 from repro.serve.http import start_gateway
 from repro.serve.server import MappingServer, ServeConfig, ServerOverloaded
+from repro.utils.smoke import check as _check, get_json as _get, post_json as _post
 from repro.workloads.conv1d import make_conv1d
-
-
-def _check(condition: bool, message: str) -> None:
-    """Assertion that survives ``python -O`` (the selftest is a CI gate)."""
-    if not condition:
-        raise RuntimeError(f"selftest check failed: {message}")
-
-
-def _post(url: str, payload: dict) -> dict:
-    body = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}
-    )
-    with urllib.request.urlopen(request, timeout=120) as reply:
-        return json.loads(reply.read())
-
-
-def _get(url: str) -> dict:
-    with urllib.request.urlopen(url, timeout=10) as reply:
-        return json.loads(reply.read())
 
 
 def _get_text(url: str) -> str:

@@ -28,7 +28,7 @@ import sys
 import threading
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.trace import Clock, MonotonicClock
+from repro.obs.trace import Clock, MonotonicClock, Periodic
 
 #: Fallback bucket once the stack table reaches ``max_stacks``.
 TRUNCATED_STACK = "(truncated)"
@@ -70,7 +70,7 @@ def collapse_frame(frame, max_depth: int = 64) -> str:
     return ";".join(labels)
 
 
-class SamplingProfiler:
+class SamplingProfiler(Periodic):
     """Bounded-memory statistical profiler over ``sys._current_frames``.
 
     ``frames_fn`` returns a ``{thread_id: frame}`` mapping (injectable
@@ -80,6 +80,8 @@ class SamplingProfiler:
     ``max_stacks`` distinct stacks (overflow counts under
     ``"(truncated)"``), so a pathological workload cannot grow memory.
     """
+
+    thread_name = "obs-profiler"
 
     def __init__(self, interval_s: float = 0.005, max_stacks: int = 512,
                  max_depth: int = 64, clock: Optional[Clock] = None,
@@ -98,9 +100,6 @@ class SamplingProfiler:
         self._lock = threading.Lock()
         self._counts: Dict[str, int] = {}
         self._samples = 0
-        self._started_at: Optional[float] = None
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     @property
     def running(self) -> bool:
@@ -137,30 +136,8 @@ class SamplingProfiler:
                     )
         return len(collapsed)
 
-    def start(self) -> "SamplingProfiler":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._started_at = self.clock()
-        self._thread = threading.Thread(
-            target=self._run, name="obs-profiler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(timeout=self.interval_s):
-            try:
-                self.sample_once()
-            except Exception:  # noqa: BLE001 — profiling must never kill serving
-                continue
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=timeout)
-            self._thread = None
+    def _tick(self) -> None:
+        self.sample_once()
 
     def reset(self) -> None:
         with self._lock:

@@ -8,8 +8,8 @@ accumulates
 * **counter deltas** — a :class:`MetricsSampler` periodically pulls a
   cumulative counter snapshot and attributes the delta since its previous
   pull to the current window, so ``delta / interval`` is a rate;
-* **a latency digest** — count/sum/min/max plus a fixed log2 bucket
-  histogram (approximate p50/p95/p99 by in-bucket interpolation) and
+* **a latency sketch** — a :class:`~repro.obs.sketch.LatencySketch`
+  (exact count/sum/min/max, p50/p95/p99 within 1%), beside the window's
   *exact* over-threshold counts for every registered SLO threshold;
 * **batch-size stats** — count/sum/max of flushed batch sizes.
 
@@ -28,100 +28,17 @@ other way around.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.trace import Clock, MonotonicClock
-
-#: Latency histogram bounds (seconds): 0.5ms doubling to ~262s.  Fixed so
-#: every window digests into the same buckets and windows are mergeable.
-LATENCY_BUCKET_BOUNDS_S: Tuple[float, ...] = tuple(
-    0.0005 * 2.0 ** k for k in range(20)
-)
-
-_QUANTILE_KEYS = ((0.50, "p50_ms"), (0.95, "p95_ms"), (0.99, "p99_ms"))
-
-
-class LatencyDigest:
-    """Per-window latency summary: moments + log2 histogram + thresholds.
-
-    Not thread-safe on its own — the owning ring serializes access.
-    ``thresholds`` maps a caller-chosen key (an SLO name) to a bound in
-    seconds; :meth:`observe` counts observations *strictly above* each
-    bound, which gives SLO trackers exact per-window bad-event counts
-    instead of histogram approximations.
-    """
-
-    __slots__ = ("count", "sum_s", "min_s", "max_s", "buckets", "over")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.sum_s = 0.0
-        self.min_s = math.inf
-        self.max_s = 0.0
-        self.buckets = [0] * (len(LATENCY_BUCKET_BOUNDS_S) + 1)
-        self.over: Dict[str, int] = {}
-
-    def observe(self, seconds: float,
-                thresholds: Mapping[str, float]) -> None:
-        seconds = float(seconds)
-        self.count += 1
-        self.sum_s += seconds
-        self.min_s = min(self.min_s, seconds)
-        self.max_s = max(self.max_s, seconds)
-        index = len(LATENCY_BUCKET_BOUNDS_S)
-        for i, bound in enumerate(LATENCY_BUCKET_BOUNDS_S):
-            if seconds <= bound:
-                index = i
-                break
-        self.buckets[index] += 1
-        for key in sorted(thresholds):
-            if seconds > thresholds[key]:
-                self.over[key] = self.over.get(key, 0) + 1
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Approximate quantile (seconds) by in-bucket interpolation."""
-        if not self.count:
-            return None
-        rank = max(math.ceil(q * self.count), 1)
-        cumulative = 0
-        for i, bucket_count in enumerate(self.buckets):
-            if not bucket_count:
-                continue
-            if cumulative + bucket_count >= rank:
-                upper = (LATENCY_BUCKET_BOUNDS_S[i]
-                         if i < len(LATENCY_BUCKET_BOUNDS_S) else self.max_s)
-                lower = LATENCY_BUCKET_BOUNDS_S[i - 1] if i > 0 else 0.0
-                fraction = (rank - cumulative) / bucket_count
-                value = lower + (upper - lower) * fraction
-                return min(max(value, self.min_s), self.max_s)
-            cumulative += bucket_count
-        return self.max_s
-
-    def snapshot(self) -> Dict[str, object]:
-        if not self.count:
-            return {"count": 0}
-        payload: Dict[str, object] = {
-            "count": self.count,
-            "mean_ms": self.sum_s / self.count * 1e3,
-            "min_ms": self.min_s * 1e3,
-            "max_ms": self.max_s * 1e3,
-        }
-        for q, key in _QUANTILE_KEYS:
-            value = self.quantile(q)
-            payload[key] = None if value is None else value * 1e3
-        if self.over:
-            payload["over_threshold"] = {key: self.over[key]
-                                         for key in sorted(self.over)}
-        return payload
-
+from repro.obs.sketch import LatencySketch
+from repro.obs.trace import Clock, MonotonicClock, Periodic
 
 class _Window:
     """One fixed-interval window's accumulators (guarded by the ring lock)."""
 
-    __slots__ = ("index", "start_s", "counters", "gauges", "latency",
+    __slots__ = ("index", "start_s", "counters", "gauges", "latency", "over",
                  "batch_count", "batch_sum", "batch_max")
 
     def __init__(self, index: int, start_s: float) -> None:
@@ -129,7 +46,9 @@ class _Window:
         self.start_s = start_s
         self.counters: Dict[str, float] = {}
         self.gauges: Dict[str, float] = {}
-        self.latency = LatencyDigest()
+        self.latency = LatencySketch()
+        #: SLO key -> latencies strictly above its registered threshold.
+        self.over: Dict[str, int] = {}
         self.batch_count = 0
         self.batch_sum = 0
         self.batch_max = 0
@@ -188,8 +107,13 @@ class TimeseriesRing:
                         now: Optional[float] = None) -> None:
         if now is None:
             now = self.clock()
+        seconds = float(seconds)
         with self._lock:
-            self._window_locked(now).latency.observe(seconds, self._thresholds)
+            window = self._window_locked(now)
+            window.latency.observe(seconds)
+            for key, threshold_s in self._thresholds.items():
+                if seconds > threshold_s:
+                    window.over[key] = window.over.get(key, 0) + 1
 
     def observe_batch(self, size: int, now: Optional[float] = None) -> None:
         if now is None:
@@ -249,7 +173,7 @@ class TimeseriesRing:
                 for name, delta in window.counters.items():
                     counters[name] = counters.get(name, 0.0) + delta
                 latency_count += window.latency.count
-                for key, count in window.latency.over.items():
+                for key, count in window.over.items():
                     over[key] = over.get(key, 0) + count
         return {"counters": counters, "latency_count": latency_count,
                 "over_threshold": over}
@@ -260,6 +184,10 @@ class TimeseriesRing:
         complete = now >= end_s
         elapsed = self.interval_s if complete else max(now - window.start_s,
                                                        1e-9)
+        latency = window.latency.snapshot()
+        if window.over:
+            latency["over_threshold"] = {key: window.over[key]
+                                         for key in sorted(window.over)}
         return {
             "index": window.index,
             "start_s": window.start_s,
@@ -271,7 +199,7 @@ class TimeseriesRing:
                       for name in sorted(window.counters)},
             "gauges": {name: window.gauges[name]
                        for name in sorted(window.gauges)},
-            "latency": window.latency.snapshot(),
+            "latency": latency,
             "batch": {
                 "count": window.batch_count,
                 "mean": (window.batch_sum / window.batch_count
@@ -329,7 +257,7 @@ class TimeseriesRing:
         return payload
 
     def latest_rates(self, now: Optional[float] = None) -> Dict[str, object]:
-        """The newest *complete* window's rates + latency digest (falling
+        """The newest *complete* window's rates + latency sketch (falling
         back to the partial current window), for Prometheus gauges."""
         if now is None:
             now = self.clock()
@@ -348,7 +276,7 @@ class TimeseriesRing:
             return self._window_snapshot_locked(chosen, now)
 
 
-class MetricsSampler:
+class MetricsSampler(Periodic):
     """Pulls cumulative snapshots into a ring on a cadence, then notifies.
 
     ``sample_fn`` returns ``(counters, gauges)`` — cumulative counter
@@ -359,6 +287,8 @@ class MetricsSampler:
     ``interval_s`` of *real* time; deterministic tests skip ``start`` and
     call ``sample`` themselves under a fake clock.
     """
+
+    thread_name = "obs-sampler"
 
     def __init__(
         self,
@@ -377,15 +307,10 @@ class MetricsSampler:
         self.clock: Clock = clock if clock is not None else MonotonicClock()
         self._samples = 0
         self._sample_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
 
     @property
     def samples(self) -> int:
         return self._samples
-
-    def add_listener(self, listener: Callable[[], object]) -> None:
-        self._listeners.append(listener)
 
     def sample(self) -> None:
         """One pull: record counters + gauges, then notify listeners.
@@ -407,34 +332,11 @@ class MetricsSampler:
         for listener in self._listeners:
             listener()
 
-    def start(self) -> "MetricsSampler":
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="obs-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        while not self._stop.wait(timeout=self.interval_s):
-            try:
-                self.sample()
-            except Exception:  # noqa: BLE001 — telemetry must never kill serving
-                continue
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=timeout)
-            self._thread = None
+    def _tick(self) -> None:
+        self.sample()
 
 
 __all__ = [
-    "LATENCY_BUCKET_BOUNDS_S",
-    "LatencyDigest",
     "MetricsSampler",
     "TimeseriesRing",
 ]

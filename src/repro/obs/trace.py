@@ -26,7 +26,8 @@ Threading model: a :class:`TraceHandle` is driven by one thread at a time
 (submit thread, then the batch worker — the batcher queue provides the
 happens-before edge), so handle-local state (span stack, stages) is
 unlocked.  The :class:`Tracer`'s trace store is shared with gateway reader
-threads and guarded by a single leaf lock.
+threads and guarded by a single leaf lock.  Beside the clocks lives
+:class:`Periodic`, the one daemon loop every background sampler runs on.
 """
 
 from __future__ import annotations
@@ -83,6 +84,49 @@ class FakeClock:
             raise ValueError(f"cannot move a clock backwards ({seconds})")
         self._now += seconds
         return self._now
+
+
+class Periodic:
+    """Base of every background loop (the metrics sampler, the profiler,
+    the registry watcher, the online learner): :meth:`start` runs
+    ``_tick`` on a daemon thread every ``interval_s`` seconds of real
+    time until :meth:`stop`.  A tick that raises goes to ``_on_error``
+    and the loop goes on, so a background loop never takes serving down.
+    Subclasses set ``interval_s`` and ``thread_name``."""
+
+    interval_s: float
+    thread_name = "periodic"
+    _thread: Optional[threading.Thread] = None
+
+    def _tick(self) -> object:
+        raise NotImplementedError
+
+    def _on_error(self, error: Exception) -> None:
+        """A failed tick is skipped silently unless a subclass reports it."""
+
+    def start(self) -> "Periodic":
+        if self._thread is None:
+            self._halt = threading.Event()
+            self._thread = threading.Thread(
+                target=self._run, args=(self._halt,), name=self.thread_name,
+                daemon=True,
+            )
+            self._thread.start()
+        return self
+
+    def _run(self, halt: threading.Event) -> None:
+        while not halt.wait(timeout=self.interval_s):
+            try:
+                self._tick()
+            except Exception as error:  # noqa: BLE001 — the loop survives
+                self._on_error(error)
+
+    def stop(self, timeout: Optional[float] = 5.0) -> None:
+        thread = self._thread
+        if thread is not None:
+            self._halt.set()
+            thread.join(timeout=timeout)
+            self._thread = None
 
 
 @dataclass
@@ -536,6 +580,7 @@ __all__ = [
     "Clock",
     "FakeClock",
     "MonotonicClock",
+    "Periodic",
     "Span",
     "TraceHandle",
     "Tracer",

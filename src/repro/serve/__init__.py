@@ -18,7 +18,7 @@ coalesced into the wide operations the backend is fastest at:
   duplicate-request collapsing, a response cache, the worker pool, and
   graceful drain.
 * :mod:`repro.serve.metrics` — throughput, queue depth, batch-size
-  histogram, p50/p95/p99 latency (P² streaming quantiles), cache
+  histogram, p50/p95/p99 latency (the 1% log-bucket sketch), cache
   counters — one ``snapshot()`` dict.
 * :mod:`repro.serve.codec` / :mod:`repro.serve.http` — the JSON wire
   format and the stdlib ``http.server`` gateway

@@ -12,10 +12,8 @@ through the shared codec and checked bit-equal against solo
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -25,27 +23,8 @@ from repro.engine.registry import resolve_searcher
 from repro.serve.codec import request_to_dict
 from repro.serve.http import install_signal_drain, start_gateway
 from repro.serve.server import MappingServer, ServeConfig
+from repro.utils.smoke import check as _check, get_json as _get, post_json as _post
 from repro.workloads.conv1d import make_conv1d
-
-
-def _check(condition: bool, message: str) -> None:
-    """Assertion that survives ``python -O`` (the selftest is a CI gate)."""
-    if not condition:
-        raise RuntimeError(f"selftest check failed: {message}")
-
-
-def _post(url: str, payload: dict) -> dict:
-    body = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}
-    )
-    with urllib.request.urlopen(request, timeout=60) as reply:
-        return json.loads(reply.read())
-
-
-def _get(url: str) -> dict:
-    with urllib.request.urlopen(url, timeout=10) as reply:
-        return json.loads(reply.read())
 
 
 def selftest(verbose: bool = True) -> int:

@@ -68,17 +68,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
         query = parse_qs(parts.query)
         server = self.gateway.mapping_server
         if path in ("/healthz", "/v1/healthz"):
-            health = getattr(server, "health_snapshot", None)
-            if callable(health):
-                self._reply(200, health())
-            else:
-                # Duck-typed servers (test stubs, adapters) without the
-                # full health contract still answer basic liveness.
-                self._reply(200, {
-                    "status": "ok" if getattr(server, "accepting", True)
-                    else "draining",
-                    "queue_depth": server.queue_depth,
-                })
+            self._reply(200, server.health_snapshot())
         elif path in ("/metrics", "/v1/metrics"):
             snapshot = server.metrics_snapshot()
             if query.get("format", [""])[-1] == "prom":
@@ -87,8 +77,7 @@ class GatewayHandler(BaseHTTPRequestHandler):
                 self._reply(200, snapshot)
         elif path.startswith("/v1/trace/"):
             trace_id = path[len("/v1/trace/"):]
-            snapshot_fn = getattr(server, "trace_snapshot", None)
-            trace = snapshot_fn(trace_id) if callable(snapshot_fn) else None
+            trace = server.trace_snapshot(trace_id)
             if trace is None:
                 self._reply(
                     404, {"error": f"unknown or evicted trace {trace_id!r}"}
@@ -96,10 +85,6 @@ class GatewayHandler(BaseHTTPRequestHandler):
             else:
                 self._reply(200, trace)
         elif path in ("/events", "/v1/events"):
-            events_fn = getattr(server, "events_snapshot", None)
-            if not callable(events_fn):
-                self._reply(404, {"error": "server exposes no event log"})
-                return
             kind = query.get("kind", [None])[-1]
             if kind is not None and kind not in obs_events.KNOWN_KINDS:
                 # An unknown kind would filter to an empty list
@@ -110,55 +95,38 @@ class GatewayHandler(BaseHTTPRequestHandler):
                     "known_kinds": list(obs_events.KNOWN_KINDS),
                 })
                 return
-            limit = None
             try:
-                raw_limit = query.get("limit", [None])[-1]
-                if raw_limit is not None:
-                    limit = max(int(raw_limit), 0)
+                limit = _count_param(query, "limit")
             except ValueError:
                 self._reply(400, {"error": "limit must be an integer"})
                 return
-            self._reply(200, {"events": events_fn(kind=kind, limit=limit)})
+            self._reply(200, {
+                "events": server.events_snapshot(kind=kind, limit=limit)
+            })
         elif path in ("/slo", "/v1/slo"):
-            slo_fn = getattr(server, "slo_snapshot", None)
-            if not callable(slo_fn):
-                self._reply(404, {"error": "server exposes no SLO tracker"})
-                return
-            self._reply(200, slo_fn())
+            self._reply(200, server.slo_snapshot())
         elif path in ("/timeseries", "/v1/timeseries"):
-            series_fn = getattr(server, "timeseries_snapshot", None)
-            if not callable(series_fn):
-                self._reply(404, {"error": "server exposes no time-series"})
-                return
             metric = query.get("metric", [None])[-1]
-            windows = None
             try:
-                raw_windows = query.get(
-                    "windows", query.get("window", [None])
-                )[-1]
-                if raw_windows is not None:
-                    windows = max(int(raw_windows), 0)
+                windows = _count_param(query, "windows", "window")
             except ValueError:
                 self._reply(400, {"error": "windows must be an integer"})
                 return
             try:
-                self._reply(200, series_fn(metric=metric, windows=windows))
+                self._reply(200, server.timeseries_snapshot(
+                    metric=metric, windows=windows
+                ))
             except KeyError as exc:
                 self._reply(400, {"error": str(exc).strip("'\"")})
         elif path in ("/profile", "/v1/profile"):
-            profile_fn = getattr(server, "profile_snapshot", None)
-            if not callable(profile_fn):
-                self._reply(404, {"error": "server exposes no profiler"})
-                return
-            limit = 50
             try:
-                raw_limit = query.get("limit", [None])[-1]
-                if raw_limit is not None:
-                    limit = max(int(raw_limit), 0)
+                limit = _count_param(query, "limit")
             except ValueError:
                 self._reply(400, {"error": "limit must be an integer"})
                 return
-            self._reply(200, profile_fn(limit=limit))
+            self._reply(200, server.profile_snapshot(
+                limit=50 if limit is None else limit
+            ))
         else:
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
@@ -256,30 +224,36 @@ class GatewayHandler(BaseHTTPRequestHandler):
         return payload, None
 
     def _reply(self, status: int, payload: dict, headers: Tuple = ()) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._reply_text(status, json.dumps(payload), "application/json",
+                         headers)
+
+    def _reply_text(
+        self, status: int, text: str, content_type: str = prom.CONTENT_TYPE,
+        headers: Tuple = (),
+    ) -> None:
+        body = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in headers:
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _reply_text(
-        self, status: int, text: str, content_type: str = prom.CONTENT_TYPE
-    ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+
+def _count_param(query: dict, *names: str) -> Optional[int]:
+    """The last value of the first of ``names`` present in ``query``,
+    clamped to >= 0 (``None`` when absent; ``ValueError`` if not an int)."""
+    for name in names:
+        if name in query:
+            return max(int(query[name][-1]), 0)
+    return None
 
 
 class Gateway(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` bound to one :class:`MappingServer` (or
-    anything with the same ``submit``/``metrics_snapshot`` surface, e.g. a
-    :class:`~repro.cluster.router.ClusterRouter`)."""
+    """A ``ThreadingHTTPServer`` bound to one :class:`MappingServer` or
+    :class:`~repro.cluster.router.ClusterRouter` (the same ``submit`` and
+    view surface)."""
 
     daemon_threads = True
     #: ``SO_REUSEADDR``: a restarted shard/gateway must rebind its port

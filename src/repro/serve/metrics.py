@@ -2,19 +2,19 @@
 
 Everything here is stdlib-only and cheap enough to sit on the request hot
 path: counters are one lock-protected integer add, the batch-size histogram
-is a bucket increment, and latency percentiles come from the P² streaming
-quantile estimator (Jain & Chlamtac 1985) — five markers per quantile,
-O(1) per observation, no sample buffer to grow.  ``MetricsRegistry``
+is a bucket increment, and latency percentiles come from the one
+relative-error sketch (:class:`~repro.obs.sketch.LatencySketch`), O(1) per
+observation with no sample buffer to grow.  ``MetricsRegistry``
 aggregates all of it into the one ``snapshot()`` dict the HTTP gateway and
 the load generator read.
 """
 
 from __future__ import annotations
 
-import math
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
+from repro.obs.sketch import LatencySketch
 from repro.obs.trace import Clock, MonotonicClock
 
 
@@ -56,129 +56,6 @@ class LabeledCounter:
         with self._lock:
             return {label: self._values[label]
                     for label in sorted(self._values)}
-
-
-class P2Quantile:
-    """Streaming quantile estimate via the P² algorithm.
-
-    Tracks one quantile ``q`` with five markers whose heights approximate
-    the empirical quantile curve; each ``observe`` adjusts marker positions
-    with the piecewise-parabolic update.  Exact (sorted-buffer) until five
-    observations, then O(1) per observation and O(1) memory forever.
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1 + 2 * q, 1 + 4 * q, 3 + 2 * q, 5.0]
-        self._increments = [0.0, q / 2, q, (1 + q) / 2, 1.0]
-        self._count = 0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self._count += 1
-        if len(self._heights) < 5:
-            self._heights.append(value)
-            self._heights.sort()
-            return
-        heights, positions = self._heights, self._positions
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = next(i for i in range(4) if value < heights[i + 1])
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        for i in (1, 2, 3):
-            delta = self._desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                sign = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    # Parabolic prediction left the bracket: linear update.
-                    j = i + (1 if sign > 0 else -1)
-                    heights[i] += sign * (heights[j] - heights[i]) / (
-                        positions[j] - positions[i]
-                    )
-                positions[i] += sign
-
-    def _parabolic(self, i: int, sign: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + sign / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + sign)
-            * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - sign)
-            * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def value(self) -> Optional[float]:
-        """Current estimate, or ``None`` before the first observation."""
-        if not self._heights:
-            return None
-        if self._count <= 5:
-            # Exact small-sample quantile: the nearest-rank order statistic
-            # ceil(q*n) (1-based).  The previous floor-based index reported
-            # e.g. p99 of a 2-sample stream as the *minimum*; nearest-rank
-            # matches numpy's ``inverted_cdf`` method exactly.
-            ordered = sorted(self._heights)
-            rank = max(math.ceil(self.q * len(ordered)), 1)
-            return ordered[rank - 1]
-        return self._heights[2]
-
-
-class LatencyTracker:
-    """p50/p95/p99 (plus count/mean/max) over a stream of latencies."""
-
-    QUANTILES = (0.50, 0.95, 0.99)
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._estimators = {q: P2Quantile(q) for q in self.QUANTILES}
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        seconds = float(seconds)
-        with self._lock:
-            for estimator in self._estimators.values():
-                estimator.observe(seconds)
-            self._count += 1
-            self._sum += seconds
-            self._max = max(self._max, seconds)
-
-    def snapshot(self) -> Dict[str, Optional[float]]:
-        """Quantiles in milliseconds, as the gateway reports them."""
-        with self._lock:
-            def ms(value: Optional[float]) -> Optional[float]:
-                return None if value is None else value * 1e3
-
-            return {
-                "count": self._count,
-                "mean_ms": ms(self._sum / self._count) if self._count else None,
-                "max_ms": ms(self._max) if self._count else None,
-                "p50_ms": ms(self._estimators[0.50].value()),
-                "p95_ms": ms(self._estimators[0.95].value()),
-                "p99_ms": ms(self._estimators[0.99].value()),
-            }
 
 
 class SizeHistogram:
@@ -254,7 +131,7 @@ class MetricsRegistry:
         self._started = self._clock()
         self._counters = {name: Counter() for name in self.COUNTERS}
         self._labeled = {name: LabeledCounter() for name in self.LABELS}
-        self.latency = LatencyTracker()
+        self.latency = LatencySketch()
         self.batch_sizes = SizeHistogram()
 
     def inc(self, name: str, amount: int = 1) -> None:
@@ -266,6 +143,10 @@ class MetricsRegistry:
 
     def count(self, name: str) -> int:
         return self._counters[name].value
+
+    def counts(self) -> Dict[str, int]:
+        """Every counter's cumulative value, in ``COUNTERS`` order."""
+        return {name: self.count(name) for name in self.COUNTERS}
 
     def observe_batch(self, size: int) -> None:
         self._counters["batches"].inc()
@@ -285,7 +166,7 @@ class MetricsRegistry:
         payload: Dict[str, object] = {
             "uptime_s": uptime,
             "throughput_rps": served / uptime if uptime > 0 else 0.0,
-            "counters": {name: self.count(name) for name in self.COUNTERS},
+            "counters": self.counts(),
             "labels": {name: self._labeled[name].snapshot()
                        for name in self.LABELS},
             "batch_size": self.batch_sizes.snapshot(),
@@ -301,8 +182,6 @@ class MetricsRegistry:
 __all__ = [
     "Counter",
     "LabeledCounter",
-    "LatencyTracker",
     "MetricsRegistry",
-    "P2Quantile",
     "SizeHistogram",
 ]

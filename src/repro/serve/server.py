@@ -33,7 +33,9 @@
 
 Every stage feeds the :class:`~repro.serve.metrics.MetricsRegistry`
 snapshot: queue depth, batch-size histogram, latency quantiles, collapse
-and rejection counters, plus the engine's oracle cache hit rate.
+and rejection counters, plus the engine's oracle cache hit rate.  The
+tracer, window ring, SLOs, sampler, profiler and their views come from
+:class:`~repro.obs.core.Telemetry`, shared with the cluster router.
 """
 
 from __future__ import annotations
@@ -50,10 +52,9 @@ from repro.costmodel.cache import problem_fingerprint
 from repro.engine.engine import MappingEngine, MappingRequest, MappingResponse
 from repro.engine.registry import resolve_searcher
 from repro.obs import events as obs_events
-from repro.obs.profile import SamplingProfiler, span_hotspots
-from repro.obs.slo import DEFAULT_SLOS, SLOSpec, SLOTracker, worst_state
-from repro.obs.timeseries import MetricsSampler, TimeseriesRing
-from repro.obs.trace import TraceHandle, Tracer, activate
+from repro.obs.core import Telemetry, check_telemetry_config
+from repro.obs.slo import DEFAULT_SLOS, SLOSpec, worst_state
+from repro.obs.trace import TraceHandle, activate
 from repro.serve.batcher import (
     Batch,
     MicroBatcher,
@@ -148,29 +149,11 @@ class ServeConfig:
             raise ValueError(
                 f"response_cache_size must be >= 0, got {self.response_cache_size}"
             )
-        if self.trace_capacity < 1:
-            raise ValueError(
-                f"trace_capacity must be >= 1, got {self.trace_capacity}"
-            )
-        if self.timeseries_interval_s <= 0:
-            raise ValueError(
-                f"timeseries_interval_s must be > 0, "
-                f"got {self.timeseries_interval_s}"
-            )
-        if self.timeseries_capacity < 2:
-            raise ValueError(
-                f"timeseries_capacity must be >= 2, "
-                f"got {self.timeseries_capacity}"
-            )
-        if self.sample_interval_s <= 0:
-            raise ValueError(
-                f"sample_interval_s must be > 0, got {self.sample_interval_s}"
-            )
         if self.profile_interval_s <= 0:
             raise ValueError(
                 f"profile_interval_s must be > 0, got {self.profile_interval_s}"
             )
-        self.slos = tuple(self.slos)
+        check_telemetry_config(self)
 
 
 @dataclass(order=True)
@@ -181,7 +164,7 @@ class _Job:
     batch: Batch = field(compare=False)
 
 
-class MappingServer:
+class MappingServer(Telemetry):
     """High-throughput serving layer over one :class:`MappingEngine`."""
 
     def __init__(
@@ -205,29 +188,11 @@ class MappingServer:
         self.engine = engine
         self.config = config or ServeConfig()
         self.metrics = MetricsRegistry(clock=clock)
-        self.tracer = Tracer(
-            clock=clock,
-            enabled=self.config.tracing,
-            max_traces=self.config.trace_capacity,
+        super().__init__(
+            self.config, self.metrics.counts, clock=clock,
+            profile_interval_s=(self.config.profile_interval_s
+                                if self.config.profiling else None),
         )
-        self.timeseries = TimeseriesRing(
-            interval_s=self.config.timeseries_interval_s,
-            capacity=self.config.timeseries_capacity,
-            clock=clock,
-        )
-        self.slo = SLOTracker(self.config.slos, self.timeseries)
-        self._sampler = MetricsSampler(
-            self._observability_sample,
-            self.timeseries,
-            listeners=[self.slo.evaluate],
-            interval_s=self.config.sample_interval_s,
-            clock=clock,
-        )
-        self.profiler: Optional[SamplingProfiler] = None
-        if self.config.profiling:
-            self.profiler = SamplingProfiler(
-                interval_s=self.config.profile_interval_s, clock=clock
-            )
         self._learner = learner
         self._watcher = None
         self._runner = runner or serve_batch
@@ -269,9 +234,7 @@ class MappingServer:
         self._dispatcher.start()
         for worker in self._workers:
             worker.start()
-        self._sampler.start()
-        if self.profiler is not None:
-            self.profiler.start()
+        self._start_telemetry()
 
     # ------------------------------------------------------------------
     # Admission
@@ -314,9 +277,7 @@ class MappingServer:
                 if cached is not None:
                     self._response_cache.move_to_end(key)
                     self.metrics.inc("response_cache_hits")
-                    self.metrics.inc("served")
-                    self.metrics.observe_latency(0.0)
-                    self.timeseries.observe_latency(0.0, now=now)
+                    self._record_served(0.0, now)
                     cached_response = replace(cached, tag=request.tag)
             if cached_response is None:
                 if key is not None and self.config.collapse_duplicates:
@@ -325,15 +286,7 @@ class MappingServer:
                         # Collapsing is cheap but not free: followers hold
                         # futures and fan-out state, so they count against
                         # the same admission bound as queued requests.
-                        depth = self._depth_locked()
-                        if depth >= self.config.max_queue:
-                            self.metrics.inc("rejected")
-                            retry_after = self._retry_after_locked(depth)
-                            obs_events.emit(
-                                "overloaded", where="server", depth=depth,
-                                retry_after_s=retry_after,
-                            )
-                            raise ServerOverloaded(retry_after, depth)
+                        self._refuse_if_full_locked()
                         handle = self._start_trace(
                             request, trace_parent, start=now, follower=True
                         )
@@ -358,15 +311,7 @@ class MappingServer:
                             else:
                                 self._promote_ready_job_locked(key)
                         return future
-                depth = self._depth_locked()
-                if depth >= self.config.max_queue:
-                    self.metrics.inc("rejected")
-                    retry_after = self._retry_after_locked(depth)
-                    obs_events.emit(
-                        "overloaded", where="server", depth=depth,
-                        retry_after_s=retry_after,
-                    )
-                    raise ServerOverloaded(retry_after, depth)
+                self._refuse_if_full_locked()
                 pending = PendingRequest(
                     request=request, future=future, priority=priority, key=key,
                     trace=self._start_trace(request, trace_parent, start=now),
@@ -417,6 +362,12 @@ class MappingServer:
             tag=request.tag,
             **attrs,
         )
+
+    def _record_served(self, latency_s: float, now: float) -> None:
+        """Count one served response and observe its latency."""
+        self.metrics.inc("served")
+        self.metrics.observe_latency(latency_s)
+        self.timeseries.observe_latency(latency_s, now=now)
 
     def _label_served(self, request: MappingRequest, count: int = 1) -> None:
         self.metrics.inc_label(
@@ -483,9 +434,7 @@ class MappingServer:
         self._dispatcher.join(timeout=5.0)
         for worker in self._workers:
             worker.join(timeout=5.0)
-        self._sampler.stop()
-        if self.profiler is not None:
-            self.profiler.stop()
+        self._stop_telemetry()
         return finished
 
     def __enter__(self) -> "MappingServer":
@@ -563,57 +512,6 @@ class MappingServer:
         extra["timeseries"] = self.timeseries.latest_rates()
         return self.metrics.snapshot(queue_depth=depth, extra=extra)
 
-    def trace_snapshot(self, trace_id: str) -> Optional[Dict[str, object]]:
-        """The span tree the gateway serves at ``/v1/trace/<id>``."""
-        return self.tracer.snapshot(trace_id)
-
-    def events_snapshot(
-        self, kind: Optional[str] = None, limit: Optional[int] = None
-    ) -> List[Dict[str, object]]:
-        """Recent structured events (swap published, 429s, ...)."""
-        return obs_events.snapshot(kind=kind, limit=limit)
-
-    def _observability_sample(
-        self,
-    ) -> Tuple[Dict[str, float], Dict[str, float]]:
-        """The sampler's pull: cumulative counters + point-in-time gauges."""
-        counters = {name: float(self.metrics.count(name))
-                    for name in self.metrics.COUNTERS}
-        gauges = {"queue_depth": float(self.queue_depth)}
-        return counters, gauges
-
-    def sample_observability(self) -> None:
-        """Force one sampler pull + SLO evaluation (tests, selftest, and
-        snapshot freshness — the background cadence still runs)."""
-        self._sampler.sample()
-
-    def timeseries_snapshot(
-        self, metric: Optional[str] = None, windows: Optional[int] = None
-    ) -> Dict[str, object]:
-        """The rolling-window view the gateway serves at
-        ``/v1/timeseries`` (fresh: pulls the counters first so the
-        current window reflects everything served so far)."""
-        self.sample_observability()
-        return self.timeseries.snapshot(metric=metric, windows=windows)
-
-    def slo_snapshot(self) -> Dict[str, object]:
-        """The objective/burn/alert view the gateway serves at
-        ``/v1/slo`` (fresh: samples + evaluates before reporting)."""
-        self.sample_observability()
-        return self.slo.snapshot()
-
-    def profile_snapshot(self, limit: Optional[int] = 50) -> Dict[str, object]:
-        """The profiler view the gateway serves at ``/v1/profile``:
-        collapsed stacks (when ``profiling`` is on) + span-derived
-        hotspot tables (always available while tracing)."""
-        payload: Dict[str, object] = {
-            "enabled": self.profiler is not None,
-            "hotspots": span_hotspots(self.tracer),
-        }
-        if self.profiler is not None:
-            payload["profiler"] = self.profiler.snapshot(limit)
-        return payload
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -625,6 +523,19 @@ class MappingServer:
     def _retry_after_locked(self, depth: int) -> float:
         workers = max(self.config.workers, 1)
         return max(self.config.max_wait_s, depth * self._service_ema_s / workers)
+
+    def _refuse_if_full_locked(self) -> None:
+        """Raise :class:`ServerOverloaded` (counted, and emitted as an
+        ``overloaded`` event) when admission would exceed ``max_queue``."""
+        depth = self._depth_locked()
+        if depth >= self.config.max_queue:
+            self.metrics.inc("rejected")
+            retry_after = self._retry_after_locked(depth)
+            obs_events.emit(
+                "overloaded", where="server", depth=depth,
+                retry_after_s=retry_after,
+            )
+            raise ServerOverloaded(retry_after, depth)
 
     def _promote_ready_job_locked(self, key: Hashable) -> None:
         """Re-key any queued job carrying ``key``'s leader to HIGH priority."""
@@ -787,18 +698,12 @@ class MappingServer:
                     trace_id=handle.trace_id,
                     stages=dict(handle.stages),
                 )
-        self.metrics.inc("served")
-        self.metrics.observe_latency(finished - item.enqueued_at)
-        self.timeseries.observe_latency(finished - item.enqueued_at,
-                                        now=finished)
+        self._record_served(finished - item.enqueued_at, finished)
         self._label_served(item.request, 1 + len(followers))
         self._cache_response(item.key, response)
         _resolve_future(item.future, value=response)
         for tag, future, enqueued_at, fhandle in followers:
-            self.metrics.inc("served")
-            self.metrics.observe_latency(finished - enqueued_at)
-            self.timeseries.observe_latency(finished - enqueued_at,
-                                            now=finished)
+            self._record_served(finished - enqueued_at, finished)
             follower_response = replace(response, tag=tag)
             if fhandle is not None and not fhandle.closed:
                 # A follower shares the leader's compute (its trace links

@@ -7,6 +7,7 @@ from repro.core import Surrogate
 from repro.core.dataset import TargetCodec
 from repro.core.encoding import MappingEncoder
 from repro.core.normalize import Whitener
+from repro.nn.layers import MLP
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,59 @@ class TestMappingInterface:
         assert gradient.shape == (surrogate.encoder.length,)
 
 
+def _tanh_surrogate():
+    """A seeded Tanh surrogate with non-trivial biases."""
+    encoder = MappingEncoder(("X", "R"), ("Input", "Filter", "Output"))
+    codec = TargetCodec(n_tensors=3)
+    rng = np.random.default_rng(11)
+    network = MLP([encoder.length, 16, 8, codec.width], activation="tanh", rng=rng)
+    for parameter in network.parameters():
+        if parameter.data.ndim == 1:
+            parameter.data[...] = rng.normal(0.0, 0.5, size=parameter.data.shape)
+    return Surrogate(
+        network=network,
+        encoder=encoder,
+        codec=codec,
+        input_whitener=Whitener(mean=np.zeros(encoder.length), std=np.ones(encoder.length)),
+        target_whitener=Whitener(mean=np.zeros(codec.width), std=np.ones(codec.width)),
+        algorithm="conv1d",
+    )
+
+
 class TestPersistence:
+    def test_tanh_clone_keeps_its_activation(self):
+        original = _tanh_surrogate()
+        clone = original.clone()
+        inputs = np.random.default_rng(0).normal(size=(6, original.encoder.length))
+        np.testing.assert_array_equal(
+            clone.predict_whitened(inputs), original.predict_whitened(inputs)
+        )
+        assert clone.network.activation == "tanh"
+
+    def test_tanh_save_load_roundtrip_is_bitwise(self, tmp_path):
+        original = _tanh_surrogate()
+        path = tmp_path / "tanh.npz"
+        original.save(path)
+        loaded = Surrogate.load(path)
+        inputs = np.random.default_rng(1).normal(size=(6, original.encoder.length))
+        np.testing.assert_array_equal(
+            loaded.predict_whitened(inputs), original.predict_whitened(inputs)
+        )
+        assert loaded.network.activation == "tanh"
+
+    def test_archive_without_activation_loads_as_relu(self, surrogate, tmp_path):
+        path = tmp_path / "old.npz"
+        surrogate.save(path)
+        with np.load(path) as data:
+            entries = {key: data[key] for key in data.files if key != "activation"}
+        np.savez_compressed(path, **entries)
+        loaded = Surrogate.load(path)
+        assert loaded.network.activation == "relu"
+        inputs = np.random.default_rng(2).normal(size=(4, surrogate.encoder.length))
+        np.testing.assert_array_equal(
+            loaded.predict_whitened(inputs), surrogate.predict_whitened(inputs)
+        )
+
     def test_save_load_roundtrip(self, trained_mm, cnn_space, cnn_problem, tmp_path):
         surrogate = trained_mm.surrogate
         path = tmp_path / "surrogate.npz"

@@ -30,9 +30,11 @@ class TestServerRendering:
         assert "repro_queue_depth 2" in text
 
     def test_latency_renders_as_summary(self):
-        text = prom.render_prometheus(_server_snapshot())
+        snapshot = _server_snapshot()
+        text = prom.render_prometheus(snapshot)
         assert "# TYPE repro_request_latency_seconds summary" in text
-        assert 'repro_request_latency_seconds{quantile="0.5"} 0.02' in text
+        p50_s = snapshot["latency"]["p50_ms"] / 1e3
+        assert f'repro_request_latency_seconds{{quantile="0.5"}} {p50_s!r}' in text
         assert "repro_request_latency_seconds_count 3" in text
 
     def test_batch_size_renders_as_cumulative_histogram(self):

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.timeseries import (
-    LATENCY_BUCKET_BOUNDS_S,
-    LatencyDigest,
-    MetricsSampler,
-    TimeseriesRing,
-)
+from repro.obs.timeseries import MetricsSampler, TimeseriesRing
 from repro.obs.trace import FakeClock
 
 
@@ -23,37 +18,41 @@ def ring(clock):
     return TimeseriesRing(interval_s=1.0, capacity=4, clock=clock)
 
 
-class TestLatencyDigest:
-    def test_moments_and_quantiles(self):
-        digest = LatencyDigest()
+class TestWindowLatency:
+    def test_moments_and_quantiles(self, ring):
         for ms in (1, 2, 3, 4, 100):
-            digest.observe(ms / 1e3, {})
-        snap = digest.snapshot()
+            ring.observe_latency(ms / 1e3)
+        [window] = ring.snapshot()["windows"]
+        snap = window["latency"]
         assert snap["count"] == 5
         assert snap["min_ms"] == pytest.approx(1.0)
         assert snap["max_ms"] == pytest.approx(100.0)
         assert snap["mean_ms"] == pytest.approx(22.0)
-        # Quantiles interpolate within log2 buckets but stay in [min, max].
-        assert snap["min_ms"] <= snap["p50_ms"] <= snap["max_ms"]
-        assert snap["p50_ms"] <= snap["p99_ms"]
+        assert snap["p50_ms"] == pytest.approx(3.0, rel=0.01)
+        assert snap["min_ms"] <= snap["p50_ms"] <= snap["p99_ms"] <= snap["max_ms"]
+        assert "over_threshold" not in snap  # no threshold registered
 
-    def test_over_threshold_counts_are_exact(self):
-        digest = LatencyDigest()
-        thresholds = {"slo": 0.010}
+    def test_over_threshold_counts_are_exact_per_window(self, ring, clock):
+        ring.register_threshold("slo", 0.010)
         for seconds in (0.001, 0.010, 0.011, 0.5):
-            digest.observe(seconds, thresholds)
+            ring.observe_latency(seconds)
+        clock.advance(1.0)
+        ring.observe_latency(0.0101)
+        ring.observe_latency(0.0)
+        windows = ring.snapshot()["windows"]
         # Strictly above: 0.010 itself is within the objective.
-        assert digest.over == {"slo": 2}
+        assert [w["latency"]["over_threshold"] for w in windows] == [
+            {"slo": 2}, {"slo": 1},
+        ]
+        totals = ring.totals(horizon_s=2.0)
+        assert totals["over_threshold"] == {"slo": 3}
+        assert totals["latency_count"] == 6
 
-    def test_empty_digest_snapshot(self):
-        assert LatencyDigest().snapshot() == {"count": 0}
-        assert LatencyDigest().quantile(0.99) is None
-
-    def test_bucket_bounds_double(self):
-        assert LATENCY_BUCKET_BOUNDS_S[0] == pytest.approx(0.0005)
-        for lower, upper in zip(LATENCY_BUCKET_BOUNDS_S,
-                                LATENCY_BUCKET_BOUNDS_S[1:]):
-            assert upper == pytest.approx(lower * 2)
+    def test_window_without_latencies(self, ring):
+        ring.observe_batch(4)
+        [window] = ring.snapshot()["windows"]
+        assert window["latency"]["count"] == 0
+        assert window["latency"]["p99_ms"] is None
 
 
 class TestWindowing:

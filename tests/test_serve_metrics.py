@@ -1,20 +1,13 @@
-"""Metrics primitives: P² quantiles vs exact, histograms, registry snapshot."""
+"""Metrics primitives: histograms, counters, registry snapshot."""
 
 import importlib.util
 import json
 import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from repro.serve.metrics import (
-    Counter,
-    LatencyTracker,
-    MetricsRegistry,
-    P2Quantile,
-    SizeHistogram,
-)
+from repro.serve.metrics import Counter, MetricsRegistry, SizeHistogram
 
 _GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -29,70 +22,6 @@ def _load_schema_tools():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-class TestP2Quantile:
-    @pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
-    @pytest.mark.parametrize("dist", ["uniform", "exponential", "lognormal"])
-    def test_tracks_numpy_percentile(self, q, dist):
-        rng = np.random.default_rng(7)
-        samples = getattr(rng, dist)(size=5000)
-        estimator = P2Quantile(q)
-        for value in samples:
-            estimator.observe(value)
-        exact = float(np.percentile(samples, q * 100))
-        spread = float(np.percentile(samples, 99.5) - np.percentile(samples, 0.5))
-        assert estimator.value() == pytest.approx(exact, abs=0.08 * spread)
-
-    def test_exact_for_small_samples(self):
-        estimator = P2Quantile(0.5)
-        for value in (3.0, 1.0, 2.0):
-            estimator.observe(value)
-        assert estimator.value() == 2.0
-
-    def test_empty_returns_none(self):
-        assert P2Quantile(0.5).value() is None
-
-    # Pinned nearest-rank order statistics for every n the P² estimator
-    # handles exactly (its marker state only engages from the 6th sample):
-    # rank = max(ceil(q*n), 1) over [10, 20, ...][:n], matching numpy's
-    # ``inverted_cdf`` percentile method.
-    @pytest.mark.parametrize("n, expected", [
-        (0, {0.5: None, 0.95: None, 0.99: None}),
-        (1, {0.5: 10.0, 0.95: 10.0, 0.99: 10.0}),
-        (2, {0.5: 10.0, 0.95: 20.0, 0.99: 20.0}),
-        (3, {0.5: 20.0, 0.95: 30.0, 0.99: 30.0}),
-        (4, {0.5: 20.0, 0.95: 40.0, 0.99: 40.0}),
-        (5, {0.5: 30.0, 0.95: 50.0, 0.99: 50.0}),
-    ])
-    def test_small_samples_are_exact_order_statistics(self, n, expected):
-        values = [10.0, 20.0, 30.0, 40.0, 50.0][:n]
-        for q, want in expected.items():
-            estimator = P2Quantile(q)
-            # Feed in a scrambled order: exactness must not depend on it.
-            for value in reversed(values):
-                estimator.observe(value)
-            assert estimator.value() == want, f"q={q} n={n}"
-            if n:
-                exact = float(np.percentile(
-                    values, q * 100, method="inverted_cdf"
-                ))
-                assert estimator.value() == exact
-
-    def test_rejects_degenerate_quantile(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    def test_monotone_quantiles_on_same_stream(self):
-        rng = np.random.default_rng(3)
-        p50, p95, p99 = P2Quantile(0.5), P2Quantile(0.95), P2Quantile(0.99)
-        for value in rng.normal(size=2000):
-            p50.observe(value)
-            p95.observe(value)
-            p99.observe(value)
-        assert p50.value() <= p95.value() <= p99.value()
 
 
 class TestSizeHistogram:
@@ -139,21 +68,23 @@ class TestSizeHistogram:
         assert fast._counts == reference._counts
 
 
-class TestLatencyTracker:
+class TestRegistryLatency:
     def test_snapshot_fields_in_ms(self):
-        tracker = LatencyTracker()
+        registry = MetricsRegistry()
         for seconds in (0.010, 0.020, 0.030, 0.040, 0.100):
-            tracker.observe(seconds)
-        snapshot = tracker.snapshot()
-        assert snapshot["count"] == 5
-        assert snapshot["max_ms"] == pytest.approx(100.0)
-        assert snapshot["p50_ms"] == pytest.approx(30.0)
-        assert snapshot["p99_ms"] == pytest.approx(100.0)
+            registry.observe_latency(seconds)
+        latency = registry.snapshot()["latency"]
+        assert latency["count"] == 5
+        assert latency["min_ms"] == pytest.approx(10.0)
+        assert latency["max_ms"] == pytest.approx(100.0)
+        assert latency["mean_ms"] == pytest.approx(40.0)
+        assert latency["p50_ms"] == pytest.approx(30.0, rel=0.01)
+        assert latency["p99_ms"] == pytest.approx(100.0, rel=0.01)
 
     def test_empty_snapshot(self):
-        snapshot = LatencyTracker().snapshot()
-        assert snapshot["count"] == 0
-        assert snapshot["p50_ms"] is None
+        latency = MetricsRegistry().snapshot()["latency"]
+        assert latency["count"] == 0
+        assert latency["p50_ms"] is None
 
 
 class TestSnapshotSchemaGolden:
