@@ -93,6 +93,7 @@ def main() -> None:
               f"norm EDP {payload['response']['norm_edp']:.2f}x "
               f"(tag {payload['response']['tag']!r})")
         gateway.shutdown()
+        gateway.server_close()
 
 
 if __name__ == "__main__":

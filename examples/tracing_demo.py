@@ -7,8 +7,8 @@ would:
 1. serve a traced request (tracing is on by default) and read the
    ``trace_id`` + per-stage breakdown off the response,
 2. fetch the span tree from the server and print it indented, with each
-   span's duration — admission wait, batch wait, cohort rounds, the
-   megabatch kernel, finalize,
+   span's duration — admission wait, batch wait, the search, its
+   megabatch kernels, finalize,
 3. show a duplicate request linking to its leader's trace instead of
    duplicating the compute spans,
 4. render the live metrics as Prometheus text exposition and print the
@@ -40,7 +40,7 @@ def print_tree(node, depth=0, max_children=8):
     extra = f"  {attrs}" if attrs else ""
     print(f"  {took}  {'  ' * depth}{span['name']}{extra}")
     children = node["children"]
-    # A long search produces one cohort.round per iteration; elide the
+    # A long search prices one megabatch.kernel per round; elide the
     # middle so the taxonomy stays readable.
     shown = (
         children if len(children) <= max_children

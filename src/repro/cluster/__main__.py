@@ -160,6 +160,7 @@ def selftest(verbose: bool = True) -> int:
             say("HTTP gateway fronts the router; response bit-identical")
         finally:
             gateway.shutdown()
+            gateway.server_close()
     except BaseException:
         router.shutdown(timeout=10)
         raise

@@ -96,7 +96,7 @@ _VIEWS: Dict[str, Callable[["ShardService", Dict], object]] = {
     "events": lambda shard, _: shard.server.events_snapshot(),
     "slo": lambda shard, _: shard.server.slo_snapshot(),
     "profile": lambda shard, payload: shard.server.profile_snapshot(
-        limit=50 if payload.get("limit") is None else int(payload["limit"])
+        limit=payload.get("limit")
     ),
 }
 

@@ -573,14 +573,14 @@ class MappingEngine:
     ) -> List[MappingResponse]:
         """Serve ``requests`` through the coalescing scheduler, in order.
 
-        Delegates to :func:`repro.serve.cohort.serve_batch`: surrogates
-        needed by the batch are materialized up front, same-problem
-        oracle-driven searches run in an evaluation cohort (their per-round
-        candidate batches unioned into one prewarmed ``evaluate_many``),
-        and everything else runs through :meth:`map`.  Responses are
-        bit-identical to serving each request solo — per-request seeds and
-        row-exact batched kernels make the output independent of batch
-        composition.
+        Delegates to :func:`repro.serve.cohort.serve_batch`: every request
+        is prepared up front (which materializes the surrogates the batch
+        needs), oracle-driven searches over any mix of problems run in one
+        evaluation cohort (their per-round candidate batches unioned into
+        one prewarmed megabatch), and everything else runs as a cohort of
+        one through the same loop.  Responses are bit-identical to
+        :meth:`map` — per-request seeds and row-exact batched kernels make
+        the output independent of batch composition.
         """
         from repro.serve.cohort import serve_batch
 

@@ -12,7 +12,7 @@ flooding a ``max_queue=1`` server surfaces ``overloaded`` events at
 Part 2 brings up a real 2-shard cluster (separate processes, socket
 RPC) and checks cross-process propagation: a routed request's merged
 tree nests ``cluster.request`` -> ``shard.rpc`` -> ``serve.request`` ->
-``cohort.round`` -> ``megabatch.kernel``, with the shard's spans carrying
+``search`` -> ``megabatch.kernel``, with the shard's spans carrying
 the shard process's pid.  It then skews all traffic onto one shard under
 an unmeetable latency SLO and checks the fleet ``/v1/slo`` view (through
 a real gateway) attributes the burn to exactly that shard, with the
@@ -171,6 +171,7 @@ def _selftest_server(say) -> None:
         say(f"backpressure: {rejections} rejections surfaced at /v1/events")
     finally:
         gateway.shutdown()
+        gateway.server_close()
         _check(server.shutdown(timeout=30.0), "drain timed out")
 
 
@@ -223,10 +224,10 @@ def _selftest_cluster(say) -> None:
         [tree] = trace["tree"]
         _check(
             _tree_path(tree, ["cluster.request", "shard.rpc",
-                              "serve.request", "cohort.round",
+                              "serve.request", "search",
                               "megabatch.kernel"]),
             "merged tree does not nest cluster.request -> shard.rpc -> "
-            "serve.request -> cohort.round -> megabatch.kernel",
+            "serve.request -> search -> megabatch.kernel",
         )
         pids = {s["pid"] for s in trace["spans"]}
         _check(len(pids) == 2,
@@ -234,7 +235,7 @@ def _selftest_cluster(say) -> None:
         say(f"routed trace merged across {len(pids)} processes: "
             f"{len(trace['spans'])} spans nest "
             "cluster.request -> shard.rpc -> serve.request -> "
-            "cohort.round -> megabatch.kernel")
+            "search -> megabatch.kernel")
 
         kinds = {e["kind"] for e in router.events_snapshot()}
         say(f"fleet event log reachable ({sorted(kinds) or 'empty'})")
@@ -278,6 +279,7 @@ def _selftest_cluster(say) -> None:
                 "healthz carries the burning-shard annotation")
         finally:
             gateway.shutdown()
+            gateway.server_close()
     except BaseException:
         router.shutdown(timeout=10)
         raise
@@ -444,6 +446,7 @@ def _selftest_slo(say) -> None:
             f"{profile['profiler']['distinct_stacks']} distinct stacks)")
     finally:
         gateway.shutdown()
+        gateway.server_close()
         _check(server.shutdown(timeout=30.0), "slo server drain timed out")
 
 

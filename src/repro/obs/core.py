@@ -77,9 +77,7 @@ class Telemetry:
         )
         self.profiler: Optional[SamplingProfiler] = None
         if profile_interval_s is not None:
-            self.profiler = SamplingProfiler(
-                interval_s=profile_interval_s, clock=clock
-            )
+            self.profiler = SamplingProfiler(interval_s=profile_interval_s)
 
     def _start_telemetry(self) -> None:
         self._sampler.start()

@@ -28,7 +28,7 @@ import sys
 import threading
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.trace import Clock, MonotonicClock, Periodic
+from repro.obs.trace import Periodic
 
 #: Fallback bucket once the stack table reaches ``max_stacks``.
 TRUNCATED_STACK = "(truncated)"
@@ -84,7 +84,7 @@ class SamplingProfiler(Periodic):
     thread_name = "obs-profiler"
 
     def __init__(self, interval_s: float = 0.005, max_stacks: int = 512,
-                 max_depth: int = 64, clock: Optional[Clock] = None,
+                 max_depth: int = 64,
                  frames_fn: Optional[Callable[[], Mapping[int, object]]] = None,
                  ) -> None:
         if interval_s <= 0:
@@ -94,7 +94,6 @@ class SamplingProfiler(Periodic):
         self.interval_s = float(interval_s)
         self.max_stacks = int(max_stacks)
         self.max_depth = int(max_depth)
-        self.clock: Clock = clock if clock is not None else MonotonicClock()
         self._frames_fn = (frames_fn if frames_fn is not None
                            else sys._current_frames)
         self._lock = threading.Lock()

@@ -510,30 +510,31 @@ def span_tree(spans: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
 _AMBIENT = threading.local()
 
 
-def _ambient_stack() -> List[Tuple[Optional[TraceHandle], ...]]:
-    stack = getattr(_AMBIENT, "stack", None)
-    if stack is None:
-        stack = []
-        _AMBIENT.stack = stack
-    return stack
-
-
-@contextmanager
-def activate(handles: Sequence[Optional[TraceHandle]]) -> Iterator[None]:
+class activate:
     """Make ``handles`` the ambient trace context for this thread.
 
-    The sequence is index-aligned with the work items being executed
-    (entries may be ``None`` for untraced items) — :func:`current_handles`
-    returns it verbatim so batch-aware layers (the cohort) can match
-    member index -> handle, while :func:`span` simply fans out to every
-    live handle.
+    Used as ``with activate(handles): ...``.  The sequence is
+    index-aligned with the work items being executed (entries may be
+    ``None`` for untraced items) — :func:`current_handles` returns it
+    verbatim so batch-aware layers (the cohort) can match member index ->
+    handle, while :func:`span` simply fans out to every live handle.  A
+    plain class rather than a generator context manager: the cohort
+    switches context once per member per round.
     """
-    stack = _ambient_stack()
-    stack.append(tuple(handles))
-    try:
-        yield
-    finally:
-        stack.pop()
+
+    __slots__ = ("_handles",)
+
+    def __init__(self, handles: Sequence[Optional[TraceHandle]]) -> None:
+        self._handles = tuple(handles)
+
+    def __enter__(self) -> None:
+        stack = getattr(_AMBIENT, "stack", None)
+        if stack is None:
+            stack = _AMBIENT.stack = []
+        stack.append(self._handles)
+
+    def __exit__(self, *exc_info: object) -> None:
+        _AMBIENT.stack.pop()
 
 
 def current_handles() -> Tuple[Optional[TraceHandle], ...]:

@@ -7,9 +7,8 @@ lets *independent* callers benefit from it.  Requests enter one at a time
 coalesced into the wide operations the backend is fastest at:
 
 * :mod:`repro.serve.batcher` — dynamic micro-batching: size-or-deadline
-  flushing of one shared cross-problem request group (per-problem
-  grouping remains available for sharded deployments), with a
-  high-priority lane.
+  flushing of one cross-problem request queue, with a high-priority
+  lane.
 * :mod:`repro.serve.cohort` — lockstep evaluation cohorts: many searches'
   per-round candidate batches — over any mix of problems — unioned into
   one prewarmed megabatched oracle query, with bit-identical per-request
@@ -40,15 +39,7 @@ Quickstart::
 Smoke test: ``python -m repro.serve --selftest``.
 """
 
-from repro.serve.batcher import (
-    Batch,
-    MicroBatcher,
-    PendingRequest,
-    Priority,
-    SHARED_GROUP,
-    default_group_key,
-    problem_group_key,
-)
+from repro.serve.batcher import Batch, MicroBatcher, PendingRequest, Priority
 from repro.serve.codec import (
     problem_from_dict,
     problem_to_dict,
@@ -79,9 +70,6 @@ __all__ = [
     "ServeConfig",
     "ServerClosed",
     "ServerOverloaded",
-    "SHARED_GROUP",
-    "default_group_key",
-    "problem_group_key",
     "problem_from_dict",
     "problem_to_dict",
     "request_from_dict",

@@ -92,6 +92,7 @@ def selftest(verbose: bool = True) -> int:
         )
     finally:
         gateway.shutdown()
+        gateway.server_close()
         drained = server.shutdown(timeout=30.0)
         _check(drained, "drain timed out")
     say(f"PASS in {time.perf_counter() - started:.1f}s")

@@ -1,17 +1,17 @@
-"""Dynamic micro-batcher: coalesce compatible requests, flush on size or deadline.
+"""Dynamic micro-batcher: coalesce requests, flush on size or deadline.
 
 The batcher is a *pure* data structure — no threads, no wall clock of its
 own.  The server's dispatcher drives it with explicit timestamps, which is
 also what makes the flush policy unit-testable with a fake clock:
 
-* :meth:`MicroBatcher.add` files a pending request under its group key
-  (by default the one shared group — the cross-problem megabatched cost
-  kernels price any mix of problems in a single pass, so every flushed
-  batch becomes one mixed evaluation cohort, see :mod:`repro.serve.cohort`)
-  and returns a flushed :class:`Batch` immediately when the group hits
-  ``max_batch`` (size trigger) or the request is high-priority (priority
-  lane: latency beats batching).
-* :meth:`MicroBatcher.poll` flushes every group whose oldest member has
+* :meth:`MicroBatcher.add` queues a pending request (one queue: the
+  cross-problem megabatched cost kernels price any mix of problems in a
+  single pass, so every flushed batch becomes one mixed evaluation
+  cohort, see :mod:`repro.serve.cohort`) and returns a flushed
+  :class:`Batch` immediately when the queue hits ``max_batch`` (size
+  trigger) or the request is high-priority (priority lane: latency beats
+  batching).
+* :meth:`MicroBatcher.poll` flushes the queue once its oldest member has
   waited ``max_wait_s`` (deadline trigger), so a lone request is never
   stuck behind a batch that isn't filling.
 * :meth:`MicroBatcher.next_deadline` tells the dispatcher how long it may
@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional
+from typing import Hashable, List, Optional
 
-from repro.costmodel.cache import problem_key
 from repro.engine.engine import MappingRequest
 
 
@@ -66,9 +64,8 @@ class PendingRequest:
 
 @dataclass
 class Batch:
-    """A flushed group of pending requests, ready for a worker."""
+    """A flushed set of pending requests, ready for a worker."""
 
-    group: Hashable
     items: List[PendingRequest]
     trigger: str  # "size" | "deadline" | "priority" | "drain"
     flushed_at: float
@@ -84,115 +81,67 @@ class Batch:
         return (int(self.priority), min(item.seq for item in self.items))
 
 
-#: The single batching group every request joins under the default policy.
-SHARED_GROUP: Hashable = "megabatch"
-
-
-def default_group_key(request: MappingRequest) -> Hashable:
-    """One shared group: every flushed batch is one mixed cohort.
-
-    The cost kernels megabatch heterogeneous (mapping, problem) lanes in a
-    single pass (:func:`repro.costmodel.batch.evaluate_megabatch`), so
-    requests no longer need to share a problem to share a stacked
-    evaluation — :func:`repro.serve.cohort.serve_batch` unions each cohort
-    round across every live problem in the batch.  Batching everything
-    together therefore maximizes the union the kernels amortize over.
-    """
-    return SHARED_GROUP
-
-
-def problem_group_key(request: MappingRequest) -> Hashable:
-    """Per-problem grouping, for deployments that shard work by problem.
-
-    This was the default before the kernels learned to megabatch across
-    problems; it remains useful when downstream workers are pinned to one
-    problem each (e.g. per-problem surrogate replicas).
-    """
-    return problem_key(request.problem)
-
-
 class MicroBatcher:
-    """Size-or-deadline request coalescing over per-group queues."""
+    """Size-or-deadline request coalescing over one queue."""
 
-    def __init__(
-        self,
-        max_batch: int = 32,
-        max_wait_s: float = 0.005,
-        group_key: Callable[[MappingRequest], Hashable] = default_group_key,
-    ) -> None:
+    def __init__(self, max_batch: int = 32, max_wait_s: float = 0.005) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
-        self.group_key = group_key
-        # Group insertion order is flush tie-break order (oldest first).
-        self._groups: "OrderedDict[Hashable, List[PendingRequest]]" = OrderedDict()
+        self._items: List[PendingRequest] = []
 
     @property
     def depth(self) -> int:
         """Pending requests currently waiting in the batcher."""
-        return sum(len(items) for items in self._groups.values())
+        return len(self._items)
 
     def add(self, pending: PendingRequest, now: float) -> Optional[Batch]:
-        """File ``pending``; return a batch when its group must flush now.
+        """Queue ``pending``; return a batch when the queue must flush now.
 
-        Size trigger: the group reached ``max_batch``.  Priority lane: a
-        high-priority arrival flushes its group immediately — it still
-        rides with whatever compatible requests were already waiting, but
-        never waits out ``max_wait_s`` itself.
+        Size trigger: the queue reached ``max_batch``.  Priority lane: a
+        high-priority arrival flushes the queue immediately — it still
+        rides with whatever requests were already waiting, but never waits
+        out ``max_wait_s`` itself.
         """
         pending.enqueued_at = now
-        group = self.group_key(pending.request)
-        items = self._groups.setdefault(group, [])
-        items.append(pending)
-        if len(items) >= self.max_batch:
-            return self._flush(group, "size", now)
+        self._items.append(pending)
+        if len(self._items) >= self.max_batch:
+            return self.flush("size", now)
         if pending.priority == Priority.HIGH:
-            return self._flush(group, "priority", now)
+            return self.flush("priority", now)
         return None
 
     def poll(self, now: float) -> List[Batch]:
-        """Flush every group whose oldest member hit the deadline."""
-        due = [
-            group
-            for group, items in self._groups.items()
-            if now - items[0].enqueued_at >= self.max_wait_s
-        ]
-        return [self._flush(group, "deadline", now) for group in due]
+        """Flush the queue if its oldest member hit the deadline."""
+        deadline = self.next_deadline()
+        if deadline is None or now < deadline:
+            return []
+        return [self.flush("deadline", now)]
 
     def next_deadline(self) -> Optional[float]:
-        """Earliest instant a group becomes due, or ``None`` when empty."""
-        oldest = [items[0].enqueued_at for items in self._groups.values()]
-        return min(oldest) + self.max_wait_s if oldest else None
+        """Instant the queue becomes due, or ``None`` when empty."""
+        if not self._items:
+            return None
+        return self._items[0].enqueued_at + self.max_wait_s
 
     def flush_all(self, now: float) -> List[Batch]:
         """Flush everything regardless of size/age (drain path)."""
-        return [self._flush(group, "drain", now) for group in list(self._groups)]
+        return [self.flush("drain", now)] if self._items else []
 
-    def flush_group(self, group: Hashable, now: float) -> Optional[Batch]:
-        """Flush one group immediately, or ``None`` if it holds nothing.
+    def holds(self, key: Hashable) -> bool:
+        """True when a queued request has collapse identity ``key`` (lets
+        the server flush only when the in-flight leader it cares about is
+        actually still waiting here)."""
+        return any(item.key == key for item in self._items)
 
-        The server's escape hatch for priority upgrades: when a
-        high-priority request collapses onto an in-flight duplicate whose
-        leader is still waiting here, the leader's group must ship now.
-        """
-        if group not in self._groups:
-            return None
-        return self._flush(group, "priority", now)
-
-    def group_has_key(self, group: Hashable, key: Hashable) -> bool:
-        """True when ``group`` currently holds a request with collapse
-        identity ``key`` (lets the server flush a group only when the
-        in-flight leader it cares about is actually waiting in it)."""
-        items = self._groups.get(group)
-        return bool(items) and any(item.key == key for item in items)
-
-    def _flush(self, group: Hashable, trigger: str, now: float) -> Batch:
-        items = self._groups.pop(group)
+    def flush(self, trigger: str, now: float) -> Batch:
+        """Hand over every queued request as one batch."""
+        items, self._items = self._items, []
         items.sort(key=PendingRequest.order_key)
-        return Batch(group=group, items=items, trigger=trigger, flushed_at=now)
+        return Batch(items=items, trigger=trigger, flushed_at=now)
 
 
 __all__ = [
@@ -200,7 +149,4 @@ __all__ = [
     "MicroBatcher",
     "PendingRequest",
     "Priority",
-    "SHARED_GROUP",
-    "default_group_key",
-    "problem_group_key",
 ]

@@ -27,7 +27,16 @@ are bit-identical to serving it solo.
 
 Cohort-ineligible requests (surrogate-driven searchers whose evaluation is
 already one stacked forward per round, caller-supplied oracles, wall-clock
-time budgets) fall back to :meth:`MappingEngine.map` unchanged.
+time budgets) run through the same loop as cohorts of one: a single
+member never prewarms, so its loop is exactly :meth:`Searcher.run`'s.
+:func:`run_cohort` is the one search loop of the serving path, and
+:meth:`MappingEngine.map` stays the solo reference.
+
+**Tracing.**  Each traced member records one ``search`` span, open from
+its cohort's start until the member finishes; the shared prewarm kernels
+and its own kernel spans nest under it.  Its ``search_rounds_s`` stage is
+settled once, at finish: the span's wall time minus the ``kernel_s`` and
+``prewarm_s`` that accrued inside it.
 
 **Timing semantics.**  Bit-identity covers mappings, statistics, and
 objective traces — not clocks.  A cohort member's ``search_time_s``,
@@ -42,7 +51,6 @@ not isolated compute.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.costmodel.cache import CachedOracle
@@ -52,11 +60,8 @@ from repro.engine.engine import (
     MappingRequest,
     MappingResponse,
     PreparedSearch,
-    _wants_engine_surrogate,
 )
-from repro.engine.registry import searcher_parameters
 from repro.mapspace.mapping import Mapping
-from repro.search.base import BudgetedObjective
 from repro.workloads.problem import Problem
 
 #: Smallest union worth a prewarm round-trip.  Below this the vectorized
@@ -72,20 +77,58 @@ from repro.workloads.problem import Problem
 MIN_PREWARM_UNION = 8
 
 
-@dataclass
 class _Member:
-    """One cohort member: a prepared search plus its metered budget."""
+    """One cohort member: a prepared search, its metered budget, and its
+    trace's ``search`` span.
 
-    index: int
-    prepared: PreparedSearch
-    budget: BudgetedObjective = field(init=False)
+    Built when the cohort starts: the span opens at ``started``, then the
+    budget (and with it a time budget's clock) and the searcher's reset
+    run in :meth:`Searcher.run`'s order.
+    """
 
-    def __post_init__(self) -> None:
-        request = self.prepared.request
-        self.budget = self.prepared.searcher.make_budget(
+    def __init__(
+        self,
+        index: int,
+        prepared: PreparedSearch,
+        handle: Optional[obs_trace.TraceHandle],
+        started: float,
+        cohort_size: int,
+    ) -> None:
+        self.index = index
+        self.prepared = prepared
+        self.searcher = prepared.searcher
+        self.handle = handle
+        self.span_id: Optional[str] = None
+        if handle is not None:
+            stages = handle.stages
+            self._opened = (
+                started,
+                stages.get("kernel_s", 0.0),
+                stages.get("prewarm_s", 0.0),
+            )
+            self.span_id = handle.open_span(
+                "search", start=started, members=cohort_size
+            )
+        request = prepared.request
+        self.budget = self.searcher.make_budget(
             request.iterations, request.time_budget_s
         )
-        self.prepared.searcher.reset(request.seed, iterations=request.iterations)
+        self.searcher.reset(request.seed, iterations=request.iterations)
+
+    def close_search(self) -> None:
+        """Close the ``search`` span and settle ``search_rounds_s``: the
+        span's wall time minus the kernel and prewarm time inside it."""
+        handle = self.handle
+        if handle is None:
+            return
+        end = handle.now()
+        handle.close_span(self.span_id, end=end)
+        started, kernel, prewarm = self._opened
+        stages = handle.stages
+        inside = (stages.get("kernel_s", 0.0) - kernel) + (
+            stages.get("prewarm_s", 0.0) - prewarm
+        )
+        handle.add_stage("search_rounds_s", max(end - started - inside, 0.0))
 
 
 def coalescible(engine: MappingEngine, prepared: PreparedSearch) -> bool:
@@ -94,7 +137,8 @@ def coalescible(engine: MappingEngine, prepared: PreparedSearch) -> bool:
     Requires the engine's own memoizing oracle on the search path (the
     prewarm writes there) and no wall-clock time budget (deadline
     truncation depends on elapsed time, which coalescing would change —
-    such requests run solo so their traces stay self-consistent).
+    such requests run as cohorts of one so their traces stay
+    self-consistent).
     """
     return (
         prepared.uses_engine_oracle
@@ -103,38 +147,76 @@ def coalescible(engine: MappingEngine, prepared: PreparedSearch) -> bool:
     )
 
 
+def _prewarm(
+    engine: MappingEngine, round_pairs: Sequence[Tuple[_Member, List[Mapping]]]
+) -> None:
+    """Price a round's whole union — every member of every problem — in
+    one cross-problem kernel pass, when it clears ``MIN_PREWARM_UNION``.
+
+    ``prewarm_grouped`` merges members sharing a problem and issues a
+    single inner megabatch for the union's misses.  Budget truncation is
+    anticipated (prefixes only) so the last round never prices candidates
+    no member will record.
+    """
+    groups: List[Tuple[Problem, List[Mapping]]] = []
+    total = 0
+    for member, batch in round_pairs:
+        take = batch[: member.budget.remaining]
+        if take:
+            groups.append((member.prepared.request.problem, take))
+            total += len(take)
+    if total < MIN_PREWARM_UNION:
+        return
+    # The shared kernel belongs to every traced member of this round, and
+    # to no batchmate outside the cohort.  Its wall time minus the kernel
+    # time inside it is each member's ``prewarm_s``.
+    handles = [member.handle for member, _ in round_pairs
+               if member.handle is not None]
+    kernel_before = [handle.stages.get("kernel_s", 0.0) for handle in handles]
+    started = handles[0].now() if handles else 0.0
+    with obs_trace.activate(handles):
+        engine.oracle.prewarm_grouped(groups)
+    if handles:
+        wall = handles[0].now() - started
+        for handle, before in zip(handles, kernel_before):
+            kernel = handle.stages.get("kernel_s", 0.0) - before
+            handle.add_stage("prewarm_s", max(wall - kernel, 0.0))
+
+
 def run_cohort(
-    engine: MappingEngine, members: Sequence[_Member]
-) -> List[Tuple[_Member, MappingResponse]]:
-    """Drive ``members`` in lockstep; their problems may differ freely.
+    engine: MappingEngine, searches: Sequence[Tuple[int, PreparedSearch]]
+) -> List[Tuple[int, MappingResponse]]:
+    """Drive ``(index, prepared)`` searches in lockstep; their problems may
+    differ freely.  Returns ``(index, response)`` pairs in finish order.
 
     The per-member loop is the :meth:`Searcher.run` driver verbatim; the
     rounds of different members are interleaved only so their candidate
     batches can be unioned — across every live problem in the mix — into
-    one prewarmed oracle query per round.
+    one prewarmed oracle query per round.  ``index`` picks the member's
+    trace handle out of the ambient context, which the server activates
+    index-aligned with the batch's request list.
     """
-    oracle = engine.oracle
-    search_started = time.perf_counter()
-    live = list(members)
-    finished: List[Tuple[_Member, MappingResponse]] = []
-    # The server activated one ambient handle per batch item, index-aligned
-    # with the request list — which is exactly what ``member.index`` indexes.
     outer = obs_trace.current_handles()
 
-    def handle_for(member: _Member) -> Optional[obs_trace.TraceHandle]:
-        if member.index >= len(outer):
-            return None
-        handle = outer[member.index]
-        if handle is None or handle.closed:
-            return None
-        return handle
+    def handle_at(index: int) -> Optional[obs_trace.TraceHandle]:
+        handle = outer[index] if index < len(outer) else None
+        return None if handle is None or handle.closed else handle
+
+    handles = [handle_at(index) for index, _ in searches]
+    started = next((h.now() for h in handles if h is not None), 0.0)
+    search_started = time.perf_counter()
+    live = [
+        _Member(index, prepared, handle, started, len(searches))
+        for (index, prepared), handle in zip(searches, handles)
+    ]
+    finished: List[Tuple[int, MappingResponse]] = []
 
     def finish(member: _Member) -> None:
         result = member.budget.result(
-            member.prepared.searcher.name,
-            member.prepared.request.problem.name,
+            member.searcher.name, member.prepared.request.problem.name
         )
-        handle = handle_for(member)
+        member.close_search()
+        handle = member.handle
         span_id = None if handle is None else handle.open_span("finalize")
         try:
             response = engine._finalize_search(
@@ -143,7 +225,7 @@ def run_cohort(
         finally:
             if handle is not None:
                 handle.close_span(span_id, stage="finalize_s")
-        finished.append((member, response))
+        finished.append((member.index, response))
 
     while live:
         round_pairs: List[Tuple[_Member, List[Mapping]]] = []
@@ -151,87 +233,19 @@ def run_cohort(
             if member.budget.exhausted:
                 finish(member)
                 continue
-            batch = member.prepared.searcher.ask()
+            batch = member.searcher.ask()
             if not batch:
                 finish(member)
                 continue
             round_pairs.append((member, batch))
-        if not round_pairs:
-            break
-        # Per-round tracing: one "cohort.round" span per live traced member.
-        # Stage arithmetic keeps the breakdown disjoint — kernel time accrues
-        # inside the oracle's own "megabatch.kernel" spans, so the prewarm
-        # and search stages subtract each handle's kernel delta.
-        round_handles = [
-            handle for handle in (handle_for(m) for m, _ in round_pairs)
-            if handle is not None
-        ]
-        round_started = round_handles[0].now() if round_handles else 0.0
-        round_spans = [
-            (handle, handle.open_span("cohort.round", start=round_started,
-                                      members=len(round_pairs)))
-            for handle in round_handles
-        ]
-        kernel_before = {
-            id(handle): handle.stages.get("kernel_s", 0.0)
-            for handle in round_handles
-        }
-        prewarm_wall = 0.0
         if len(round_pairs) > 1:
-            # The whole round — every member of every problem — in one
-            # cross-problem kernel pass (``prewarm_grouped`` merges members
-            # sharing a problem and issues a single inner megabatch for
-            # the union's misses).  Budget truncation is anticipated
-            # (prefixes only) so the last round never prices candidates no
-            # member will record.
-            groups: List[Tuple[Problem, List[Mapping]]] = []
-            total = 0
-            for member, batch in round_pairs:
-                take = batch[: member.budget.remaining]
-                if take:
-                    groups.append((member.prepared.request.problem, take))
-                    total += len(take)
-            # The floor gates the whole round's union, not per-problem
-            # slices — the kernel runs once either way.
-            if total >= MIN_PREWARM_UNION:
-                # Narrow the ambient context to this round's members: the
-                # shared prewarm kernel belongs to every live trace, but
-                # not to solo/ineligible batchmates outside the cohort.
-                with obs_trace.activate(round_handles):
-                    oracle.prewarm_grouped(groups)
-                if round_handles:
-                    prewarm_wall = round_handles[0].now() - round_started
-                    for handle in round_handles:
-                        kernel_in_prewarm = (
-                            handle.stages.get("kernel_s", 0.0)
-                            - kernel_before[id(handle)]
-                        )
-                        handle.add_stage(
-                            "prewarm_s",
-                            max(prewarm_wall - kernel_in_prewarm, 0.0),
-                        )
-        kernel_after_prewarm = {
-            id(handle): handle.stages.get("kernel_s", 0.0)
-            for handle in round_handles
-        }
+            _prewarm(engine, round_pairs)
         for member, batch in round_pairs:
             # Replays are cache hits after a prewarm; any residual miss
             # (e.g. a sub-floor union) is this member's own kernel work.
-            with obs_trace.activate([handle_for(member)]):
+            with obs_trace.activate((member.handle,)):
                 values = member.budget.evaluate_many(batch)
-            member.prepared.searcher.tell(batch[: len(values)], values)
-        round_ended = round_handles[0].now() if round_handles else 0.0
-        round_wall = round_ended - round_started
-        for handle, span_id in round_spans:
-            kernel_in_search = (
-                handle.stages.get("kernel_s", 0.0)
-                - kernel_after_prewarm[id(handle)]
-            )
-            handle.add_stage(
-                "search_rounds_s",
-                max(round_wall - prewarm_wall - kernel_in_search, 0.0),
-            )
-            handle.close_span(span_id, end=round_ended)
+            member.searcher.tell(batch[: len(values)], values)
         live = [member for member, _ in round_pairs]
     return finished
 
@@ -241,76 +255,28 @@ def serve_batch(
 ) -> List[MappingResponse]:
     """Serve ``requests`` with cohort coalescing, preserving input order.
 
-    Surrogates needed anywhere in the batch are materialized up front
-    (training is the one engine mutation; front-loading it keeps the rest
-    of the batch read-only on shared state).  Every cohort-eligible
-    search in the batch — whatever its problem — joins **one** mixed
-    cohort whose rounds union candidates across all live problems into a
-    single megabatched prewarm; everything else goes through
-    :meth:`MappingEngine.map` unchanged.
+    Every request is prepared first, which materializes every surrogate
+    the batch needs before any search runs (training is the one engine
+    mutation; front-loading it keeps the searches read-only on shared
+    state).  Each cohort-ineligible request then runs as a cohort of one,
+    in input order; every cohort-eligible search — whatever its problem —
+    joins **one** mixed cohort whose rounds union candidates across all
+    live problems into a single megabatched prewarm.
     """
-    requests = list(requests)
-    algorithms = {
-        request.problem.algorithm
-        for request in requests
-        if _wants_engine_surrogate(
-            searcher_parameters(request.searcher), request.searcher_config
-        )
-    }
-    for algorithm in algorithms:
-        engine.pipeline_for(algorithm)
-
-    outer = obs_trace.current_handles()
-    responses: List[Optional[MappingResponse]] = [None] * len(requests)
-    cohort: List[_Member] = []
+    cohorts: List[List[Tuple[int, PreparedSearch]]] = []
+    lockstep: List[Tuple[int, PreparedSearch]] = []
     for index, request in enumerate(requests):
         prepared = engine._prepare_search(request)
         if coalescible(engine, prepared):
-            cohort.append(_Member(index=index, prepared=prepared))
+            lockstep.append((index, prepared))
         else:
-            handle = outer[index] if index < len(outer) else None
-            if handle is not None and handle.closed:
-                handle = None
-            # Narrow the ambient context to this request: its kernel spans
-            # must not leak into cohort batchmates' traces (and vice versa).
-            with obs_trace.activate([handle]):
-                search_span = None
-                span_started = kernel_before = 0.0
-                if handle is not None:
-                    span_started = handle.now()
-                    kernel_before = handle.stages.get("kernel_s", 0.0)
-                    search_span = handle.open_span("search")
-                search_started = time.perf_counter()
-                result = prepared.searcher.run(
-                    request.iterations,
-                    seed=request.seed,
-                    time_budget_s=request.time_budget_s,
-                )
-                if handle is not None:
-                    search_wall = handle.now() - span_started
-                    handle.close_span(search_span)
-                    # Kernel time inside the search accrued to kernel_s via
-                    # the oracle's own spans; keep the stages disjoint.
-                    kernel_in_search = (
-                        handle.stages.get("kernel_s", 0.0) - kernel_before
-                    )
-                    handle.add_stage(
-                        "search_rounds_s",
-                        max(search_wall - kernel_in_search, 0.0),
-                    )
-                finalize_span = (
-                    None if handle is None else handle.open_span("finalize")
-                )
-                try:
-                    responses[index] = engine._finalize_search(
-                        prepared, result, time.perf_counter() - search_started
-                    )
-                finally:
-                    if handle is not None:
-                        handle.close_span(finalize_span, stage="finalize_s")
-    if cohort:
-        for member, response in run_cohort(engine, cohort):
-            responses[member.index] = response
+            cohorts.append([(index, prepared)])
+    if lockstep:
+        cohorts.append(lockstep)
+    responses: List[Optional[MappingResponse]] = [None] * len(requests)
+    for cohort in cohorts:
+        for index, response in run_cohort(engine, cohort):
+            responses[index] = response
     unanswered = [i for i, response in enumerate(responses) if response is None]
     if unanswered:  # -O-safe: the gateway must never relay a None response
         raise RuntimeError(

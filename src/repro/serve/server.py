@@ -15,8 +15,8 @@
   time.
 * **Micro-batching** — admitted requests flow through a
   :class:`~repro.serve.batcher.MicroBatcher` coalescing requests across
-  *all* problems into one shared group (the megabatched cost kernels
-  price a mixed union in a single pass), flushed on size, deadline, or
+  *all* problems in one queue (the megabatched cost kernels price a
+  mixed union in a single pass), flushed on size, deadline, or
   high-priority arrival, then served by
   :func:`~repro.serve.cohort.serve_batch` whose cohort rounds union every
   live problem into a single prewarmed kernel call.
@@ -55,13 +55,7 @@ from repro.obs import events as obs_events
 from repro.obs.core import Telemetry, check_telemetry_config
 from repro.obs.slo import DEFAULT_SLOS, SLOSpec, worst_state
 from repro.obs.trace import TraceHandle, activate
-from repro.serve.batcher import (
-    Batch,
-    MicroBatcher,
-    PendingRequest,
-    Priority,
-    default_group_key,
-)
+from repro.serve.batcher import Batch, MicroBatcher, PendingRequest, Priority
 from repro.serve.codec import request_key
 from repro.serve.cohort import serve_batch
 from repro.serve.metrics import MetricsRegistry
@@ -105,9 +99,9 @@ class ServerClosed(RuntimeError):
 class ServeConfig:
     """Serving-layer knobs (engine knobs live on :class:`EngineConfig`)."""
 
-    #: Flush a group at this many requests (size trigger).
+    #: Flush the batcher at this many requests (size trigger).
     max_batch: int = 32
-    #: Flush a group when its oldest request has waited this long and the
+    #: Flush the batcher when its oldest request has waited this long and the
     #: server has been idle this long (deadline trigger).
     max_wait_s: float = 0.005
     #: Admission bound: queued + running requests before rejection.
@@ -296,18 +290,15 @@ class MappingServer(Telemetry):
                         if priority == Priority.HIGH:
                             # A HIGH duplicate must not wait out the
                             # batching delay behind its NORMAL leader.
-                            # Flush the leader's group only if the leader
-                            # is actually still in it (a newer batch in
-                            # the same group must not jump the queue by
-                            # accident); otherwise upgrade the queued job
-                            # carrying it.
-                            group = default_group_key(request)
-                            if self._batcher.group_has_key(group, key):
-                                flushed = self._batcher.flush_group(group, now)
-                                if flushed is not None:
-                                    self._enqueue_batch_locked(
-                                        flushed, priority=Priority.HIGH
-                                    )
+                            # Flush the batcher only if the leader is
+                            # actually still in it (a newer batch must not
+                            # jump the queue by accident); otherwise
+                            # upgrade the queued job carrying it.
+                            if self._batcher.holds(key):
+                                self._enqueue_batch_locked(
+                                    self._batcher.flush("priority", now),
+                                    priority=Priority.HIGH,
+                                )
                             else:
                                 self._promote_ready_job_locked(key)
                         return future
@@ -559,7 +550,7 @@ class MappingServer(Telemetry):
         self._work_available.notify()
 
     def _dispatch_loop(self) -> None:
-        """Flush deadline-due groups — but only onto an idle server.
+        """Flush a deadline-due batcher — but only onto an idle server.
 
         Batches are CPU-bound under one interpreter lock, so a batch
         started beside a running one buys no parallelism: the two hand
@@ -567,14 +558,14 @@ class MappingServer(Telemetry):
         four ``gradient`` requests took ~1.2 s each on a 2-vCPU VM, one
         batch of all eight ~0.55 s).  And two batches started apart keep
         finishing apart, so a closed-loop client's waves stay split.  So
-        while a batch runs or waits for a worker, due groups stay in the
+        while a batch runs or waits for a worker, due requests stay in the
         batcher and keep coalescing — they grow toward ``max_batch`` (the
         size trigger still fires under the lock at admission, and
         high-priority arrivals still flush at once).  On an idle server
-        ``max_wait_s`` bounds the *added* latency: a group flushes once
+        ``max_wait_s`` bounds the *added* latency: the batcher flushes once
         its oldest request has waited ``max_wait_s`` and the server has
         been idle for ``max_wait_s``.  The second window lets the
-        requests just answered return and join a held group, so a split
+        requests just answered return and join the held queue, so a split
         wave merges again on its next round.  Batch sizes still adapt to
         load: singletons when idle, full batches under saturation.
         """
@@ -618,7 +609,7 @@ class MappingServer(Telemetry):
                     self._running_requests -= len(job.batch)
                     if not self._running_batches and not self._ready:
                         self._idle_since = self._clock()
-                    # A worker just freed up: due groups may now flush.
+                    # A worker just freed up: a due queue may now flush.
                     self._dispatch_wake.notify()
                     self._idle.notify_all()
 

@@ -162,6 +162,7 @@ class TestFleetViews:
             assert metrics["router"]["counters"]["served"] >= 1
         finally:
             gateway.shutdown()
+            gateway.server_close()
 
 
 class TestLifecycle:

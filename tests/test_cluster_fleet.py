@@ -297,5 +297,15 @@ def test_shard_views_share_one_reply_layout():
         for op in ("timeseries", "drain"):
             reply = service.handle({"op": op})
             assert reply["ok"] is False and reply["kind"] == "bad_request"
+        # The router's ``limit`` passes through unchanged: ``None`` (the
+        # fleet view asked for every row) must not become a default cut.
+        limits = []
+        profile_snapshot = service.server.profile_snapshot
+        service.server.profile_snapshot = lambda limit=50: (
+            limits.append(limit) or profile_snapshot(limit=limit)
+        )
+        for limit in (None, 7):
+            assert service.handle({"op": "profile", "limit": limit})["ok"]
+        assert limits == [None, 7]
     finally:
         service.close()

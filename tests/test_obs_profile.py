@@ -63,7 +63,6 @@ class TestCollapseFrame:
 
 class TestSamplingProfiler:
     def _profiler(self, frames, **kwargs):
-        kwargs.setdefault("clock", FakeClock())
         return SamplingProfiler(frames_fn=lambda: frames, **kwargs)
 
     def test_sample_once_counts_collapsed_stacks(self):

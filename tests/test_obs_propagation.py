@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.core import MindMappingsConfig, TrainingConfig
 from repro.costmodel.accelerator import small_accelerator
 from repro.engine import EngineConfig, MappingEngine, MappingRequest
 from repro.serve import MappingServer, ServeConfig
@@ -25,6 +26,21 @@ PROBLEM_B = make_conv1d("obs_prop_b", w=48, r=3)
 @pytest.fixture()
 def engine():
     return MappingEngine(small_accelerator(), EngineConfig())
+
+
+@pytest.fixture(scope="module")
+def mm_engine():
+    """A tiny surrogate, trained up front so traces time serving only."""
+    engine = MappingEngine(small_accelerator(), EngineConfig(
+        mm_config=MindMappingsConfig(
+            dataset_samples=600, n_problems=2,
+            training=TrainingConfig(hidden_layers=(16, 16), epochs=3),
+        ),
+        training_problems={"conv1d": (make_conv1d("obs_train_a", w=48, r=3),
+                                      make_conv1d("obs_train_b", w=64, r=5))},
+    ))
+    engine.pipeline_for("conv1d")
+    return engine
 
 
 @pytest.fixture(autouse=True)
@@ -68,6 +84,28 @@ def _well_nested(snapshot):
     return True
 
 
+def _assert_complete_trace(server, response):
+    """The response's trace is sealed, well nested and its stage
+    breakdown sums to (the bulk of) the root's wall time."""
+    assert response.trace_id
+    snap = server.trace_snapshot(response.trace_id)
+    assert snap is not None
+    names = _span_names(snap)
+    assert names[0] == "serve.request"
+    assert "admission" in names
+    assert "batch.wait" in names
+    assert names.count("search") == 1
+    assert "finalize" in names
+    assert _well_nested(snap)
+    # The sealed stage breakdown equals what the response carries.
+    assert snap["stages"] == response.stages
+    root = snap["spans"][0]
+    wall = root["end"] - root["start"]
+    total = sum(response.stages.values())
+    assert total <= wall + 1e-6
+    assert total >= 0.5 * wall  # breakdown accounts for the bulk
+
+
 class TestServerTraces:
     def test_response_carries_a_complete_trace(self, engine):
         server = MappingServer(
@@ -77,28 +115,43 @@ class TestServerTraces:
             response = server.submit(_request(seed=1, tag="t")).result(
                 timeout=30
             )
-            assert response.trace_id
-            snap = server.trace_snapshot(response.trace_id)
-            assert snap is not None
-            names = _span_names(snap)
-            assert names[0] == "serve.request"
-            assert "admission" in names
-            assert "batch.wait" in names
-            assert "finalize" in names
-            assert _well_nested(snap)
-            # The sealed stage breakdown equals what the response carries.
-            assert snap["stages"] == response.stages
-            root = snap["spans"][0]
-            wall = root["end"] - root["start"]
-            total = sum(response.stages.values())
-            assert total <= wall + 1e-6
-            assert total >= 0.5 * wall  # breakdown accounts for the bulk
+            _assert_complete_trace(server, response)
+        finally:
+            server.shutdown(timeout=10.0)
+
+    def test_gradient_stages_sum_to_wall_latency(self, mm_engine):
+        server = MappingServer(
+            mm_engine, ServeConfig(max_batch=4, max_wait_s=0.005, workers=1)
+        )
+        try:
+            response = server.submit(
+                _request(seed=1, tag="mm", searcher="gradient", iterations=40)
+            ).result(timeout=60)
+            _assert_complete_trace(server, response)
+            assert response.stages["search_rounds_s"] > 0.0
+        finally:
+            server.shutdown(timeout=10.0)
+
+    def test_span_count_does_not_grow_with_iterations(self, engine):
+        # One ``search`` span per request, however many rounds it runs.
+        server = MappingServer(
+            engine, ServeConfig(max_batch=4, max_wait_s=0.005, workers=1)
+        )
+        try:
+            counts = []
+            for iterations in (8, 64):
+                response = server.submit(_request(
+                    seed=4, searcher="annealing", iterations=iterations
+                )).result(timeout=30)
+                names = _span_names(server.trace_snapshot(response.trace_id))
+                counts.append(len(names) - names.count("megabatch.kernel"))
+            assert counts[0] == counts[1]
         finally:
             server.shutdown(timeout=10.0)
 
     def test_cohort_rounds_and_kernel_spans_attributed(self, engine):
-        # Two coalescible searches in one batch: each trace gets its own
-        # cohort.round spans; the shared prewarm kernel lands in both.
+        # Two coalescible searches in one batch: each trace gets one
+        # ``search`` span; the shared prewarm kernels nest under it in both.
         server = MappingServer(
             engine, ServeConfig(max_batch=8, max_wait_s=0.25, workers=1)
         )
@@ -110,16 +163,21 @@ class TestServerTraces:
             responses = [f.result(timeout=30) for f in futures]
             for response in responses:
                 snap = server.trace_snapshot(response.trace_id)
-                names = _span_names(snap)
-                assert "cohort.round" in names
-                assert "megabatch.kernel" in names
                 assert _well_nested(snap)
-                assert response.stages.get("kernel_s", 0.0) > 0.0
-                kernel = next(
+                [search] = [
+                    s for s in snap["spans"] if s["name"] == "search"
+                ]
+                assert search["attrs"]["members"] == 2
+                kernels = [
                     s for s in snap["spans"]
                     if s["name"] == "megabatch.kernel"
+                ]
+                assert kernels
+                assert all(
+                    k["parent_id"] == search["span_id"] for k in kernels
                 )
-                assert kernel["attrs"]["lanes"] >= 2  # megabatched union
+                assert response.stages.get("kernel_s", 0.0) > 0.0
+                assert kernels[0]["attrs"]["lanes"] >= 2  # megabatched union
         finally:
             server.shutdown(timeout=10.0)
 
@@ -144,7 +202,7 @@ class TestServerTraces:
             # The follower's own trace is just its root + admission wait;
             # the leader's kernel/search spans are shared via the link.
             assert "admission" in names
-            assert "cohort.round" not in names
+            assert "search" not in names
             assert snap["links"] == [leader.trace_id]
             leader_names = [
                 s["name"] for s in snap["linked_spans"][leader.trace_id]

@@ -5,8 +5,8 @@ from concurrent.futures import Future
 import pytest
 
 from repro.engine import MappingRequest
-from repro.serve import MicroBatcher, PendingRequest, Priority, problem_group_key
-from repro.workloads import make_conv1d, problem_by_name
+from repro.serve import MicroBatcher, PendingRequest, Priority
+from repro.workloads import make_conv1d
 
 PROBLEM_A = make_conv1d("batcher_a", w=32, r=3)
 PROBLEM_B = make_conv1d("batcher_b", w=48, r=5)
@@ -29,9 +29,9 @@ class TestSizeTrigger:
         assert batcher.depth == 0
 
     def test_default_group_mixes_problems(self):
-        """The default policy batches across problems: the megabatched
-        kernels price a mixed union in one pass, so a cross-problem pair
-        fills (and flushes) one shared group."""
+        """The batcher queues across problems: the megabatched kernels
+        price a mixed union in one pass, so a cross-problem pair fills
+        (and flushes) the one queue."""
         batcher = MicroBatcher(max_batch=2, max_wait_s=10.0)
         assert batcher.add(_pending(PROBLEM_A, seed=0), now=0.0) is None
         batch = batcher.add(_pending(PROBLEM_B, seed=1), now=0.0)
@@ -42,21 +42,6 @@ class TestSizeTrigger:
             PROBLEM_B.name,
         }
         assert batcher.depth == 0
-
-    def test_problem_groups_fill_independently(self):
-        batcher = MicroBatcher(
-            max_batch=2, max_wait_s=10.0, group_key=problem_group_key
-        )
-        assert batcher.add(_pending(PROBLEM_A, seed=0), now=0.0) is None
-        assert batcher.add(_pending(PROBLEM_B, seed=1), now=0.0) is None
-        assert batcher.depth == 2
-        batch = batcher.add(_pending(PROBLEM_A, seed=2), now=0.0)
-        assert batch is not None
-        assert all(
-            p.request.problem.name == PROBLEM_A.name for p in batch.items
-        )
-        assert batcher.depth == 1  # PROBLEM_B still waiting
-
 
 class TestDeadlineTrigger:
     def test_poll_respects_max_wait(self):
@@ -70,7 +55,7 @@ class TestDeadlineTrigger:
     def test_deadline_set_by_oldest_member(self):
         batcher = MicroBatcher(max_batch=100, max_wait_s=0.5)
         batcher.add(_pending(seed=0), now=0.0)
-        batcher.add(_pending(seed=1), now=0.4)  # same group, newer
+        batcher.add(_pending(seed=1), now=0.4)  # newer
         assert batcher.next_deadline() == pytest.approx(0.5)
         flushed = batcher.poll(now=0.5)
         assert len(flushed) == 1
@@ -80,7 +65,7 @@ class TestDeadlineTrigger:
         assert MicroBatcher().next_deadline() is None
 
     def test_lone_request_not_stuck(self):
-        """A request in a group that never fills still ships at deadline."""
+        """A request in a queue that never fills still ships at deadline."""
         batcher = MicroBatcher(max_batch=64, max_wait_s=0.01)
         batcher.add(_pending(seed=0), now=0.0)
         assert [len(b) for b in batcher.poll(now=0.011)] == [1]
@@ -100,7 +85,7 @@ class TestPriorityLane:
         batcher = MicroBatcher(max_batch=3, max_wait_s=10.0)
         batcher.add(_pending(seed=0), now=0.0)
         batcher.add(_pending(seed=1, priority=Priority.HIGH), now=0.0)
-        # HIGH arrival flushed the group of two already; refill:
+        # HIGH arrival flushed the queue of two already; refill:
         batcher = MicroBatcher(max_batch=3, max_wait_s=10.0)
         normal = _pending(seed=0)
         high = _pending(seed=1, priority=Priority.HIGH)
@@ -113,17 +98,25 @@ class TestPriorityLane:
 
 
 class TestDrain:
-    def test_flush_all_empties_every_group(self):
-        batcher = MicroBatcher(
-            max_batch=100, max_wait_s=10.0, group_key=problem_group_key
-        )
+    def test_flush_all_empties_the_queue(self):
+        batcher = MicroBatcher(max_batch=100, max_wait_s=10.0)
+        assert batcher.flush_all(now=0.0) == []
         batcher.add(_pending(PROBLEM_A, seed=0), now=0.0)
         batcher.add(_pending(PROBLEM_B, seed=1), now=0.0)
-        batches = batcher.flush_all(now=0.0)
-        assert sorted(len(b) for b in batches) == [1, 1]
-        assert all(b.trigger == "drain" for b in batches)
+        [batch] = batcher.flush_all(now=0.0)
+        assert len(batch) == 2 and batch.trigger == "drain"
         assert batcher.depth == 0
         assert batcher.next_deadline() is None
+
+    def test_holds_finds_a_waiting_key_until_flushed(self):
+        batcher = MicroBatcher(max_batch=100, max_wait_s=10.0)
+        pending = _pending(seed=0)
+        pending.key = "leader"
+        batcher.add(pending, now=0.0)
+        assert batcher.holds("leader") and not batcher.holds("other")
+        batch = batcher.flush("priority", now=0.1)
+        assert batch.items == [pending] and batch.trigger == "priority"
+        assert not batcher.holds("leader")
 
 
 class TestValidation:
@@ -132,11 +125,3 @@ class TestValidation:
             MicroBatcher(max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(max_wait_s=-1.0)
-
-    def test_problem_group_key_separates_zoo_problems(self):
-        batcher = MicroBatcher(
-            max_batch=2, max_wait_s=10.0, group_key=problem_group_key
-        )
-        batcher.add(_pending(problem_by_name("BERT_QKV"), seed=0), now=0.0)
-        batcher.add(_pending(problem_by_name("BERT_FFN1"), seed=1), now=0.0)
-        assert batcher.depth == 2  # sharded policy keeps GEMM shapes apart

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import MindMappingsConfig, TrainingConfig
 from repro.costmodel import CostModel
 from repro.costmodel.accelerator import small_accelerator
 from repro.engine import AnalyticalOracle, EngineConfig, MappingEngine, MappingRequest
@@ -108,6 +109,42 @@ class TestServeBatch:
         [batched] = serve_batch(engine, [request])
         assert batched.mapping == solo.mapping
         assert batched.result.objective_values == solo.result.objective_values
+
+    def test_mixed_batch_runs_every_request_through_cohorts(self):
+        """``gradient`` and time-budgeted requests run as cohorts of one
+        beside the coalescible lockstep cohort: input order holds, and
+        every response equals solo ``engine.map``."""
+        engine = MappingEngine(small_accelerator(), EngineConfig(
+            mm_config=MindMappingsConfig(
+                dataset_samples=600, n_problems=2,
+                training=TrainingConfig(hidden_layers=(16, 16), epochs=3),
+            ),
+            training_problems={"conv1d": (
+                make_conv1d("cohort_train_a", w=48, r=3),
+                make_conv1d("cohort_train_b", w=64, r=5),
+            )},
+        ))
+        other = make_conv1d("cohort_other", w=48, r=3)
+        requests = [
+            MappingRequest(PROBLEM, searcher="random", iterations=16, seed=0,
+                           tag="random"),
+            MappingRequest(PROBLEM, searcher="gradient", iterations=30,
+                           seed=1, tag="gradient"),
+            MappingRequest(other, searcher="genetic", iterations=24, seed=2,
+                           tag="genetic"),
+            MappingRequest(other, searcher="annealing", iterations=20,
+                           seed=3, time_budget_s=60.0, tag="budgeted"),
+        ]
+        responses = serve_batch(engine, requests)
+        assert [r.tag for r in responses] == [r.tag for r in requests]
+        for request, response in zip(requests, responses):
+            solo = engine.map(request)
+            assert response.mapping == solo.mapping, request.tag
+            assert response.stats.edp == solo.stats.edp, request.tag
+            assert (
+                response.result.objective_values
+                == solo.result.objective_values
+            ), request.tag
 
     def test_time_budget_member_served_inside_batch(self, engine):
         requests = [

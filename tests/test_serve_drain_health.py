@@ -144,6 +144,7 @@ class TestSurrogateVersionReporting:
                 assert payload["surrogate_versions"]["conv1d"]["version"] == 7
             finally:
                 gateway.shutdown()
+                gateway.server_close()
         finally:
             server.shutdown(timeout=10)
 

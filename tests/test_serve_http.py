@@ -30,6 +30,15 @@ def _get(url, timeout=10):
         return reply.status, json.loads(reply.read())
 
 
+def _http_error(call, *args, **kwargs):
+    """Run ``call``, which must fail with an HTTP error status; return
+    ``(code, headers, body)`` with the error's response closed."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        call(*args, **kwargs)
+    with excinfo.value as error:
+        return error.code, error.headers, error.read()
+
+
 @pytest.fixture()
 def stack():
     engine = MappingEngine(small_accelerator(), EngineConfig())
@@ -39,6 +48,7 @@ def stack():
     gateway = start_gateway(server)
     yield engine, server, gateway
     gateway.shutdown()
+    gateway.server_close()
     server.shutdown(timeout=30.0)
 
 
@@ -118,12 +128,14 @@ class TestObservabilityEndpoints:
     def test_timeseries_bad_metric_is_400(self, stack):
         _engine, _server, gateway = stack
         self._serve_one(gateway)
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{gateway.address}/v1/timeseries?metric=bogus.path")
-        assert excinfo.value.code == 400
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{gateway.address}/v1/timeseries?windows=soon")
-        assert excinfo.value.code == 400
+        code, _headers, _body = _http_error(
+            _get, f"{gateway.address}/v1/timeseries?metric=bogus.path"
+        )
+        assert code == 400
+        code, _headers, _body = _http_error(
+            _get, f"{gateway.address}/v1/timeseries?windows=soon"
+        )
+        assert code == 400
 
     def test_profile_reports_disabled_but_serves_hotspots(self, stack):
         _engine, _server, gateway = stack
@@ -139,10 +151,11 @@ class TestObservabilityEndpoints:
         from repro.obs.events import KNOWN_KINDS
 
         _engine, _server, gateway = stack
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{gateway.address}/v1/events?kind=bogus")
-        assert excinfo.value.code == 400
-        body = json.loads(excinfo.value.read())
+        code, _headers, raw = _http_error(
+            _get, f"{gateway.address}/v1/events?kind=bogus"
+        )
+        assert code == 400
+        body = json.loads(raw)
         assert "bogus" in body["error"]
         assert body["known_kinds"] == list(KNOWN_KINDS)
 
@@ -162,31 +175,35 @@ class TestErrors:
             data=b"{not json",
             headers={"Content-Type": "application/json"},
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        code, _headers, _body = _http_error(
+            urllib.request.urlopen, request, timeout=10
+        )
+        assert code == 400
 
     def test_missing_request_field_is_400(self, stack):
         _engine, _server, gateway = stack
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{gateway.address}/v1/map", {"nope": 1})
-        assert excinfo.value.code == 400
+        code, _headers, _body = _http_error(
+            _post, f"{gateway.address}/v1/map", {"nope": 1}
+        )
+        assert code == 400
 
     def test_unknown_searcher_is_400(self, stack):
         _engine, _server, gateway = stack
         request = MappingRequest(PROBLEM, searcher="random", iterations=5, seed=0)
         payload = {"request": request_to_dict(request)}
         payload["request"]["searcher"] = "definitely-not-registered"
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _post(f"{gateway.address}/v1/map", payload)
-        assert excinfo.value.code == 400
-        assert "definitely-not-registered" in json.loads(excinfo.value.read())["error"]
+        code, _headers, body = _http_error(
+            _post, f"{gateway.address}/v1/map", payload
+        )
+        assert code == 400
+        assert "definitely-not-registered" in json.loads(body)["error"]
 
     def test_unknown_path_is_404(self, stack):
         _engine, _server, gateway = stack
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            _get(f"{gateway.address}/v1/unknown")
-        assert excinfo.value.code == 404
+        code, _headers, _body = _http_error(
+            _get, f"{gateway.address}/v1/unknown"
+        )
+        assert code == 404
 
     def test_keep_alive_survives_early_reply_with_body(self, stack):
         """A 404'd POST must drain its body so the next request on the
@@ -244,20 +261,21 @@ class TestErrors:
                 time.sleep(0.01)
             assert server.queue_depth >= 1, "gated request never admitted"
             # ... then the next request must bounce with a retry hint.
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _post(
-                    f"{gateway.address}/v1/map",
-                    {"request": request_to_dict(
-                        MappingRequest(PROBLEM, searcher="random",
-                                       iterations=5, seed=1)
-                    )},
-                    timeout=10,
-                )
-            assert excinfo.value.code == 429
-            assert int(excinfo.value.headers.get("Retry-After")) >= 1
-            assert json.loads(excinfo.value.read())["retry_after_s"] > 0
+            code, headers, body = _http_error(
+                _post,
+                f"{gateway.address}/v1/map",
+                {"request": request_to_dict(
+                    MappingRequest(PROBLEM, searcher="random",
+                                   iterations=5, seed=1)
+                )},
+                timeout=10,
+            )
+            assert code == 429
+            assert int(headers.get("Retry-After")) >= 1
+            assert json.loads(body)["retry_after_s"] > 0
         finally:
             gate.set()
             background.join(timeout=30)
             gateway.shutdown()
+            gateway.server_close()
             server.shutdown(timeout=30.0)
