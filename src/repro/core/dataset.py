@@ -114,7 +114,7 @@ class TargetCodec:
         return float(row[self.total_energy_index] + row[self.cycles_index])
 
     def log2_norm_edp_batch(self, target_rows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`log2_norm_edp` over ``(N, width)`` rows.
+        """Vectorized :meth:`log2_norm_edp` over ``(..., width)`` rows.
 
         Column arithmetic instead of a per-row python call — the difference
         between a batched surrogate prediction being matmul-bound and being
@@ -122,8 +122,8 @@ class TargetCodec:
         """
         rows = np.atleast_2d(np.asarray(target_rows, dtype=np.float64))
         if self.mode == "edp":
-            return rows[:, 0].copy()
-        return rows[:, self.total_energy_index] + rows[:, self.cycles_index]
+            return rows[..., 0].copy()
+        return rows[..., self.total_energy_index] + rows[..., self.cycles_index]
 
     def from_edp_batch(
         self, edps: Sequence[float], lower_bound: AlgorithmicMinimum

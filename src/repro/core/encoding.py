@@ -21,16 +21,40 @@ is 40 — matching the paper's reported input widths exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.mapspace.factors import nearest_composition, nearest_factorizations
+from repro.mapspace.factors import nearest_compositions, nearest_factorizations
 from repro.mapspace.mapping import ALLOC_LEVELS, Mapping, ORDER_LEVELS
 from repro.mapspace.space import MapSpace, shared_loop_order
 from repro.utils import log2_safe
 from repro.workloads.problem import Problem
+
+
+@functools.lru_cache(maxsize=None)
+def _positions(n_dims: int) -> Tuple[float, ...]:
+    """Loop positions normalized to [0, 1], shared by every rank row."""
+    return tuple((np.arange(n_dims, dtype=np.float64) / max(n_dims - 1, 1)).tolist())
+
+
+@functools.lru_cache(maxsize=5040)
+def _order_ranks(dims: Tuple[str, ...], order: Tuple[str, ...]) -> Tuple[float, ...]:
+    """Each dim's normalized rank in ``order``, in ``dims`` order; keyed
+    like the ``shared_loop_order`` tuples mappings carry."""
+    ranks = dict(zip(order, _positions(len(dims))))
+    return tuple(ranks[dim] for dim in dims)
+
+
+@functools.lru_cache(maxsize=256)
+def _pid_row(dims: Tuple[str, ...], names: Tuple[str, ...], bounds: Tuple[int, ...]):
+    """The read-only pid section for a problem's ``(names, bounds)``."""
+    by_name = dict(zip(names, bounds))
+    row = np.array([log2_safe(by_name[dim]) for dim in dims], dtype=np.float64)
+    row.setflags(write=False)
+    return row
 
 
 @dataclass(frozen=True)
@@ -136,24 +160,22 @@ class MappingEncoder:
             np.maximum(tiles, 1e-12)
         ).reshape(n, -1)
         # Loop orders: each dim's rank within each level's permutation,
-        # normalized to [0, 1].
-        n_dims = len(self.dims)
-        dim_index = {dim: i for i, dim in enumerate(self.dims)}
-        positions = np.arange(n_dims, dtype=np.float64) / max(n_dims - 1, 1)
-        ranks = np.empty((n, len(ORDER_LEVELS), n_dims), dtype=np.float64)
-        for row, mapping in enumerate(mappings):
-            for level_idx, order in enumerate(mapping.loop_orders):
-                for position, dim in enumerate(order):
-                    ranks[row, level_idx, dim_index[dim]] = positions[position]
-        batch[:, self.layout.order_slice] = ranks.reshape(n, -1)
+        # normalized to [0, 1], looked up per order tuple.
+        dims = self.dims
+        batch[:, self.layout.order_slice] = [
+            [rank for order in m.loop_orders for rank in _order_ranks(dims, order)]
+            for m in mappings
+        ]
         # Allocations: (N, levels, T) bank counts -> per-level fractions.
         allocation = np.asarray([m.allocation for m in mappings], dtype=np.float64)
         allocation /= allocation.sum(axis=2, keepdims=True)
         batch[:, self.layout.alloc_slice] = allocation.reshape(n, -1)
         return batch
 
-    def decode(self, vector: np.ndarray, space: MapSpace) -> Mapping:
-        """Decode a raw vector into the nearest valid mapping of ``space``.
+    def decode(
+        self, vectors: np.ndarray, spaces: Union[MapSpace, Sequence[MapSpace]]
+    ) -> Union[Mapping, List[Mapping]]:
+        """Decode raw vectors into the nearest valid mappings of their spaces.
 
         This is the "round + project" step of projected gradient descent
         (paper section 4.2): tile factors round to the nearest exact
@@ -161,45 +183,57 @@ class MappingEncoder:
         allocation fractions round to bank compositions, and the result is
         passed through :meth:`MapSpace.project` for capacity repair.
 
-        Every dimension rounds in one vectorized pass over the problem's
-        cached factorization tables, and all three loop orders come from
-        one stable argsort; the result is bitwise what rounding each
-        dimension and level on its own gives (see the decode contract in
-        ``docs/BATCH_CONTRACTS.md``).  A NaN tile entry raises
-        ``ValueError``; infinite ones clip like any out-of-range entry.
+        One ``(length,)`` vector and its space give one mapping; ``(R,
+        length)`` rows and one space per row (any problems of the
+        algorithm) give R.  Tiles, orders and banks of all rows round in
+        one vectorized pass each; only ``project`` runs per row.  Each row
+        is bitwise its per-dimension decode (see the decode contract in
+        ``docs/BATCH_CONTRACTS.md``), interned in its space.  A NaN tile
+        entry raises ``ValueError``; infinite ones clip.
         """
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.shape != (self.length,):
-            raise ValueError(f"vector shape {vector.shape} != ({self.length},)")
-        n_dims, n_tensors = len(self.dims), len(self.tensors)
-        bounds = space.problem.bounds
-        targets = np.exp2(np.clip(vector[self.layout.tile_slice], 0.0, 40.0))
-        tile_factors = nearest_factorizations(
-            tuple(bounds[dim] for dim in self.dims), 4, targets.reshape(n_dims, 4)
+        rows = np.asarray(vectors, dtype=np.float64)
+        single = rows.ndim == 1
+        if single:
+            rows, spaces = rows[None, :], [spaces]
+        if rows.ndim != 2 or rows.shape[1] != self.length:
+            raise ValueError(f"vector shape {rows.shape[single:]} != ({self.length},)")
+        if len(spaces) != len(rows):
+            raise ValueError(f"{len(rows)} rows but {len(spaces)} spaces")
+        if any(space.dims != self.dims for space in spaces):
+            raise ValueError(f"a space's dims differ from encoder dims {self.dims}")
+        n, n_dims, n_tensors = len(rows), len(self.dims), len(self.tensors)
+        targets = np.exp2(np.clip(rows[:, self.layout.tile_slice], 0.0, 40.0))
+        tiles = nearest_factorizations(
+            [space._dim_bounds for space in spaces], 4, targets.reshape(n * n_dims, 4)
         )
-        ranks = vector[self.layout.order_slice].reshape(len(ORDER_LEVELS), n_dims)
-        loop_orders = tuple(
-            shared_loop_order(self.dims, tuple(permutation))
-            for permutation in np.argsort(ranks, axis=1, kind="stable").tolist()
-        )
-        fractions = vector[self.layout.alloc_slice].reshape(len(ALLOC_LEVELS), n_tensors)
-        allocation = tuple(
-            nearest_composition(space.accelerator.banks(level), n_tensors, row)
-            for level, row in zip(ALLOC_LEVELS, fractions)
-        )
-        candidate = Mapping(
-            dims=self.dims,
-            tile_factors=tile_factors,
-            loop_orders=loop_orders,
-            tensors=self.tensors,
-            allocation=allocation,
-        )
-        return space.project(candidate)
+        ranks = rows[:, self.layout.order_slice].reshape(n, len(ORDER_LEVELS), n_dims)
+        permutations = np.argsort(ranks, axis=2, kind="stable").tolist()
+        fractions = rows[:, self.layout.alloc_slice].reshape(-1, len(ALLOC_LEVELS), n_tensors)
+        banks = [
+            nearest_compositions(
+                [space._bank_totals[level] for space in spaces], fractions[:, level]
+            )
+            for level in range(len(ALLOC_LEVELS))
+        ]
+        mappings = []
+        for row, space in enumerate(spaces):
+            intern = space.intern
+            candidate = Mapping(
+                dims=self.dims,
+                tile_factors=intern(tiles[row * n_dims : (row + 1) * n_dims]),
+                loop_orders=intern(tuple(
+                    shared_loop_order(self.dims, tuple(permutation))
+                    for permutation in permutations[row]
+                )),
+                tensors=self.tensors,
+                allocation=intern(tuple(intern(level[row]) for level in banks)),
+            )
+            mappings.append(intern(space.project(candidate)))
+        return mappings[0] if single else mappings
 
     def pid_vector(self, problem: Problem) -> np.ndarray:
-        """Just the pid section for ``problem`` (log2 dimension bounds)."""
-        bounds = problem.bounds
-        return np.array([log2_safe(bounds[d]) for d in self.dims], dtype=np.float64)
+        """The read-only pid section for ``problem`` (log2 dimension bounds)."""
+        return _pid_row(self.dims, problem.dim_names, problem.pid())
 
 
 def encode_batch(

@@ -23,22 +23,23 @@ Crucially the *true* cost model is never queried during the search — only
 the surrogate — which is where the iso-time advantage in Figure 6 comes
 from.
 
-**Vectorized multi-restart.**  ``restarts=R`` runs R independent descent
-chains at once: every ``ask`` proposes all R current points, the batched
-objective stacks them into one ``(R, D)`` forward/backward
-(:meth:`Surrogate.objective_and_gradient_batch`), and ``tell`` applies all
-R projected updates.  One fused pass per iteration instead of R.  BLAS
-blocks the R rows of each product together, so a chain can differ in its
-last bits (and then in a rounding decision) from the same chain run with
-``restarts=1``.  The ``(R, D)`` batch is never split or restacked, so a
-seeded search with a given ``restarts`` is bitwise the same whether it is
-served alone, batched, or routed.
+**Vectorized multi-restart, lockstep cohorts.**  ``restarts=R`` runs R
+descent chains at once: every ``ask`` proposes all R current points, one
+``(R, D)`` forward/backward prices them, and ``tell`` steps all R and
+leaves the rows pending; the next ``ask`` decodes them (the final step's
+decode never runs).  Alone or in a serving cohort, rows are decoded by
+:func:`settle_descents` and batches priced by :func:`prime_descents`, one
+call for many searchers and bitwise the same as for one.  BLAS blocks the
+R rows of a product together, so a chain can differ in its last bits from
+the same chain run with ``restarts=1``; the ``(R, D)`` batch is never
+split or restacked, so a seeded search is bitwise the same served alone,
+batched, or routed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +87,13 @@ class GradientSearcher(Searcher):
                 f"surrogate is for dims {surrogate.encoder.dims}, problem has "
                 f"{space.problem.dim_names}"
             )
+        for setting, value in (
+            ("learning_rate", learning_rate), ("max_escalation", max_escalation),
+            ("initial_temperature", initial_temperature),
+            ("temperature_decay", temperature_decay),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{setting} must be finite, got {value}")
         if learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         if inject_every < 1:
@@ -103,7 +111,10 @@ class GradientSearcher(Searcher):
         self.max_escalation = max_escalation
         self.restarts = restarts
         self._injecting = False
-        self._stash: Optional[Tuple[List[Mapping], np.ndarray, np.ndarray]] = None
+        # (batch, whitened, values, gradients) from prime_descents, and
+        # (told mappings, stepped raw rows) awaiting settle_descents.
+        self._stash: Optional[tuple] = None
+        self._pending: Optional[Tuple[List[Mapping], np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Objective (surrogate only — the true oracle is never queried)
@@ -117,35 +128,19 @@ class GradientSearcher(Searcher):
     def objective_batch(self, mappings: Sequence[Mapping]) -> List[float]:
         """Batch objective, fused with the gradients ``tell`` will need.
 
-        On descent steps, one stacked forward/backward prices the whole
-        batch *and* yields every chain's input gradient; the (whitened,
-        gradient) pair is stashed so the following ``tell`` doesn't
-        recompute the pass.  Injection candidates only need values, so they
-        take the forward-only prediction path (same numbers, no backward).
+        On descent steps the values come from the stash
+        :func:`prime_descents` filled for exactly this batch, so the
+        following ``tell`` doesn't recompute the pass.  Injection
+        candidates only need values, so they take the forward-only
+        prediction path (same numbers, no backward).
         """
         mappings = list(mappings)
-        whitened = self.surrogate.whiten_mappings(mappings, self.problem)
         if self._injecting:
+            whitened = self.surrogate.whiten_mappings(mappings, self.problem)
             return [float(v) for v in self.surrogate.predict_log2_norm_edp(whitened)]
-        values, gradients = self.surrogate.objective_and_gradient_batch(whitened)
-        self._stash = (mappings, whitened, gradients)
-        return [float(v) for v in values]
-
-    def _gradients_for(
-        self, mappings: Sequence[Mapping]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """(whitened, gradients) rows for ``mappings``, from the stash when
-        it matches (the driver evaluates exactly what was asked, possibly
-        truncated to a prefix); recomputed otherwise so external drivers
-        that score candidates elsewhere still descend correctly."""
-        if self._stash is not None:
-            stashed, whitened, gradients = self._stash
-            n = len(mappings)
-            if stashed[:n] == list(mappings):
-                return whitened[:n], gradients[:n]
-        whitened = self.surrogate.whiten_mappings(mappings, self.problem)
-        _, gradients = self.surrogate.objective_and_gradient_batch(whitened)
-        return whitened, gradients
+        if self._stash is None or self._stash[0] != mappings:
+            prime_descents([(self, mappings)])
+        return [float(v) for v in self._stash[2]]
 
     # ------------------------------------------------------------------
     # Ask/tell
@@ -160,15 +155,18 @@ class GradientSearcher(Searcher):
         self._injections = 0
         self._step = 0
         self._injecting = False
-        self._stash: Optional[Tuple[List[Mapping], np.ndarray, np.ndarray]] = None
+        self._stash = None
+        self._pending = None
 
     def ask(self) -> List[Mapping]:
+        settle_descents([self])
         if self._injecting:
             # Step 6: fresh random candidates, one per chain.
             return [self.space.sample(self._rng) for _ in range(len(self._current))]
         return list(self._current)
 
     def tell(self, mappings: Sequence[Mapping], values: Sequence[float]) -> None:
+        settle_descents([self])
         if self._injecting:
             self._tell_injection(mappings, values)
             return
@@ -177,10 +175,15 @@ class GradientSearcher(Searcher):
     def _tell_descent(
         self, mappings: Sequence[Mapping], values: Sequence[float]
     ) -> None:
-        """Steps 2-5 for every chain, vectorized over the batch."""
+        """Steps 2-3 for every chain, vectorized over the batch (step 4 waits
+        for :func:`settle_descents`).  A stash that doesn't match (external
+        drivers score elsewhere) is primed afresh."""
+        mappings = list(mappings)
         n = len(mappings)
-        whitened, gradients = self._gradients_for(mappings)
-        gradients = gradients.copy()
+        if self._stash is None or self._stash[0][:n] != mappings:
+            prime_descents([(self, mappings)])
+        _, whitened, _, gradients = self._stash
+        whitened, gradients = whitened[:n], gradients[:n].copy()
         mapping_slice = self.surrogate.encoder.layout.mapping_slice
         # The pid section conditions the surrogate but is not searchable.
         gradients[:, : mapping_slice.start] = 0.0
@@ -189,21 +192,26 @@ class GradientSearcher(Searcher):
             gradients = gradients / np.where(magnitude > 1e-12, magnitude, 1.0)
         escalation = np.asarray(self._escalation[:n], dtype=np.float64)[:, None]
         updated = whitened - self.learning_rate * escalation * gradients
-        raw = self.surrogate.input_whitener.inverse(updated)
+        self._pending = (mappings, self.surrogate.input_whitener.inverse(updated))
         for i in range(n):
-            decoded = self.surrogate.encoder.decode(raw[i], self.space)
+            self._current_objectives[i] = float(values[i])
+        self._step += 1
+        if self._step % self.inject_every == 0:
+            self._injecting = True
+
+    def _settle(self, decoded: Sequence[Mapping]) -> None:
+        """Step 4's bookkeeping: the decoded rows become the current points."""
+        told, _ = self._pending
+        self._pending = None
+        for i, mapping in enumerate(decoded):
             if self.escalate_when_stuck:
-                if decoded == mappings[i]:
+                if mapping == told[i]:
                     self._escalation[i] = min(
                         self._escalation[i] * 2.0, self.max_escalation
                     )
                 else:
                     self._escalation[i] = 1.0
-            self._current[i] = decoded
-            self._current_objectives[i] = float(values[i])
-        self._step += 1
-        if self._step % self.inject_every == 0:
-            self._injecting = True
+            self._current[i] = mapping
 
     def _tell_injection(
         self, mappings: Sequence[Mapping], values: Sequence[float]
@@ -243,4 +251,39 @@ class GradientSearcher(Searcher):
         return bool(rng.random() < math.exp(-(candidate - current) / temperature))
 
 
-__all__ = ["GradientSearcher"]
+def settle_descents(searchers: Sequence[GradientSearcher]) -> None:
+    """Decode every searcher's pending rows, one
+    :meth:`MappingEncoder.decode` call per encoder whatever the problems."""
+    groups: Dict[int, List[GradientSearcher]] = {}
+    for searcher in searchers:
+        if searcher._pending is not None:
+            groups.setdefault(id(searcher.surrogate.encoder), []).append(searcher)
+    for group in groups.values():
+        rows = [searcher._pending[1] for searcher in group]
+        spaces = [searcher.space for searcher, block in zip(group, rows) for _ in block]
+        decoded = iter(group[0].surrogate.encoder.decode(np.concatenate(rows), spaces))
+        for searcher, block in zip(group, rows):
+            searcher._settle([next(decoded) for _ in block])
+
+
+def prime_descents(
+    batches: Sequence[Tuple[GradientSearcher, Sequence[Mapping]]]
+) -> None:
+    """Price descent batches, one pass per surrogate and row count with the
+    batches stacked on a leading axis (each keeps its bits), and stash each
+    searcher's rows, values and gradients.  Prime exactly the batch the
+    searcher will be asked to price: the budget's prefix."""
+    groups: Dict[Tuple[int, int], List[Tuple[GradientSearcher, List[Mapping]]]] = {}
+    for searcher, batch in batches:
+        if not searcher._injecting:
+            key = (id(searcher.surrogate), len(batch))
+            groups.setdefault(key, []).append((searcher, list(batch)))
+    for group in groups.values():
+        surrogate = group[0][0].surrogate
+        whitened = np.stack([surrogate.whiten_mappings(b, s.problem) for s, b in group])
+        values, gradients = surrogate.objective_and_gradient_batch(whitened)
+        for item, (searcher, batch) in enumerate(group):
+            searcher._stash = (batch, whitened[item], values[item], gradients[item])
+
+
+__all__ = ["GradientSearcher", "prime_descents", "settle_descents"]

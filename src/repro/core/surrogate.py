@@ -195,7 +195,10 @@ class Surrogate:
         """Per-row objectives and input gradients in one fused pass.
 
         ``whitened_inputs`` is ``(N, D)``; returns ``(values, gradients)``
-        of shapes ``(N,)`` and ``(N, D)``.  Values are
+        of shapes ``(N,)`` and ``(N, D)``.  ``(G, N, D)`` items stacked on
+        a leading axis return ``(G, N)`` and ``(G, N, D)``: ``np.matmul``
+        runs each item's own 2-D products, so every item is bitwise its
+        2-D pass (items are never reshaped into one taller matrix).  Values are
         :meth:`predict_log2_norm_edp`'s; one backward from a seed holding
         the target whitener's std in the objective's columns gives exactly
         ``d log2(EDP_hat) / d x`` in whitened input coordinates.  Both are
@@ -210,7 +213,7 @@ class Surrogate:
         if self.codec.mode == "edp":
             columns = [0]
         seed = np.zeros_like(output)
-        seed[:, columns] = self.target_whitener.std[columns]
+        seed[..., columns] = self.target_whitener.std[columns]
         return values, self.network.input_gradient(seed, tape)
 
     def mapping_gradient(

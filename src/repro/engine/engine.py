@@ -141,7 +141,7 @@ class MappingResponse:
     :mod:`repro.obs`): the distributed-trace id a traced serving path
     assigned to this request (empty when served untraced, e.g. by a bare
     ``engine.map``) and the per-stage wall-time breakdown — keys like
-    ``admission_wait_s`` / ``batch_wait_s`` / ``prewarm_s`` / ``kernel_s``
+    ``admission_wait_s`` / ``prepare_s`` / ``prewarm_s`` / ``kernel_s``
     / ``search_rounds_s`` / ``finalize_s`` — whose sum approximates the
     request's observed latency.
     """
@@ -571,16 +571,10 @@ class MappingEngine:
     def map_batch(
         self, requests: Sequence[MappingRequest]
     ) -> List[MappingResponse]:
-        """Serve ``requests`` through the coalescing scheduler, in order.
-
-        Delegates to :func:`repro.serve.cohort.serve_batch`: every request
-        is prepared up front (which materializes the surrogates the batch
-        needs), oracle-driven searches over any mix of problems run in one
-        evaluation cohort (their per-round candidate batches unioned into
-        one prewarmed megabatch), and everything else runs as a cohort of
-        one through the same loop.  Responses are bit-identical to
-        :meth:`map` — per-request seeds and row-exact batched kernels make
-        the output independent of batch composition.
+        """Serve ``requests`` through the coalescing scheduler
+        (:func:`repro.serve.cohort.serve_batch`), in order.  Responses are
+        bit-identical to :meth:`map`: per-request seeds and row-exact
+        batched stages make the output independent of batch composition.
         """
         from repro.serve.cohort import serve_batch
 

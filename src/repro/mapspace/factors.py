@@ -51,26 +51,30 @@ def _factorization_table(
 
 
 def nearest_factorizations(
-    ns: Sequence[int], parts: int, targets: np.ndarray
+    rows: Sequence[Tuple[int, ...]], parts: int, targets: np.ndarray
 ) -> Tuple[Tuple[int, ...], ...]:
-    """The ordered factorization of each ``ns[i]`` closest to ``targets[i]``.
+    """The ordered factorization of each ``n`` closest to its target.
 
-    ``targets`` is an ``(len(ns), parts)`` array of desired (possibly
-    fractional, possibly non-dividing) factors, e.g. produced by a gradient
+    ``rows`` holds tuples of ``n`` (e.g. one problem's bounds per row) and
+    ``targets`` one ``(parts,)`` target per ``n``, rows in order: desired,
+    possibly fractional or non-dividing factors, e.g. from a gradient
     step.  Distance is the squared L2 norm of per-part ``log2`` ratios, so
     halving and doubling a factor are equally wrong — matching the log2
     encoding the surrogate sees.  Non-positive targets are floored at 1e-9.
 
-    One vectorized pass over the concatenated option tables resolves every
-    ``n`` at once.  Distances are summed part by part from left to right
-    and the first minimum of each segment wins, so the result is bitwise
-    the scalar scan's answer (its early break and strict ``<`` reduce to
-    the first argmin).  Raises ``ValueError`` for a NaN or infinite target.
+    One vectorized pass over the rows' cached tables, concatenated per call
+    (the cache never keys on the row mix), resolves every ``n``.
+    Distances are summed part by part from left to right and the first
+    minimum of each segment wins, so the result is bitwise the scalar
+    scan's answer (its early break and strict ``<`` reduce to the first
+    argmin).  Raises ``ValueError`` for a NaN or infinite target.
     """
-    ns = tuple(int(n) for n in ns)
+    ns = [n for row in rows for n in row]
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (len(ns), parts):
         raise ValueError(f"targets shape {targets.shape} != ({len(ns)}, {parts})")
+    if not ns:
+        return ()
     finite = np.isfinite(targets).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -78,10 +82,13 @@ def nearest_factorizations(
             f"cannot round target {tuple(targets[row].tolist())} to a "
             f"factorization of {ns[row]}: target is not finite"
         )
-    want = np.array(
-        [math.log2(max(t, 1e-9)) for t in targets.ravel().tolist()]
-    ).reshape(targets.shape)
-    options, logs, starts, counts = _factorization_table(ns, parts)
+    floored = np.maximum(targets, 1e-9).ravel().tolist()
+    want = np.array(list(map(math.log2, floored))).reshape(targets.shape)
+    tables = [_factorization_table(row, parts) for row in rows]
+    offsets = np.cumsum([0] + [len(table[0]) for table in tables[:-1]])
+    logs = np.concatenate([table[1] for table in tables])
+    counts = np.concatenate([table[3] for table in tables])
+    starts = np.concatenate([t[2] + offset for t, offset in zip(tables, offsets)])
     delta = logs - np.repeat(want, counts, axis=0)
     squared = delta * delta
     distance = squared[:, 0].copy()
@@ -89,8 +96,12 @@ def nearest_factorizations(
         distance += squared[:, part]
     minima = np.repeat(np.minimum.reduceat(distance, starts), counts)
     hits = np.flatnonzero(distance == minima)
-    first = hits[np.searchsorted(hits, starts)]
-    return tuple(options[index] for index in first.tolist())
+    first = iter(hits[np.searchsorted(hits, starts)].tolist())
+    return tuple(
+        table[0][next(first) - offset]
+        for table, offset in zip(tables, offsets.tolist())
+        for _ in table[3]
+    )
 
 
 def nearest_factorization(
@@ -102,7 +113,8 @@ def nearest_factorization(
     """
     if len(target) != parts:
         raise ValueError(f"target has {len(target)} parts, expected {parts}")
-    return nearest_factorizations((n,), parts, [[float(t) for t in target]])[0]
+    target = [[float(t) for t in target]]
+    return nearest_factorizations([(int(n),)], parts, target)[0]
 
 
 def compositions(total: int, parts: int, min_each: int = 1) -> Tuple[Tuple[int, ...], ...]:
@@ -208,9 +220,47 @@ def nearest_composition(
     return tuple(result)
 
 
+def nearest_compositions(
+    totals: Sequence[int], targets: np.ndarray, min_each: int = 1
+) -> List[Tuple[int, ...]]:
+    """:func:`nearest_composition` of ``targets[i]`` into ``totals[i]`` for
+    every row at once, bitwise (the same row-wise sums, divisions, floors
+    and argsort).  A non-finite row raises ``ValueError``, as the scalar's
+    integer conversion does."""
+    desired = np.maximum(np.asarray(targets, dtype=float), 0.0)
+    n_rows, parts = desired.shape
+    totals = np.asarray(totals, dtype=np.int64)
+    spare_totals = totals - parts * min_each
+    if (spare_totals < 0).any():
+        raise ValueError(
+            f"cannot split {totals.min()} into {parts} parts of at least {min_each}"
+        )
+    sums = desired.sum(axis=1)
+    if (sums <= 0).any():
+        desired[sums <= 0] = 1.0
+        sums = desired.sum(axis=1)
+    desired = desired / sums[:, None] * totals[:, None]
+    spare = np.maximum(desired - min_each, 0.0)
+    spare_sums = spare.sum(axis=1)
+    # An all-zero spare row stays all zeros: the scalar's flat branch.
+    spare = spare / np.where(spare_sums <= 0, 1.0, spare_sums)[:, None]
+    spare = spare * spare_totals[:, None]
+    floors = np.floor(spare)
+    if not np.isfinite(floors).all():
+        row = np.asarray(targets)[int(np.argmin(np.isfinite(floors).all(axis=1)))]
+        raise ValueError(f"cannot round target {row.tolist()}: target is not finite")
+    result = min_each + floors.astype(np.int64)
+    remainder = spare_totals - floors.sum(axis=1).astype(np.int64)
+    order = np.argsort(-(spare - floors), axis=1)
+    bumped = np.arange(parts)[None, :] < remainder[:, None]
+    result[np.arange(n_rows)[:, None], order] += bumped
+    return [tuple(row) for row in result.tolist()]
+
+
 __all__ = [
     "compositions",
     "nearest_composition",
+    "nearest_compositions",
     "nearest_factorization",
     "nearest_factorizations",
     "sample_composition",

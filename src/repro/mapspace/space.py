@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +70,8 @@ class MapSpace:
     each buffer level's bank words and bank count.  Sampling, membership
     and projection compute on those tables and build a :class:`Mapping`
     only for what they return.  Exhaustive enumeration stays lazy.
-    Instances are immutable and safe to share between searchers.
+    Instances are immutable apart from an append-only intern table of
+    equal values (see :meth:`intern`), and safe to share between searchers.
     """
 
     def __init__(self, problem: Problem, accelerator: Accelerator) -> None:
@@ -107,6 +108,13 @@ class MapSpace:
         self._bank_words = tuple(accelerator.bank_words(level) for level in ALLOC_LEVELS)
         self._num_pes = accelerator.num_pes
         self._movable = tuple(dim for dim in self.dims if self._bounds[dim] > 1)
+        self._interned: Dict[object, object] = {}
+
+    def intern(self, value: Any) -> Any:
+        """``value``, or the equal value this space interned first: decode
+        and project's repair path share the equal mappings (and parts) a
+        search retains.  Callers still compare by ``==``."""
+        return self._interned.setdefault(value, value)
 
     # ------------------------------------------------------------------
     # Validity
@@ -325,7 +333,8 @@ class MapSpace:
 
         A valid mapping comes back as itself, and whatever needs no repair
         keeps its input tuple: immutable parts are shared, so the many
-        near-identical mappings a search retains cost less.
+        near-identical mappings a search retains cost less.  What the
+        repair builds is interned (:meth:`intern`).
         """
         if self.is_member(mapping):
             return mapping
@@ -338,10 +347,11 @@ class MapSpace:
         self._cap_spatial(tile_factors)
         allocation = self._repair_allocation(mapping)
         tile_factors = self._repair_capacity(tile_factors, allocation)
-        factors = tuple(
-            original if list(original) == repaired else tuple(repaired)
+        intern = self.intern
+        factors = intern(tuple(
+            original if list(original) == repaired else intern(tuple(repaired))
             for original, repaired in zip(mapping.tile_factors, tile_factors)
-        )
+        ))
         if (
             factors == mapping.tile_factors
             and allocation == mapping.allocation
@@ -349,21 +359,21 @@ class MapSpace:
             and mapping.tensors == self.tensor_names
         ):
             return mapping
-        return Mapping(
+        return intern(Mapping(
             dims=self.dims,
             tile_factors=factors,
             loop_orders=mapping.loop_orders,
             tensors=self.tensor_names,
             allocation=allocation,
-        )
+        ))
 
     def _repair_allocation(self, mapping: Mapping) -> Tuple[Tuple[int, ...], ...]:
         allocation = []
         for total, banks in zip(self._bank_totals, mapping.allocation):
             if sum(banks) > total or any(b < 1 for b in banks):
                 banks = nearest_composition(total, len(banks), banks)
-            allocation.append(tuple(banks))
-        return tuple(allocation)
+            allocation.append(self.intern(tuple(banks)))
+        return self.intern(tuple(allocation))
 
     def _repair_capacity(
         self,

@@ -4,9 +4,9 @@ The serving stack spans six layers (gateway -> server -> batcher -> cohort
 -> oracle -> megabatch kernel, optionally behind the cluster router), and a
 slow request can lose its time in any of them.  This module gives every
 request a **trace**: a tree of timed spans plus a small per-stage duration
-breakdown (``admission_wait_s``, ``batch_wait_s``, ``prewarm_s``,
-``kernel_s``, ``search_rounds_s``, ``finalize_s``) that sums — within
-scheduling slack — to the request's observed wall latency.
+breakdown (``admission_wait_s``, ``batch_wait_s``, ``prepare_s``,
+``prewarm_s``, ``kernel_s``, ``search_rounds_s``, ``finalize_s``) that
+sums — within scheduling slack — to the request's observed wall latency.
 
 Design constraints, in order:
 

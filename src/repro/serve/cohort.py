@@ -1,42 +1,39 @@
-"""Lockstep evaluation cohorts: many concurrent searches, one oracle batch.
+"""Lockstep cohorts: many concurrent searches, one batch per stage.
 
-A *cohort* is a set of prepared searches — over any mix of problems —
-driven through the batched ask/tell protocol in lockstep.  Each round,
-every live search proposes its candidate batch; the union of all batches,
-across **all** live problems, is prewarmed into the engine's shared
+A *cohort* is a set of prepared searches — over any mix of problems and
+searchers — driven through the batched ask/tell protocol in lockstep.
+Each round, the oracle searches' candidate batches, across **all** live
+problems, are prewarmed into the engine's shared
 :class:`~repro.costmodel.cache.CachedOracle` with a single
-``prewarm_grouped`` — one partitioned cache query, one cross-problem
-megabatch pass of the cost kernels over the whole union — and then each
-search's own metered budget replays its batch from cache.  Independent
-requests thereby share the wide vectorized path the backend is fastest at
-(the megabatched analytical kernels) while every per-search decision
-stays untouched.  A diverse traffic mix no longer degenerates toward one
-kernel call per distinct problem per round: the round is one call however
-many problems are live.
+``prewarm_grouped`` (one cross-problem megabatch pass of the cost
+kernels), and each search's own metered budget replays its batch from
+cache.  Mind Mappings (``gradient``) searches share the other stages of
+their step: every live member's pending rows are decoded in one call and
+its descent batch priced in one stacked surrogate pass
+(``settle_descents``, ``prime_descents``).
 
 **Determinism.**  Each member runs *exactly* the generic driver loop of
 :meth:`repro.search.base.Searcher.run` — same reset, same
-ask → ``budget.evaluate_many`` → tell sequence, same budget truncation —
-so the only thing coalescing changes is which inner batch computed a
-cached value first.  The batched cost kernels are row-exact — a mapping's
-row is bitwise independent of its batchmates, including batchmates over
-*other* problems in a megabatched union (pinned by
-``tests/test_serve_cohort.py`` and ``tests/test_costmodel_megabatch.py``)
-— so the values a search is told, and hence its full trace and response,
-are bit-identical to serving it solo.
+ask → ``budget.evaluate_many`` → tell sequence, same budget truncation.
+The cost kernels, the decode and the stacked pass are row-exact — a row
+is bitwise independent of its batchmates, over any problems (pinned by
+``tests/test_serve_cohort.py``, ``tests/test_costmodel_megabatch.py``,
+``tests/test_decode_parity.py`` and
+``tests/test_surrogate_pass_parity.py``) — so a search's full trace and
+response are bit-identical to serving it solo.
 
-Cohort-ineligible requests (surrogate-driven searchers whose evaluation is
-already one stacked forward per round, caller-supplied oracles, wall-clock
-time budgets) run through the same loop as cohorts of one: a single
-member never prewarms, so its loop is exactly :meth:`Searcher.run`'s.
+Cohort-ineligible requests (caller-supplied oracles, wall-clock time
+budgets) run through the same loop as cohorts of one: a single member
+never prewarms, so its loop is exactly :meth:`Searcher.run`'s.
 :func:`run_cohort` is the one search loop of the serving path, and
 :meth:`MappingEngine.map` stays the solo reference.
 
-**Tracing.**  Each traced member records one ``search`` span, open from
-its cohort's start until the member finishes; the shared prewarm kernels
-and its own kernel spans nest under it.  Its ``search_rounds_s`` stage is
-settled once, at finish: the span's wall time minus the ``kernel_s`` and
-``prewarm_s`` that accrued inside it.
+**Tracing.**  Each traced request records one ``prepare`` span
+(``prepare_s``, including a surrogate trained on first use), then one
+``search`` span, open from its cohort's start until the member finishes;
+the shared prewarm kernels and its own kernel spans nest under it.  Its
+``search_rounds_s`` stage is settled once, at finish: the span's wall
+time minus the ``kernel_s`` and ``prewarm_s`` that accrued inside it.
 
 **Timing semantics.**  Bit-identity covers mappings, statistics, and
 objective traces — not clocks.  A cohort member's ``search_time_s``,
@@ -53,6 +50,7 @@ from __future__ import annotations
 import time
 from typing import List, Optional, Sequence, Tuple
 
+from repro.core.gradient_search import GradientSearcher, prime_descents, settle_descents
 from repro.costmodel.cache import CachedOracle
 from repro.obs import trace as obs_trace
 from repro.engine.engine import (
@@ -97,6 +95,7 @@ class _Member:
         self.index = index
         self.prepared = prepared
         self.searcher = prepared.searcher
+        self.descends = isinstance(self.searcher, GradientSearcher)
         self.handle = handle
         self.span_id: Optional[str] = None
         if handle is not None:
@@ -131,19 +130,25 @@ class _Member:
         handle.add_stage("search_rounds_s", max(end - started - inside, 0.0))
 
 
-def coalescible(engine: MappingEngine, prepared: PreparedSearch) -> bool:
-    """True when this search may join a prewarm cohort.
+def _handle_at(index: int) -> Optional[obs_trace.TraceHandle]:
+    """The open trace handle of batch item ``index`` in the ambient context."""
+    outer = obs_trace.current_handles()
+    handle = outer[index] if index < len(outer) else None
+    return None if handle is None or handle.closed else handle
 
-    Requires the engine's own memoizing oracle on the search path (the
-    prewarm writes there) and no wall-clock time budget (deadline
-    truncation depends on elapsed time, which coalescing would change —
-    such requests run as cohorts of one so their traces stay
-    self-consistent).
+
+def coalescible(engine: MappingEngine, prepared: PreparedSearch) -> bool:
+    """True when this search may join the lockstep cohort.
+
+    Requires no wall-clock time budget (deadline truncation depends on
+    elapsed time, which coalescing would change), and either a
+    ``gradient`` searcher or the engine's own memoizing oracle on the
+    search path (the prewarm writes there).
     """
-    return (
-        prepared.uses_engine_oracle
-        and isinstance(engine.oracle, CachedOracle)
-        and prepared.request.time_budget_s is None
+    if prepared.request.time_budget_s is not None:
+        return False
+    return isinstance(prepared.searcher, GradientSearcher) or (
+        prepared.uses_engine_oracle and isinstance(engine.oracle, CachedOracle)
     )
 
 
@@ -196,13 +201,7 @@ def run_cohort(
     trace handle out of the ambient context, which the server activates
     index-aligned with the batch's request list.
     """
-    outer = obs_trace.current_handles()
-
-    def handle_at(index: int) -> Optional[obs_trace.TraceHandle]:
-        handle = outer[index] if index < len(outer) else None
-        return None if handle is None or handle.closed else handle
-
-    handles = [handle_at(index) for index, _ in searches]
+    handles = [_handle_at(index) for index, _ in searches]
     started = next((h.now() for h in handles if h is not None), 0.0)
     search_started = time.perf_counter()
     live = [
@@ -228,6 +227,11 @@ def run_cohort(
         finished.append((member.index, response))
 
     while live:
+        # One shared decode for the members that will ask again.
+        settle_descents([
+            member.searcher for member in live
+            if member.descends and not member.budget.exhausted
+        ])
         round_pairs: List[Tuple[_Member, List[Mapping]]] = []
         for member in live:
             if member.budget.exhausted:
@@ -238,8 +242,14 @@ def run_cohort(
                 finish(member)
                 continue
             round_pairs.append((member, batch))
-        if len(round_pairs) > 1:
-            _prewarm(engine, round_pairs)
+        # Budget truncation is anticipated (prefixes only), as in _prewarm.
+        prime_descents([
+            (member.searcher, batch[: member.budget.remaining])
+            for member, batch in round_pairs if member.descends
+        ])
+        oracle_pairs = [p for p in round_pairs if p[0].prepared.uses_engine_oracle]
+        if len(oracle_pairs) > 1:
+            _prewarm(engine, oracle_pairs)
         for member, batch in round_pairs:
             # Replays are cache hits after a prewarm; any residual miss
             # (e.g. a sub-floor union) is this member's own kernel work.
@@ -255,18 +265,24 @@ def serve_batch(
 ) -> List[MappingResponse]:
     """Serve ``requests`` with cohort coalescing, preserving input order.
 
-    Every request is prepared first, which materializes every surrogate
-    the batch needs before any search runs (training is the one engine
-    mutation; front-loading it keeps the searches read-only on shared
-    state).  Each cohort-ineligible request then runs as a cohort of one,
-    in input order; every cohort-eligible search — whatever its problem —
-    joins **one** mixed cohort whose rounds union candidates across all
-    live problems into a single megabatched prewarm.
+    Every request is prepared first (one ``prepare`` span each), which
+    materializes every surrogate the batch needs before any search runs
+    (training is the one engine mutation; front-loading it keeps the
+    searches read-only on shared state).  Each cohort-ineligible request
+    then runs as a cohort of one, in input order; every cohort-eligible
+    search — whatever its problem or searcher — joins **one** mixed
+    cohort.
     """
     cohorts: List[List[Tuple[int, PreparedSearch]]] = []
     lockstep: List[Tuple[int, PreparedSearch]] = []
     for index, request in enumerate(requests):
-        prepared = engine._prepare_search(request)
+        handle = _handle_at(index)
+        span_id = None if handle is None else handle.open_span("prepare")
+        try:
+            prepared = engine._prepare_search(request)
+        finally:
+            if handle is not None:
+                handle.close_span(span_id, stage="prepare_s")
         if coalescible(engine, prepared):
             lockstep.append((index, prepared))
         else:

@@ -1,5 +1,7 @@
 """Tests for the mapping <-> vector codec."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,27 @@ class TestEncodeBatch:
             np.testing.assert_array_equal(
                 batch[row], encoder.encode(mapping, cnn_problem)
             )
+
+    def test_order_ranks_match_the_loop_reference(self, cnn_space, cnn_problem):
+        """Ranks looked up per order tuple equal the per-dimension loop
+        they replaced, bitwise, and the pid section is ``log2`` bounds."""
+        encoder = MappingEncoder.for_problem(cnn_problem)
+        mappings = cnn_space.sample_many(32, seed=11)
+        batch = encoder.encode_batch(mappings, cnn_problem)
+        n_dims = len(encoder.dims)
+        positions = np.arange(n_dims, dtype=np.float64) / max(n_dims - 1, 1)
+        reference = np.empty((len(mappings), 3, n_dims))
+        for row, mapping in enumerate(mappings):
+            for level, order in enumerate(mapping.loop_orders):
+                for position, dim in enumerate(order):
+                    reference[row, level, encoder.dims.index(dim)] = positions[position]
+        assert batch[:, encoder.layout.order_slice].tobytes() == (
+            reference.reshape(len(mappings), -1).tobytes()
+        )
+        bounds = cnn_problem.bounds
+        assert batch[0, encoder.layout.pid_slice].tolist() == [
+            math.log2(bounds[dim]) for dim in encoder.dims
+        ]
 
     def test_module_level_function_matches_method(self, cnn_space, cnn_problem):
         from repro.core.encoding import encode_batch

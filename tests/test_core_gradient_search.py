@@ -1,5 +1,7 @@
 """Tests for Phase 2 projected gradient descent."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,34 @@ class TestGradientSearcher:
             GradientSearcher(cnn_space, trained_mm.surrogate, learning_rate=0.0)
         with pytest.raises(ValueError):
             GradientSearcher(cnn_space, trained_mm.surrogate, inject_every=0)
+
+    @pytest.mark.parametrize("setting", ["learning_rate", "initial_temperature",
+                                         "temperature_decay", "max_escalation"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_settings_rejected(self, trained_mm, cnn_space, setting, bad):
+        # NaN slipped past ``learning_rate <= 0`` and failed mid-search (or,
+        # for max_escalation, was served silently); reject it up front.
+        with pytest.raises(ValueError, match=rf"{setting} must be finite"):
+            GradientSearcher(cnn_space, trained_mm.surrogate, **{setting: bad})
+
+    def test_decode_is_lazy_and_the_last_one_skipped(
+        self, trained_mm, cnn_space, monkeypatch
+    ):
+        """Each descent's rows are decoded by the next ``ask``, all of a
+        step's rows in one call; the final step's decode never runs."""
+        encoder = trained_mm.surrogate.encoder
+        calls = []
+        decode = type(encoder).decode
+
+        def counting(self, rows, spaces):
+            calls.append(np.shape(rows))
+            return decode(self, rows, spaces)
+
+        monkeypatch.setattr(type(encoder), "decode", counting)
+        searcher = GradientSearcher(cnn_space, trained_mm.surrogate, restarts=3)
+        result = searcher.search(15, seed=0)  # five descent steps of 3 rows
+        assert result.n_evaluations == 15
+        assert calls == [(3, encoder.length)] * 4
 
     def test_time_budget_respected(self, trained_mm, cnn_space):
         searcher = GradientSearcher(cnn_space, trained_mm.surrogate)

@@ -19,7 +19,11 @@ from repro.core import MappingEncoder
 from repro.costmodel.accelerator import default_accelerator
 from repro.mapspace import MapSpace
 from repro.mapspace import factors as factors_module
-from repro.mapspace.factors import nearest_composition, nearest_factorization
+from repro.mapspace.factors import (
+    nearest_composition,
+    nearest_compositions,
+    nearest_factorization,
+)
 from repro.mapspace.mapping import ALLOC_LEVELS, ORDER_LEVELS, Mapping
 from repro.utils import factorizations
 from repro.workloads import TABLE1_PROBLEMS, TRANSFORMER_PROBLEMS
@@ -251,3 +255,86 @@ def test_sample_loop_orders_are_plain_str_from_the_same_stream():
         indices = by_index.permutation(len(space.dims))
         assert tuple(names) == tuple(space.dims[i] for i in indices)
         assert by_name.integers(0, 2**32) == by_index.integers(0, 2**32)
+
+
+# ----------------------------------------------------------------------
+# Row-batched decode: (R, L) rows, one space per row
+# ----------------------------------------------------------------------
+
+CNN_LAYERS = tuple(p for p in TABLE1_PROBLEMS if p.algorithm == "cnn-layer")
+
+
+def _row_mix(encoder, seed):
+    """Perturbed, clipped, ±inf and tied rows of every CNN layer, shuffled."""
+    rows, spaces = [], []
+    for index, problem in enumerate(CNN_LAYERS):
+        space = MapSpace(problem, _ACCELERATOR)
+        vectors = _perturbed_encodings(encoder, space, seed=10 * seed + index)
+        rows.append(vectors)
+        spaces.extend([space] * len(vectors))
+    order = np.random.default_rng(seed).permutation(len(spaces))
+    return np.concatenate(rows)[order], [spaces[i] for i in order]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_row_decode_matches_one_row_decode(seed):
+    """Every row of a mixed-layer decode equals, by ``==`` and ``repr``,
+    the row decoded alone on a space of its own (no shared intern table),
+    whatever its batchmates; every fourth row also equals the reference."""
+    encoder = MappingEncoder.for_problem(CNN_LAYERS[0])
+    rows, spaces = _row_mix(encoder, seed)
+    rng = np.random.default_rng(seed)
+    start = 0
+    while start < len(rows):
+        size = int(rng.integers(1, 17))
+        block = slice(start, start + size)
+        decoded = encoder.decode(rows[block], spaces[block])
+        assert len(decoded) == len(rows[block])
+        for offset, (row, space, mapping) in enumerate(
+            zip(rows[block], spaces[block], decoded)
+        ):
+            alone = encoder.decode(row, MapSpace(space.problem, _ACCELERATOR))
+            assert_bitwise_equal(mapping, alone)
+            if (start + offset) % 4 == 0:
+                assert_bitwise_equal(mapping, reference_decode(encoder, row, space))
+        start += size
+
+
+def test_row_decode_of_one_problem_and_empty_rows():
+    encoder = MappingEncoder.for_problem(CNN_LAYERS[1])
+    space = MapSpace(CNN_LAYERS[1], _ACCELERATOR)
+    rows = _perturbed_encodings(encoder, space, seed=3)[:6]
+    assert encoder.decode(rows, [space] * 6) == [
+        encoder.decode(row, space) for row in rows
+    ]
+    assert encoder.decode(rows[:0], []) == []
+    with pytest.raises(ValueError, match="spaces"):
+        encoder.decode(rows, [space])
+
+
+def test_row_decode_nan_row_raises_naming_the_bound():
+    encoder = MappingEncoder.for_problem(CNN_LAYERS[0])
+    rows, spaces = _row_mix(encoder, 0)
+    rows, spaces = rows[:5].copy(), spaces[:5]
+    rows[3, encoder.layout.tile_slice.start + 9] = np.nan  # dim 2, slot 1
+    bound = spaces[3]._dim_bounds[2]
+    with pytest.raises(ValueError, match=rf"nan.*factorization of {bound}\b"):
+        encoder.decode(rows, spaces)
+
+
+def test_row_compositions_match_the_scalar_rounding():
+    """``nearest_compositions`` is, row by row, ``nearest_composition``:
+    zero, negative, tied and wide-ranging fractions over several totals."""
+    rng = np.random.default_rng(0)
+    for parts in (1, 2, 3, 4, 5):
+        for scale in (1e-3, 0.3, 2.0, 50.0, 1e6):
+            targets = rng.normal(0.3, scale, size=(200, parts))
+            targets[::7] = 0.0
+            targets[1::11] = -1.0
+            targets[2::13] = rng.integers(0, 3, size=targets[2::13].shape)
+            totals = rng.choice([parts, 7, 16, 64], size=len(targets))
+            rows = nearest_compositions(totals, targets)
+            for total, target, row in zip(totals.tolist(), targets, rows):
+                assert_bitwise_equal(row, nearest_composition(total, parts, target))
+    with pytest.raises(ValueError, match="not finite"):
+        nearest_compositions([16], np.array([[np.nan, 1.0, 1.0]]))

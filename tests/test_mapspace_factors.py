@@ -56,12 +56,22 @@ class TestNearestFactorization:
 
     def test_batched_rounding_resolves_each_n(self):
         assert nearest_factorizations(
-            (24, 36, 1), 3, [[2, 3, 4], [6, 6, 1], [5, 5, 5]]
+            [(24, 36, 1)], 3, [[2, 3, 4], [6, 6, 1], [5, 5, 5]]
         ) == ((2, 3, 4), (6, 6, 1), (1, 1, 1))
+
+    def test_rows_resolve_against_their_own_tables(self):
+        """Rows of different bounds concatenate their own cached tables."""
+        targets = [[2, 3, 4], [6, 6, 1], [6, 6, 1], [2, 3, 4], [5, 5, 5]]
+        rows = [(24, 36), (36,), (24, 1)]
+        expected = tuple(
+            nearest_factorization(n, 3, target)
+            for n, target in zip((24, 36, 36, 24, 1), targets)
+        )
+        assert nearest_factorizations(rows, 3, targets) == expected
 
     def test_batched_rounding_checks_the_target_shape(self):
         with pytest.raises(ValueError, match="shape"):
-            nearest_factorizations((24, 36), 3, [[2, 3, 4]])
+            nearest_factorizations([(24, 36)], 3, [[2, 3, 4]])
 
     @given(
         st.integers(min_value=1, max_value=256),

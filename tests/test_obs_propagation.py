@@ -132,6 +132,33 @@ class TestServerTraces:
         finally:
             server.shutdown(timeout=10.0)
 
+    def test_untrained_surrogate_is_timed_in_prepare(self):
+        """Training a surrogate on first use happens while the request is
+        prepared; the ``prepare`` span times it, so the stages still sum
+        to the wall time."""
+        engine = MappingEngine(small_accelerator(), EngineConfig(
+            mm_config=MindMappingsConfig(
+                dataset_samples=600, n_problems=2,
+                training=TrainingConfig(hidden_layers=(16, 16), epochs=3),
+            ),
+            training_problems={"conv1d": (
+                make_conv1d("obs_cold_a", w=48, r=3),
+                make_conv1d("obs_cold_b", w=64, r=5),
+            )},
+        ))
+        server = MappingServer(
+            engine, ServeConfig(max_batch=4, max_wait_s=0.005, workers=1)
+        )
+        try:
+            response = server.submit(
+                _request(seed=2, tag="cold", searcher="gradient", iterations=20)
+            ).result(timeout=120)
+            _assert_complete_trace(server, response)
+            assert response.stages["prepare_s"] > 0.0
+            assert "prepare" in _span_names(server.trace_snapshot(response.trace_id))
+        finally:
+            server.shutdown(timeout=10.0)
+
     def test_span_count_does_not_grow_with_iterations(self, engine):
         # One ``search`` span per request, however many rounds it runs.
         server = MappingServer(

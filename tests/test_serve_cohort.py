@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import MindMappingsConfig, TrainingConfig
+from repro.core.encoding import MappingEncoder
+from repro.core.surrogate import Surrogate
 from repro.costmodel import CostModel
 from repro.costmodel.accelerator import small_accelerator
 from repro.engine import AnalyticalOracle, EngineConfig, MappingEngine, MappingRequest
@@ -12,10 +14,44 @@ from repro.workloads import make_conv1d, problem_by_name
 
 PROBLEM = make_conv1d("cohort_target", w=32, r=5)
 
+#: A tiny Mind Mappings recipe: trains in about a second.
+MM_ENGINE_CONFIG = EngineConfig(
+    mm_config=MindMappingsConfig(
+        dataset_samples=600, n_problems=2,
+        training=TrainingConfig(hidden_layers=(16, 16), epochs=3),
+    ),
+    training_problems={"conv1d": (
+        make_conv1d("cohort_train_a", w=48, r=3),
+        make_conv1d("cohort_train_b", w=64, r=5),
+    )},
+)
+
 
 @pytest.fixture()
 def engine():
     return MappingEngine(small_accelerator(), EngineConfig())
+
+
+@pytest.fixture(scope="module")
+def mm_engine():
+    """An engine whose conv1d surrogate is trained up front."""
+    engine = MappingEngine(small_accelerator(), MM_ENGINE_CONFIG)
+    engine.pipeline_for("conv1d")
+    return engine
+
+
+def assert_same_as_solo(engine, requests, responses):
+    """Each response equals solo ``engine.map``: mapping, EDP, the
+    objective trace and every visited mapping."""
+    assert [r.tag for r in responses] == [r.tag for r in requests]
+    for request, response in zip(requests, responses):
+        solo = engine.map(request)
+        assert response.mapping == solo.mapping, request.tag
+        assert response.stats.edp == solo.stats.edp, request.tag
+        assert (
+            response.result.objective_values == solo.result.objective_values
+        ), request.tag
+        assert response.result.mappings == solo.result.mappings, request.tag
 
 
 class TestRowExactness:
@@ -61,6 +97,19 @@ class TestEligibility:
             )
         )
         assert not coalescible(engine, prepared)
+
+    def test_gradient_searches_are_coalescible(self, mm_engine):
+        prepared = mm_engine._prepare_search(
+            MappingRequest(PROBLEM, searcher="gradient", iterations=5, seed=0)
+        )
+        assert coalescible(mm_engine, prepared)
+
+    def test_time_budgeted_gradient_runs_solo(self, mm_engine):
+        prepared = mm_engine._prepare_search(
+            MappingRequest(PROBLEM, searcher="gradient", iterations=5, seed=0,
+                           time_budget_s=10.0)
+        )
+        assert not coalescible(mm_engine, prepared)
 
     def test_uncached_engine_oracle_disables_coalescing(self):
         accelerator = small_accelerator()
@@ -110,20 +159,12 @@ class TestServeBatch:
         assert batched.mapping == solo.mapping
         assert batched.result.objective_values == solo.result.objective_values
 
-    def test_mixed_batch_runs_every_request_through_cohorts(self):
-        """``gradient`` and time-budgeted requests run as cohorts of one
-        beside the coalescible lockstep cohort: input order holds, and
-        every response equals solo ``engine.map``."""
-        engine = MappingEngine(small_accelerator(), EngineConfig(
-            mm_config=MindMappingsConfig(
-                dataset_samples=600, n_problems=2,
-                training=TrainingConfig(hidden_layers=(16, 16), epochs=3),
-            ),
-            training_problems={"conv1d": (
-                make_conv1d("cohort_train_a", w=48, r=3),
-                make_conv1d("cohort_train_b", w=64, r=5),
-            )},
-        ))
+    def test_mixed_batch_runs_every_request_through_cohorts(self, mm_engine):
+        """A ``gradient`` request joins the lockstep cohort beside the
+        oracle searches, and a time-budgeted request runs as a cohort of
+        one: input order holds, and every response equals solo
+        ``engine.map``."""
+        engine = mm_engine
         other = make_conv1d("cohort_other", w=48, r=3)
         requests = [
             MappingRequest(PROBLEM, searcher="random", iterations=16, seed=0,
@@ -135,16 +176,8 @@ class TestServeBatch:
             MappingRequest(other, searcher="annealing", iterations=20,
                            seed=3, time_budget_s=60.0, tag="budgeted"),
         ]
-        responses = serve_batch(engine, requests)
-        assert [r.tag for r in responses] == [r.tag for r in requests]
-        for request, response in zip(requests, responses):
-            solo = engine.map(request)
-            assert response.mapping == solo.mapping, request.tag
-            assert response.stats.edp == solo.stats.edp, request.tag
-            assert (
-                response.result.objective_values
-                == solo.result.objective_values
-            ), request.tag
+        assert coalescible(engine, engine._prepare_search(requests[1]))
+        assert_same_as_solo(engine, requests, serve_batch(engine, requests))
 
     def test_time_budget_member_served_inside_batch(self, engine):
         requests = [
@@ -171,6 +204,65 @@ class TestServeBatch:
         for left, right in zip(solo, batched):
             assert left.mapping == right.mapping
             assert left.n_evaluations == right.n_evaluations
+
+
+class TestGradientLockstep:
+    """Mind Mappings members share one decode and one stacked surrogate
+    pass per round, and each stays bitwise its solo search."""
+
+    PROBLEMS = (
+        make_conv1d("lockstep_a", w=32, r=5),
+        make_conv1d("lockstep_b", w=48, r=3),
+        make_conv1d("lockstep_c", w=40, r=4),
+    )
+
+    def _requests(self):
+        a, b, c = self.PROBLEMS
+        gradient = [
+            # (problem, iterations, restarts): counts that differ and are
+            # not multiples of inject_every (10), and a restarts=4 search
+            # of 10 iterations whose last round the budget truncates.
+            (a, 23, 1), (b, 37, 1), (c, 41, 4), (a, 10, 4), (b, 29, 4),
+            (c, 17, 1),
+        ]
+        requests = [
+            MappingRequest(problem, searcher="gradient", iterations=iterations,
+                           seed=index, searcher_config={"restarts": restarts},
+                           tag=f"mm{index}")
+            for index, (problem, iterations, restarts) in enumerate(gradient)
+        ]
+        requests.insert(2, MappingRequest(a, searcher="random", iterations=16,
+                                          seed=7, tag="random"))
+        requests.append(MappingRequest(c, searcher="genetic", iterations=24,
+                                       seed=8, tag="genetic"))
+        return requests
+
+    def test_members_share_decode_and_pass_and_match_solo(
+        self, mm_engine, monkeypatch
+    ):
+        decode_rows, pass_items = [], []
+        decode = MappingEncoder.decode
+        forward = Surrogate.objective_and_gradient_batch
+
+        def counting_decode(self, rows, spaces):
+            decode_rows.append({space.problem.name for space in spaces})
+            return decode(self, rows, spaces)
+
+        def counting_pass(self, inputs):
+            pass_items.append(inputs.shape)
+            return forward(self, inputs)
+
+        monkeypatch.setattr(MappingEncoder, "decode", counting_decode)
+        monkeypatch.setattr(Surrogate, "objective_and_gradient_batch",
+                            counting_pass)
+        requests = self._requests()
+        responses = serve_batch(mm_engine, requests)
+        # Rows of all three problems decoded in one call, and items of
+        # several searches stacked into one pass.
+        assert max(len(problems) for problems in decode_rows) == 3
+        assert max(shape[0] for shape in pass_items if len(shape) == 3) >= 3
+        monkeypatch.undo()
+        assert_same_as_solo(mm_engine, requests, responses)
 
 
 class _CountingInner:
@@ -259,3 +351,39 @@ class TestCrossProblemCohort:
             solo = solo_engine.map(request)
             assert solo.mapping == response.mapping
             assert solo.stats.edp == response.stats.edp
+
+
+class TestRoutedGradient:
+    def test_routed_gradient_requests_equal_solo(self, mm_engine):
+        """Gradient requests submitted together through a one-shard
+        ``ClusterRouter`` (a real shard process training the same tiny
+        surrogate) equal solo ``engine.map`` bitwise.  Routed replies carry
+        no evaluation trace, so the best objective stands in for it."""
+        from repro.cluster.router import ClusterConfig, ClusterRouter
+        from repro.serve import ServeConfig
+
+        problems = TestGradientLockstep.PROBLEMS[:2]
+        requests = [
+            MappingRequest(problems[seed % 2], searcher="gradient",
+                           iterations=27, seed=seed, tag=f"routed{seed}")
+            for seed in range(4)
+        ]
+        router = ClusterRouter(ClusterConfig(
+            num_shards=1,
+            accelerator=small_accelerator(),
+            engine=MM_ENGINE_CONFIG,
+            serve=ServeConfig(max_batch=8, max_wait_s=0.2, workers=1),
+            health_interval_s=0.2,
+        )).start()
+        try:
+            futures = [router.submit(request) for request in requests]
+            responses = [future.result(timeout=120) for future in futures]
+        finally:
+            assert router.shutdown(timeout=30)
+        for request, response in zip(requests, responses):
+            solo = mm_engine.map(request)
+            assert response.tag == request.tag
+            assert response.mapping == solo.mapping, request.tag
+            assert response.stats.edp == solo.stats.edp, request.tag
+            assert response.best_objective == solo.best_objective, request.tag
+            assert response.n_evaluations == solo.n_evaluations, request.tag

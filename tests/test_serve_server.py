@@ -481,6 +481,49 @@ class TestLifecycle:
         assert snapshot["counters"]["errors"] == 1
         assert snapshot["counters"]["served"] == 3
 
+    def test_poisoned_gradient_member_fails_alone(self):
+        """Three gradient requests share a batch and its shared decode; one
+        carries a surrogate clone with a NaN weight.  Its NaN rows make the
+        shared decode raise for the whole round, so the batch is re-run
+        solo: that future fails with ``ValueError`` and the other two
+        equal solo ``engine.map``."""
+        from repro.core import MindMappingsConfig, TrainingConfig
+
+        engine = MappingEngine(small_accelerator(), EngineConfig(
+            mm_config=MindMappingsConfig(
+                dataset_samples=600, n_problems=2,
+                training=TrainingConfig(hidden_layers=(16, 16), epochs=3),
+            ),
+            training_problems={"conv1d": (make_conv1d("poison_a", w=48, r=3),
+                                          make_conv1d("poison_b", w=64, r=5))},
+        ))
+        poisoned = engine.surrogate_for("conv1d").clone()
+        # A NaN input weight of a tile column: every prediction and that
+        # column's gradient turn NaN, so the stepped rows cannot decode.
+        tile_column = poisoned.encoder.layout.tile_slice.start
+        poisoned.network.parameters()[0].data[tile_column, 0] = float("nan")
+        requests = [
+            _request(PROBLEM_A, "gradient", seed=1, iterations=25),
+            MappingRequest(PROBLEM_B, searcher="gradient", iterations=25, seed=2,
+                           searcher_config={"surrogate": poisoned}),
+            _request(PROBLEM_B, "gradient", seed=3, iterations=25),
+        ]
+        with MappingServer(
+            engine, ServeConfig(max_batch=8, max_wait_s=0.2, workers=1)
+        ) as server:
+            futures = [server.submit(request) for request in requests]
+            with pytest.raises(ValueError, match="not finite"):
+                futures[1].result(timeout=60)
+            good = [futures[0].result(timeout=60), futures[2].result(timeout=60)]
+            snapshot = server.metrics_snapshot()
+        assert snapshot["batch_size"]["buckets"] == {"<=4": 1}
+        for request, response in zip(requests[::2], good):
+            solo = engine.map(request)
+            assert response.mapping == solo.mapping
+            assert response.stats.edp == solo.stats.edp
+            assert response.result.objective_values == solo.result.objective_values
+            assert response.result.mappings == solo.result.mappings
+
     def test_cancelled_future_does_not_kill_the_worker(self, engine):
         """cancel() on a queued request must not crash the worker thread,
         strand its batchmates, or wedge shutdown."""

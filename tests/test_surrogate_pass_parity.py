@@ -242,3 +242,30 @@ def test_pass_writes_no_parameter_grad(kind):
     surrogate.objective_and_gradient_batch(inputs)
     surrogate.predict_whitened(inputs)
     assert all(parameter.grad is None for parameter in surrogate.network.parameters())
+
+
+# ----------------------------------------------------------------------
+# Items stacked on a leading axis (the lockstep cohort's pass)
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["mm-64x64-meta", "mm-64x64-edp", "tanh-meta",
+                                  "tanh-edp"])
+@pytest.mark.parametrize("items", (1, 2, 8))
+@pytest.mark.parametrize("rows", (1, 4))
+def test_stacked_items_match_their_own_2d_pass(kind, items, rows):
+    """``(G, R, D)`` items return, item by item, the bits of each item's
+    own ``(R, D)`` pass: ``np.matmul`` runs one 2-D product per item."""
+    surrogate = make_surrogate(kind)
+    rng = np.random.default_rng(100 * items + rows)
+    stacked = rng.normal(0.0, 1.5, size=(items, rows, ENCODER.length))
+    stacked[0, 0] = 0.0  # a row of exact zeros
+    values, gradients = surrogate.objective_and_gradient_batch(stacked)
+    assert values.shape == (items, rows)
+    assert gradients.shape == stacked.shape
+    for item in range(items):
+        own_values, own_gradients = surrogate.objective_and_gradient_batch(
+            stacked[item].copy()
+        )
+        assert np.array_equal(values[item], own_values)
+        assert np.array_equal(gradients[item], own_gradients)
