@@ -21,8 +21,8 @@ This package scales it *out* instead of up, without touching the engine:
   surrogates gate-passed by *any* shard's online learner, so one shard's
   training improves the whole fleet without restarts.
 
-``python -m repro.cluster --selftest`` is the end-to-end smoke gate;
-``python -m repro.cluster --shards N`` serves HTTP in front of a fleet.
+``python -m repro.cluster --shards N`` serves HTTP in front of a fleet;
+``tests/test_cluster.py`` runs real shard processes end to end.
 """
 
 from repro.cluster.hashing import HashRing, problem_fingerprint, stable_digest

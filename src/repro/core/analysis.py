@@ -87,10 +87,6 @@ def spearman_rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.corrcoef(ra, rb)[0, 1])
 
 
-#: Backward-compatible alias (pre-PR-5 private name).
-_spearman = spearman_rank_correlation
-
-
 def surrogate_fidelity(
     surrogate: Surrogate,
     problem: Problem,

@@ -26,7 +26,8 @@ Quickstart::
                                          iterations=500, seed=1))
     print(response.norm_edp, response.stats.summary())
 
-Smoke test: ``python -m repro.engine --selftest``.
+Tests: ``tests/test_engine.py`` (serving, batch determinism, artifact
+cache) and ``tests/test_engine_registry.py``.
 """
 
 from repro.engine.oracle import (

@@ -18,8 +18,8 @@ only ever enqueues an observation.
 * :mod:`repro.learn.lifecycle` — the :class:`OnlineLearner` loop wiring
   taps → replay → train → gate → registry → engine hot-swap.
 
-``python -m repro.learn --selftest`` drives a cold-surrogate → traffic →
-improved-surrogate loop end to end (the CI gate).
+``tests/test_learn_lifecycle.py`` drives a cold-surrogate → traffic →
+improved-surrogate loop end to end.
 """
 
 from repro.learn.gate import GateConfig, GateReport, validate_swap

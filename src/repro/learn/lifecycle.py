@@ -25,10 +25,10 @@ one :class:`~repro.engine.MappingEngine`:
    surrogate object, so a search always finishes on the version it
    started with.
 
-Drive the loop explicitly with :meth:`OnlineLearner.step` (tests, the
-selftest) or continuously with :meth:`start`/:meth:`stop` (a daemon
-thread).  ``metrics_snapshot()`` feeds the serving layer's ``snapshot()``
-and ``/v1/metrics``.
+Drive the loop explicitly with :meth:`OnlineLearner.step` (tests) or
+continuously with :meth:`start`/:meth:`stop` (a daemon thread).
+``metrics_snapshot()`` feeds the serving layer's ``snapshot()`` and
+``/v1/metrics``.
 """
 
 from __future__ import annotations

@@ -199,9 +199,15 @@ def nearest_composition(
             f"cannot split {total} into {parts} parts of at least {min_each}"
         )
     desired = np.maximum(np.asarray(target, dtype=float), 0.0)
-    if desired.sum() <= 0:
+    desired_sum = desired.sum()
+    if math.isinf(desired_sum) and np.isfinite(desired).all():
+        # Finite entries whose sum overflows: rescale so the shares exist.
+        desired = desired / desired.max()
+        desired_sum = desired.sum()
+    if desired_sum <= 0:
         desired = np.ones(parts)
-    desired = desired / desired.sum() * total
+        desired_sum = desired.sum()
+    desired = desired / desired_sum * total
     spare = np.maximum(desired - min_each, 0.0)
     if spare.sum() <= 0:
         base = [min_each] * parts
@@ -236,6 +242,10 @@ def nearest_compositions(
             f"cannot split {totals.min()} into {parts} parts of at least {min_each}"
         )
     sums = desired.sum(axis=1)
+    if np.isinf(sums).any():
+        overflow = np.isinf(sums) & np.isfinite(desired).all(axis=1)
+        desired[overflow] /= desired[overflow].max(axis=1, keepdims=True)
+        sums = desired.sum(axis=1)
     if (sums <= 0).any():
         desired[sums <= 0] = 1.0
         sums = desired.sum(axis=1)

@@ -14,9 +14,8 @@ Prometheus text rendering of the JSON metrics snapshots
 This package deliberately imports **nothing** from the rest of ``repro``
 so every layer — costmodel kernels, serve, cluster, learn — can
 instrument itself without import cycles.  ``python -m repro.obs
---selftest`` proves a traced request through a real server (and a real
-2-shard cluster) produces a complete, well-nested span tree and that a
-latency SLO breach drives the burn-rate state machine to page.
+--profile`` prints the sampling profiler's hotspots for a seeded
+workload.
 """
 
 from repro.obs.core import Telemetry

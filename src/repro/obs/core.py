@@ -98,8 +98,8 @@ class Telemetry:
         return counters, {"queue_depth": float(self.queue_depth)}
 
     def sample_observability(self) -> None:
-        """Force one sampler pull + SLO evaluation (tests, selftests, and
-        snapshot freshness; the background cadence still runs)."""
+        """Force one sampler pull + SLO evaluation (tests and snapshot
+        freshness; the background cadence still runs)."""
         self._sampler.sample()
 
     def trace_snapshot(self, trace_id: str) -> Optional[Dict[str, object]]:

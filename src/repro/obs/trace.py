@@ -330,7 +330,7 @@ class Tracer:
 
     def _next_id(self, prefix: str) -> str:
         # pid + per-process tracer instance keep ids unique even when a
-        # router and its shard servers share one process (tests, selftest)
+        # router and its shard servers share one process (tests)
         # and spans from several tracers merge into one tree.
         return (
             f"{prefix}{self._pid:x}.{self._instance:x}.{next(self._ids):x}"

@@ -36,7 +36,7 @@ Quickstart::
         responses = [f.result() for f in futures]
         print(server.metrics_snapshot())
 
-Smoke test: ``python -m repro.serve --selftest``.
+End-to-end HTTP tests: ``tests/test_serve_http.py``.
 """
 
 from repro.serve.batcher import Batch, MicroBatcher, PendingRequest, Priority

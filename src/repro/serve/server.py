@@ -449,11 +449,6 @@ class MappingServer(Telemetry):
         with self._lock:
             return self._accepting
 
-    def attach_learner(self, learner) -> None:
-        """Surface ``learner.metrics_snapshot()`` under ``"learning"`` in
-        this server's metrics (same contract as the constructor param)."""
-        self._learner = learner
-
     def attach_watcher(self, watcher) -> None:
         """Surface a registry watcher (anything with ``snapshot()``) under
         ``"registry_watcher"`` in this server's metrics."""

@@ -1,8 +1,8 @@
 """End-to-end cluster tests: real shard processes behind the router.
 
 The module-scoped 2-shard cluster amortizes process spawn across the
-read-only tests; lifecycle tests (failover, drain, overload) build their
-own small fleets.  The slow-marked propagation test is the PR's
+read-only tests; lifecycle tests (failover, SLO attribution, drain,
+overload) build their own small fleets.  The slow-marked propagation test is the PR's
 acceptance bar: a surrogate gate-passed by ONE shard's online learner is
 hot-swapped into EVERY shard through the shared registry, no restarts.
 """
@@ -12,6 +12,7 @@ import time
 import urllib.request
 
 import pytest
+from test_obs_propagation import _well_nested
 
 from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.core import MindMappingsConfig, TrainingConfig
@@ -22,6 +23,7 @@ from repro.engine.engine import (
     MappingRequest,
     MappingResponse,
 )
+from repro.obs.slo import SLOSpec
 from repro.serve.codec import request_to_dict
 from repro.serve.http import start_gateway
 from repro.serve.server import ServeConfig, ServerClosed, ServerOverloaded
@@ -40,6 +42,11 @@ def _requests(iterations=40, seeds=(0, 1)):
         for searcher in ("random", "annealing")
         for seed in seeds
     ]
+
+
+def _get(url):
+    with urllib.request.urlopen(url, timeout=10) as reply:
+        return json.loads(reply.read())
 
 
 def _config(**overrides) -> ClusterConfig:
@@ -129,10 +136,7 @@ class TestFleetViews:
     def test_gateway_fronts_router(self, cluster, solo):
         gateway = start_gateway(cluster)
         try:
-            with urllib.request.urlopen(
-                f"{gateway.address}/v1/healthz", timeout=10
-            ) as reply:
-                health = json.loads(reply.read())
+            health = _get(f"{gateway.address}/v1/healthz")
             assert health["status"] == "ok"
             assert health["shards_live"] == 2
 
@@ -154,15 +158,34 @@ class TestFleetViews:
                     json.loads(reply.read())["response"]
                 )
             assert served.mapping == solo.map(request).mapping
-
-            with urllib.request.urlopen(
-                f"{gateway.address}/v1/metrics", timeout=10
-            ) as reply:
-                metrics = json.loads(reply.read())
+            metrics = _get(f"{gateway.address}/v1/metrics")
             assert metrics["router"]["counters"]["served"] >= 1
         finally:
             gateway.shutdown()
             gateway.server_close()
+
+    def test_routed_trace_spans_router_and_shard(self, cluster):
+        """One merged tree holds the router's and the shard's spans, two
+        pids, nested cluster.request -> shard.rpc -> serve.request ->
+        search -> megabatch.kernel."""
+        response = cluster.map(MappingRequest(
+            PROBLEMS[1], searcher="random", iterations=40, seed=61,
+        ), timeout=120)
+        assert {"router_overhead_s", "kernel_s"} <= set(response.stages)
+        trace = cluster.trace_snapshot(response.trace_id)
+        assert _well_nested(trace)
+        [tree] = trace["tree"]
+        assert tree["span"]["name"] == "cluster.request"
+        assert len({span["pid"] for span in trace["spans"]}) == 2
+        by_id = {span["span_id"]: span for span in trace["spans"]}
+        span = next(s for s in trace["spans"] if s["name"] == "megabatch.kernel")
+        ancestry = []
+        while span is not None:
+            ancestry.append(span["name"])
+            span = by_id.get(span["parent_id"])
+        path = ["cluster.request", "shard.rpc", "serve.request", "search",
+                "megabatch.kernel"]
+        assert [name for name in reversed(ancestry) if name in path] == path
 
 
 class TestLifecycle:
@@ -196,6 +219,46 @@ class TestLifecycle:
             assert router.counters["respawns"].value >= 1
             assert router.map(request, timeout=120).mapping == reference.mapping
         finally:
+            router.shutdown(timeout=30)
+
+    def test_slo_burn_attributed_to_the_busy_shard(self):
+        """Every shard runs under a 100 ns latency objective; traffic to
+        one problem burns its owner's budget.  The fleet /v1/slo view and
+        /v1/healthz name exactly that shard, the idle one stays ok, and
+        the fleet event log holds the transition."""
+        burn = SLOSpec(
+            name="shard_latency", objective=0.9, threshold_s=1e-7,
+            window_s=60.0, fast_window_s=1.0, slow_window_s=10.0,
+            warning_burn=1.5, page_burn=5.0, clear_evals=5,
+        )
+        router = ClusterRouter(_config(serve=ServeConfig(
+            max_batch=8, max_wait_s=0.02, slos=(burn,), sample_interval_s=0.2,
+        ))).start()
+        gateway = start_gateway(router)
+        try:
+            requests = [
+                MappingRequest(PROBLEMS[1], searcher="random", iterations=20,
+                               seed=seed)
+                for seed in range(30)
+            ]
+            target = str(router.shard_for(requests[0]))
+            for request in requests:
+                router.map(request, timeout=120)
+                slo = _get(f"{gateway.address}/v1/slo")
+                if target in slo["fleet"]["burning_shards"]:
+                    break
+            assert slo["fleet"]["burning_shards"] == [target]
+            per_shard = slo["fleet"]["by_slo"]["shard_latency"]["per_shard"]
+            assert per_shard.pop(target) in ("warning", "page")
+            assert set(per_shard.values()) == {"ok"}
+            assert slo["worst_state"] != "ok"
+            health = _get(f"{gateway.address}/v1/healthz")
+            assert health["slo"]["burning_shards"] == [target]
+            kinds = {event["kind"] for event in router.events_snapshot()}
+            assert kinds & {"slo_warning", "slo_page"}
+        finally:
+            gateway.shutdown()
+            gateway.server_close()
             router.shutdown(timeout=30)
 
     def test_drain_refuses_new_work(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import surrogate_fidelity
-from repro.core.analysis import _spearman, spearman_rank_correlation
+from repro.core.analysis import spearman_rank_correlation
 from repro.costmodel import CostModel
 from repro.mapspace import MapSpace
 
@@ -75,9 +75,6 @@ class TestSpearman:
     def test_all_tied_both_sides_is_zero(self):
         a = np.full(8, 2.0)
         assert spearman_rank_correlation(a, a) == 0.0
-
-    def test_private_alias_kept(self):
-        assert _spearman is spearman_rank_correlation
 
 
 class TestSurrogateFidelity:

@@ -324,7 +324,8 @@ def test_row_decode_nan_row_raises_naming_the_bound():
 
 def test_row_compositions_match_the_scalar_rounding():
     """``nearest_compositions`` is, row by row, ``nearest_composition``:
-    zero, negative, tied and wide-ranging fractions over several totals."""
+    zero, negative, tied, wide-ranging and overflowing fractions over
+    several totals."""
     rng = np.random.default_rng(0)
     for parts in (1, 2, 3, 4, 5):
         for scale in (1e-3, 0.3, 2.0, 50.0, 1e6):
@@ -336,5 +337,10 @@ def test_row_compositions_match_the_scalar_rounding():
             rows = nearest_compositions(totals, targets)
             for total, target, row in zip(totals.tolist(), targets, rows):
                 assert_bitwise_equal(row, nearest_composition(total, parts, target))
+    # Finite fractions whose sum overflows still split the whole total.
+    overflow = np.array([[1e308, 1e308, 1.0]])
+    with np.errstate(over="ignore"):
+        assert nearest_compositions([16], overflow) == [(8, 7, 1)]
+        assert nearest_composition(16, 3, overflow[0]) == (8, 7, 1)
     with pytest.raises(ValueError, match="not finite"):
         nearest_compositions([16], np.array([[np.nan, 1.0, 1.0]]))

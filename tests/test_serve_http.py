@@ -1,4 +1,5 @@
-"""HTTP gateway: smoke (the CI fast-lane serving check), errors, backpressure."""
+"""HTTP gateway: smoke (the CI fast-lane serving check), observability
+views, errors, backpressure."""
 
 import json
 import threading
@@ -7,9 +8,11 @@ import urllib.error
 import urllib.request
 
 import pytest
+from test_obs_propagation import _well_nested
 
 from repro.costmodel.accelerator import small_accelerator
 from repro.engine import EngineConfig, MappingEngine, MappingRequest, MappingResponse
+from repro.obs.slo import SLOSpec
 from repro.serve import MappingServer, ServeConfig, request_to_dict, start_gateway
 from repro.workloads import make_conv1d
 
@@ -71,6 +74,9 @@ class TestSmoke:
         assert response.mapping == solo.mapping
         assert response.stats.edp == solo.stats.edp
         assert response.result.objective_values == solo.result.objective_values
+        _status, trace = _get(f"{gateway.address}/v1/trace/{response.trace_id}")
+        assert _well_nested(trace)
+        assert trace["stages"] == payload["response"]["stages"]
 
     def test_healthz_and_metrics(self, stack):
         _engine, _server, gateway = stack
@@ -84,6 +90,10 @@ class TestSmoke:
         assert "buckets" in metrics["batch_size"]
         assert "p99_ms" in metrics["latency"]
         assert metrics["oracle_cache"]["hits"] >= 0
+        with urllib.request.urlopen(
+            f"{gateway.address}/v1/metrics?format=prom", timeout=10
+        ) as reply:
+            assert "repro_served_total " in reply.read().decode("utf-8")
 
     def test_high_priority_accepted(self, stack):
         _engine, _server, gateway = stack
@@ -158,6 +168,85 @@ class TestObservabilityEndpoints:
         body = json.loads(raw)
         assert "bogus" in body["error"]
         assert body["known_kinds"] == list(KNOWN_KINDS)
+
+    def test_slo_burn_walk_events_and_profile(self):
+        """Under a 100 ns objective every real search is bad and every
+        response-cache hit good: cache hits, then real searches, walk the
+        SLO ok -> warning -> page at /v1/slo; slo_warning precedes
+        slo_page at /v1/events; /v1/profile's collapsed stacks catch the
+        megabatch kernel."""
+        from repro.obs import events
+
+        spec = SLOSpec(
+            name="burn_walk_latency", objective=0.9, threshold_s=1e-7,
+            window_s=60.0, fast_window_s=0.5, slow_window_s=30.0,
+            warning_burn=1.5, page_burn=5.0, clear_evals=3,
+        )
+        # A quiet background sampler: the /v1/slo reads drive every
+        # evaluation, so the walk observed is the whole state path.
+        server = MappingServer(
+            MappingEngine(small_accelerator(), EngineConfig()),
+            ServeConfig(max_batch=8, max_wait_s=0.01, slos=(spec,),
+                        sample_interval_s=60.0, profiling=True,
+                        profile_interval_s=0.002),
+        )
+        gateway = start_gateway(server)
+        # A private event log, so later tests see no slo_page.
+        previous_log = events.set_default_log(events.EventLog())
+
+        def serve(seed):
+            request = MappingRequest(PROBLEM, searcher="random",
+                                     iterations=10, seed=seed)
+            _post(f"{gateway.address}/v1/map",
+                  {"request": request_to_dict(request)})
+
+        def slo_state():
+            return _get(f"{gateway.address}/v1/slo")[1]["slos"][0]["state"]
+
+        try:
+            for _ in range(31):
+                serve(seed=7)
+            states = [slo_state()]
+            for seed in range(100, 300):
+                serve(seed)
+                state = slo_state()
+                if state != states[-1]:
+                    states.append(state)
+                if state == "page":
+                    break
+            assert states == ["ok", "warning", "page"]
+            _status, body = _get(f"{gateway.address}/v1/events")
+            seqs = {}
+            for event in body["events"]:
+                if event["fields"].get("slo") == spec.name:
+                    seqs.setdefault(event["kind"], event["seq"])
+            assert seqs["slo_warning"] < seqs["slo_page"]
+
+            # The cross-problem kernel runs only when one batch spans
+            # distinct problems, and sampling is statistical: retry.
+            problems = (PROBLEM, make_conv1d("http_target_b", w=48, r=7))
+            for attempt in range(20):
+                futures = [
+                    server.submit(MappingRequest(
+                        problems[i % 2], searcher="random", iterations=400,
+                        seed=1000 + 8 * attempt + i,
+                    ))
+                    for i in range(4)
+                ]
+                for future in futures:
+                    future.result(timeout=120)
+                _status, profile = _get(f"{gateway.address}/v1/profile?limit=200")
+                stacks = [row["stack"] for row in profile["profiler"]["collapsed"]]
+                if any("evaluate_megabatch" in stack for stack in stacks):
+                    break
+            else:
+                pytest.fail("no collapsed stack reached evaluate_megabatch")
+            assert "megabatch.kernel" in {row["name"] for row in profile["hotspots"]}
+        finally:
+            events.set_default_log(previous_log)
+            gateway.shutdown()
+            gateway.server_close()
+            server.shutdown(timeout=30.0)
 
     def test_known_event_kind_filters_cleanly(self, stack):
         _engine, _server, gateway = stack
@@ -273,6 +362,8 @@ class TestErrors:
             assert code == 429
             assert int(headers.get("Retry-After")) >= 1
             assert json.loads(body)["retry_after_s"] > 0
+            _status, events = _get(f"{gateway.address}/v1/events?kind=overloaded")
+            assert events["events"]
         finally:
             gate.set()
             background.join(timeout=30)
