@@ -2,7 +2,7 @@
 
 The serving stack is GIL-bound — search, surrogate inference, and oracle
 evaluation all share one interpreter — so the single-process system tops
-out near one core no matter how many batch workers it runs.  The cluster
+out near one core however it schedules its batches.  The cluster
 escapes sideways: N shard *processes*, consistent-hash routing keeping
 every shard's caches as hot as the solo system's.
 
@@ -111,7 +111,6 @@ def _cluster_throughput(
             max_batch=32,
             max_wait_s=0.004,
             max_queue=len(requests) + CLIENTS,
-            workers=2,
         ),
         max_inflight=len(requests) + CLIENTS,  # measure saturation, not 429s
     ))

@@ -10,7 +10,7 @@ fresh engine each:
   ``engine.map``, one at a time, no coalescing, no dedup;
 * **serving** — the same arrival stream through ``MappingServer``:
   micro-batched cohorts (prewarmed vectorized oracle rounds), duplicate
-  collapsing, response cache, worker pool.
+  collapsing, response cache, one serve loop.
 
 A third *all-distinct* pair isolates the coalescing win with dedup taken
 off the table (every request unique).  Headline assertions (the slow-lane
@@ -254,7 +254,6 @@ def _serve_throughput(
             max_batch=32,
             max_wait_s=0.004,
             max_queue=len(requests) + CLIENTS,  # measure saturation, not rejection
-            workers=2,
             tracing=tracing,
         ),
     )

@@ -58,7 +58,7 @@ def zipf_mix(rng: np.random.Generator) -> list:
 def main() -> None:
     config = ClusterConfig(
         num_shards=4,
-        serve=ServeConfig(max_batch=16, max_wait_s=0.005, workers=2),
+        serve=ServeConfig(max_batch=16, max_wait_s=0.005),
     )
     with ClusterRouter(config) as router:
         print(f"4 shards up (pids "

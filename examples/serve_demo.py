@@ -4,7 +4,7 @@
 Drives the full ``repro.serve`` stack the way a deployment would:
 
 1. build a ``MappingEngine`` and wrap it in a ``MappingServer`` (dynamic
-   micro-batching + duplicate collapsing + worker pool),
+   micro-batching + duplicate collapsing + one serve loop),
 2. fire a burst of concurrent requests — Table 1 CNN layers and BERT-base
    GEMMs across three searchers, with duplicates to show collapsing and a
    high-priority request jumping the queue,
@@ -37,7 +37,7 @@ SEARCHERS = ("random", "annealing", "genetic")
 
 def main() -> None:
     engine = MappingEngine()
-    config = ServeConfig(max_batch=16, max_wait_s=0.005, workers=2)
+    config = ServeConfig(max_batch=16, max_wait_s=0.005)
     with MappingServer(engine, config) as server:
         # A burst of traffic: every (problem, searcher) pair twice — the
         # second copy collapses onto the first — plus one urgent request.

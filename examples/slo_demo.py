@@ -47,7 +47,7 @@ def describe(snapshot) -> str:
 def main() -> None:
     engine = MappingEngine()
     config = ServeConfig(
-        max_batch=8, max_wait_s=0.01, workers=1, slos=(DEMO_SLO,),
+        max_batch=8, max_wait_s=0.01, slos=(DEMO_SLO,),
         timeseries_interval_s=0.25, profiling=True,
     )
     problem = problem_by_name("ResNet_Conv4")

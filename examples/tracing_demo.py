@@ -55,7 +55,7 @@ def print_tree(node, depth=0, max_children=8):
 
 def main() -> None:
     engine = MappingEngine()
-    config = ServeConfig(max_batch=16, max_wait_s=0.05, workers=1)
+    config = ServeConfig(max_batch=16, max_wait_s=0.05)
     with MappingServer(engine, config) as server:
         problem = problem_by_name("ResNet_Conv4")
         leader_future = server.submit(MappingRequest(

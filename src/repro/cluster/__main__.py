@@ -29,8 +29,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--max-wait-ms", type=float, default=5.0)
     parser.add_argument("--max-queue", type=int, default=256)
-    parser.add_argument("--workers", type=int, default=2,
-                        help="batch workers per shard")
     parser.add_argument("--learn", action="store_true",
                         help="run an online surrogate learner on every "
                              "shard; gate-passed surrogates propagate "
@@ -57,7 +55,6 @@ def main(argv=None) -> int:
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1e3,
             max_queue=args.max_queue,
-            workers=args.workers,
         ),
         learn=learn,
         registry_dir=registry_dir,

@@ -840,7 +840,7 @@ def start_cluster(
 ) -> ClusterRouter:
     """Convenience: build a :class:`ClusterConfig`, start the fleet.
 
-    ``start_cluster(4, serve=ServeConfig(workers=1))`` spawns four shards
+    ``start_cluster(4, serve=ServeConfig(max_batch=16))`` spawns four shards
     and returns the started router (use as a context manager to get
     drain-on-exit).
     """

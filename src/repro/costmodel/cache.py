@@ -115,7 +115,7 @@ class CachedOracle:
     without bound, matching the old harness behaviour; a positive bound
     evicts least-recently-used entries.
 
-    **Concurrency contract** (audited for the ``repro.serve`` worker pool):
+    **Concurrency contract** (audited for concurrent serving threads):
     every access to the LRU store *and* to the hit/miss/prewarm counters
     happens under ``self._lock`` — lookups, insertions, eviction,
     ``move_to_end`` recency updates, ``stats()``, and ``clear()``.  The

@@ -10,8 +10,12 @@ grow memory.
 
 Emitters across the stack write to the **process-default log** (one per
 OS process — each cluster shard has its own; the router merges them via
-the ``events`` RPC op).  Tests swap the default with
-:func:`set_default_log` to observe emissions in isolation.
+the ``events`` RPC op).  Every server and router in a process shares it,
+which is sound because every shipped entry point runs one front door per
+process (``python -m repro.serve``, each shard, the ``python -m
+repro.cluster`` router).  Tests, which run many front doors in one
+process, swap the default with :func:`set_default_log` to observe
+emissions in isolation.
 """
 
 from __future__ import annotations

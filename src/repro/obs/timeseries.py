@@ -11,7 +11,7 @@ accumulates
 * **a latency sketch** — a :class:`~repro.obs.sketch.LatencySketch`
   (exact count/sum/min/max, p50/p95/p99 within 1%), beside the window's
   *exact* over-threshold counts for every registered SLO threshold;
-* **batch-size stats** — count/sum/max of flushed batch sizes.
+* **batch-size stats** — count/sum/max of served batch sizes.
 
 The ring is bounded (``capacity`` windows, oldest evicted) and windows
 with no observations simply do not exist — an absent window reads as

@@ -4,8 +4,8 @@ The serving stack spans six layers (gateway -> server -> batcher -> cohort
 -> oracle -> megabatch kernel, optionally behind the cluster router), and a
 slow request can lose its time in any of them.  This module gives every
 request a **trace**: a tree of timed spans plus a small per-stage duration
-breakdown (``admission_wait_s``, ``batch_wait_s``, ``prepare_s``,
-``prewarm_s``, ``kernel_s``, ``search_rounds_s``, ``finalize_s``) that
+breakdown (``admission_wait_s``, ``prepare_s``, ``prewarm_s``,
+``kernel_s``, ``search_rounds_s``, ``finalize_s``) that
 sums — within scheduling slack — to the request's observed wall latency.
 
 Design constraints, in order:
@@ -23,7 +23,7 @@ Design constraints, in order:
    pid so within-process interval nesting stays checkable after a merge.
 
 Threading model: a :class:`TraceHandle` is driven by one thread at a time
-(submit thread, then the batch worker — the batcher queue provides the
+(submit thread, then the serve loop — the batcher queue provides the
 happens-before edge), so handle-local state (span stack, stages) is
 unlocked.  The :class:`Tracer`'s trace store is shared with gateway reader
 threads and guarded by a single leaf lock.  Beside the clocks lives
@@ -258,7 +258,7 @@ class TraceHandle:
                stage: Optional[str] = None, parent_id: Optional[str] = None,
                **attrs: object) -> Optional[str]:
         """Add an already-completed span retroactively (e.g. queue waits
-        whose start happened before the trace's worker picked it up).
+        whose start happened before the serve loop took its batch).
         Parents under the currently open span (the root when none)."""
         if self._closed:
             return None

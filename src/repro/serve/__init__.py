@@ -6,16 +6,16 @@ lets *independent* callers benefit from it.  Requests enter one at a time
 (``MappingServer.submit`` in process, ``POST /v1/map`` over HTTP) and are
 coalesced into the wide operations the backend is fastest at:
 
-* :mod:`repro.serve.batcher` — dynamic micro-batching: size-or-deadline
-  flushing of one cross-problem request queue, with a high-priority
-  lane.
+* :mod:`repro.serve.batcher` — dynamic micro-batching: one
+  cross-problem request queue, due on size, deadline or a high-priority
+  arrival.
 * :mod:`repro.serve.cohort` — lockstep evaluation cohorts: many searches'
   per-round candidate batches — over any mix of problems — unioned into
   one prewarmed megabatched oracle query, with bit-identical per-request
   results.
 * :mod:`repro.serve.server` — admission control and backpressure,
-  duplicate-request collapsing, a response cache, the worker pool, and
-  graceful drain.
+  duplicate-request collapsing, a response cache, the one serve loop
+  that runs every batch, and graceful drain.
 * :mod:`repro.serve.metrics` — throughput, queue depth, batch-size
   histogram, p50/p95/p99 latency (the 1% log-bucket sketch), cache
   counters — one ``snapshot()`` dict.

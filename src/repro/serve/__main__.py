@@ -25,7 +25,6 @@ def main(argv=None) -> int:
     parser.add_argument("--max-batch", type=int, default=32)
     parser.add_argument("--max-wait-ms", type=float, default=5.0)
     parser.add_argument("--max-queue", type=int, default=256)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--artifact-dir", type=Path, default=None,
                         help="surrogate artifact cache directory")
     parser.add_argument("--learn", action="store_true",
@@ -55,7 +54,6 @@ def main(argv=None) -> int:
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1e3,
             max_queue=args.max_queue,
-            workers=args.workers,
         ),
         learner=learner,
     )

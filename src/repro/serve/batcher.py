@@ -1,24 +1,27 @@
-"""Dynamic micro-batcher: coalesce requests, flush on size or deadline.
+"""Dynamic micro-batcher: coalesce requests, say when a batch is due.
 
-The batcher is a *pure* data structure — no threads, no wall clock of its
-own.  The server's dispatcher drives it with explicit timestamps, which is
-also what makes the flush policy unit-testable with a fake clock:
+The batcher is a *pure* policy — no threads, no wall clock of its own.
+The server's serve loop drives it with explicit timestamps, which is
+also what makes the policy unit-testable with a fake clock:
 
-* :meth:`MicroBatcher.add` queues a pending request (one queue: the
-  cross-problem megabatched cost kernels price any mix of problems in a
-  single pass, so every flushed batch becomes one mixed evaluation
-  cohort, see :mod:`repro.serve.cohort`) and returns a flushed
-  :class:`Batch` immediately when the queue hits ``max_batch`` (size
-  trigger) or the request is high-priority (priority lane: latency beats
-  batching).
-* :meth:`MicroBatcher.poll` flushes the queue once its oldest member has
-  waited ``max_wait_s`` (deadline trigger), so a lone request is never
-  stuck behind a batch that isn't filling.
-* :meth:`MicroBatcher.next_deadline` tells the dispatcher how long it may
+* :meth:`MicroBatcher.add` queues a pending request.  There is one queue:
+  the cross-problem megabatched cost kernels price any mix of problems in
+  a single pass, so every batch becomes one mixed evaluation cohort (see
+  :mod:`repro.serve.cohort`).
+* :meth:`MicroBatcher.due` names the trigger that makes the queue due
+  now, or ``None``: ``"priority"`` while a high-priority request waits
+  (latency beats batching), ``"size"`` once ``max_batch`` requests wait,
+  ``"deadline"`` once the oldest request has waited
+  ``max_wait_s`` on a server idle for ``max_wait_s`` (so a lone request
+  is never stuck behind a batch that isn't filling, and the requests a
+  batch just answered get one window to return and join the queue).
+* :meth:`MicroBatcher.next_deadline` tells the loop how long it may
   sleep.
-
-Within a flushed batch, items are ordered by ``(priority, arrival)`` so
-high-priority requests are also served first inside their cohort.
+* :meth:`MicroBatcher.take` hands over up to ``max_batch`` requests in
+  ``(priority, arrival)`` order, so high-priority requests go first both
+  across batches and inside their cohort.
+* :meth:`MicroBatcher.promote` moves a waiting request to the
+  high-priority lane (a HIGH duplicate collapsing onto it).
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ import enum
 import itertools
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Hashable, List, Optional
 
 from repro.engine.engine import MappingRequest
 
 
 class Priority(enum.IntEnum):
-    """Request lanes; lower values are served (and flushed) sooner."""
+    """Request lanes; lower values are served sooner."""
 
     HIGH = 0
     NORMAL = 1
@@ -64,25 +68,18 @@ class PendingRequest:
 
 @dataclass
 class Batch:
-    """A flushed set of pending requests, ready for a worker."""
+    """Requests taken from the batcher together, ready to run."""
 
     items: List[PendingRequest]
     trigger: str  # "size" | "deadline" | "priority" | "drain"
-    flushed_at: float
+    taken_at: float
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def priority(self) -> Priority:
-        return min((item.priority for item in self.items), default=Priority.NORMAL)
-
-    def order_key(self):
-        return (int(self.priority), min(item.seq for item in self.items))
-
 
 class MicroBatcher:
-    """Size-or-deadline request coalescing over one queue."""
+    """Size, priority or deadline request coalescing over one queue."""
 
     def __init__(self, max_batch: int = 32, max_wait_s: float = 0.005) -> None:
         if max_batch < 1:
@@ -91,6 +88,7 @@ class MicroBatcher:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
+        #: Waiting requests in arrival order.
         self._items: List[PendingRequest] = []
 
     @property
@@ -98,50 +96,46 @@ class MicroBatcher:
         """Pending requests currently waiting in the batcher."""
         return len(self._items)
 
-    def add(self, pending: PendingRequest, now: float) -> Optional[Batch]:
-        """Queue ``pending``; return a batch when the queue must flush now.
-
-        Size trigger: the queue reached ``max_batch``.  Priority lane: a
-        high-priority arrival flushes the queue immediately — it still
-        rides with whatever requests were already waiting, but never waits
-        out ``max_wait_s`` itself.
-        """
+    def add(self, pending: PendingRequest, now: float) -> None:
+        """Queue ``pending``, stamped with its arrival time ``now``."""
         pending.enqueued_at = now
         self._items.append(pending)
+
+    def due(self, now: float, idle_since: float) -> Optional[str]:
+        """The trigger that makes the queue due at ``now``, or ``None``;
+        the first that holds of priority, size and deadline.
+
+        ``idle_since`` is when the server last finished a batch
+        (``-inf`` before the first).
+        """
+        if any(item.priority == Priority.HIGH for item in self._items):
+            return "priority"
         if len(self._items) >= self.max_batch:
-            return self.flush("size", now)
-        if pending.priority == Priority.HIGH:
-            return self.flush("priority", now)
+            return "size"
+        deadline = self.next_deadline(idle_since)
+        if deadline is not None and now >= deadline:
+            return "deadline"
         return None
 
-    def poll(self, now: float) -> List[Batch]:
-        """Flush the queue if its oldest member hit the deadline."""
-        deadline = self.next_deadline()
-        if deadline is None or now < deadline:
-            return []
-        return [self.flush("deadline", now)]
-
-    def next_deadline(self) -> Optional[float]:
-        """Instant the queue becomes due, or ``None`` when empty."""
+    def next_deadline(self, idle_since: float) -> Optional[float]:
+        """Instant the deadline trigger fires, or ``None`` when empty."""
         if not self._items:
             return None
-        return self._items[0].enqueued_at + self.max_wait_s
+        return max(self._items[0].enqueued_at, idle_since) + self.max_wait_s
 
-    def flush_all(self, now: float) -> List[Batch]:
-        """Flush everything regardless of size/age (drain path)."""
-        return [self.flush("drain", now)] if self._items else []
+    def take(self, trigger: str, now: float) -> Batch:
+        """Hand over up to ``max_batch`` requests, HIGH first, then oldest."""
+        ranked = sorted(self._items, key=PendingRequest.order_key)
+        items = ranked[: self.max_batch]
+        self._items = sorted(ranked[self.max_batch:], key=attrgetter("seq"))
+        return Batch(items=items, trigger=trigger, taken_at=now)
 
-    def holds(self, key: Hashable) -> bool:
-        """True when a queued request has collapse identity ``key`` (lets
-        the server flush only when the in-flight leader it cares about is
-        actually still waiting here)."""
-        return any(item.key == key for item in self._items)
-
-    def flush(self, trigger: str, now: float) -> Batch:
-        """Hand over every queued request as one batch."""
-        items, self._items = self._items, []
-        items.sort(key=PendingRequest.order_key)
-        return Batch(items=items, trigger=trigger, flushed_at=now)
+    def promote(self, key: Hashable) -> None:
+        """Move the waiting request with collapse identity ``key`` (if any)
+        to the high-priority lane."""
+        for item in self._items:
+            if item.key == key:
+                item.priority = Priority.HIGH
 
 
 __all__ = [

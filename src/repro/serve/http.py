@@ -291,7 +291,7 @@ def start_gateway(
 
     ``port=0`` binds an ephemeral port (tests); read the bound address
     from ``gateway.address``.  Stop with ``gateway.shutdown()`` (the HTTP
-    listener) and then ``mapping_server.shutdown()`` (the workers).
+    listener) and then ``mapping_server.shutdown()`` (the serve loop).
     """
     gateway = Gateway(
         mapping_server,

@@ -1,4 +1,4 @@
-"""The serving front-end: bounded queue, micro-batching, workers, metrics.
+"""The serving front-end: bounded queue, micro-batching, serve loop, metrics.
 
 ``MappingServer`` is the traffic layer in front of one
 :class:`~repro.engine.MappingEngine`:
@@ -16,17 +16,15 @@
 * **Micro-batching** — admitted requests flow through a
   :class:`~repro.serve.batcher.MicroBatcher` coalescing requests across
   *all* problems in one queue (the megabatched cost kernels price a
-  mixed union in a single pass), flushed on size, deadline, or
+  mixed union in a single pass), due on size, deadline, or
   high-priority arrival, then served by
   :func:`~repro.serve.cohort.serve_batch` whose cohort rounds union every
   live problem into a single prewarmed kernel call.
-* **Workers** — a small thread pool drains flushed batches in
-  ``(priority, arrival)`` order.  Deadline flushes wait for an idle
-  server, so a second batch never starts beside a running one only
-  because a timer fired (size and priority flushes take any idle
-  worker).  Per-request responses are bit-identical
-  to solo serving regardless of scheduling (seeded requests + row-exact
-  kernels), so concurrency never changes answers.
+* **Serve loop** — one thread takes each due batch in
+  ``(priority, arrival)`` order and runs it, so batches never overlap.
+  Per-request responses are bit-identical to solo serving regardless of
+  scheduling (seeded requests + row-exact kernels), so batching never
+  changes answers.
 * **Lifecycle** — ``drain()`` stops admission and waits for in-flight
   work; ``shutdown()`` drains and joins the threads.  The server is a
   context manager.
@@ -40,12 +38,11 @@ tracer, window ring, SLOs, sampler, profiler and their views come from
 
 from __future__ import annotations
 
-import heapq
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.costmodel.cache import problem_fingerprint
@@ -67,8 +64,8 @@ def _resolve_future(future: Future, value=None, error=None) -> None:
     A client may ``cancel()`` a future while its request is still queued;
     the work is cheap enough that the batch runs anyway (collapsed
     followers may still want the result), but setting a result on a
-    cancelled future raises — and an exception here would kill the worker
-    thread mid-batch and strand its batchmates.
+    cancelled future raises — and an exception here would kill the serve
+    loop mid-batch and strand its batchmates.
     """
     try:
         if error is not None:
@@ -99,17 +96,14 @@ class ServerClosed(RuntimeError):
 class ServeConfig:
     """Serving-layer knobs (engine knobs live on :class:`EngineConfig`)."""
 
-    #: Flush the batcher at this many requests (size trigger).
+    #: Most requests in one batch; this many waiting makes a batch due
+    #: (size trigger).
     max_batch: int = 32
-    #: Flush the batcher when its oldest request has waited this long and the
+    #: A batch is due when its oldest request has waited this long and the
     #: server has been idle this long (deadline trigger).
     max_wait_s: float = 0.005
     #: Admission bound: queued + running requests before rejection.
     max_queue: int = 256
-    #: Worker threads draining flushed batches.
-    workers: int = 2
-    #: Collapse identical in-flight requests onto one search.
-    collapse_duplicates: bool = True
     #: Entries in the response LRU (0 disables response caching).
     response_cache_size: int = 1024
     #: Record per-request span trees + stage breakdowns (repro.obs).  Kept
@@ -137,8 +131,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.response_cache_size < 0:
             raise ValueError(
                 f"response_cache_size must be >= 0, got {self.response_cache_size}"
@@ -148,14 +140,6 @@ class ServeConfig:
                 f"profile_interval_s must be > 0, got {self.profile_interval_s}"
             )
         check_telemetry_config(self)
-
-
-@dataclass(order=True)
-class _Job:
-    """Heap entry: flushed batch ordered by (priority, arrival)."""
-
-    sort_key: Tuple[int, int]
-    batch: Batch = field(compare=False)
 
 
 class MappingServer(Telemetry):
@@ -195,10 +179,9 @@ class MappingServer(Telemetry):
             max_batch=self.config.max_batch, max_wait_s=self.config.max_wait_s
         )
         self._lock = threading.Lock()
-        self._work_available = threading.Condition(self._lock)
-        self._dispatch_wake = threading.Condition(self._lock)
-        self._idle = threading.Condition(self._lock)
-        self._ready: List[_Job] = []
+        #: Signalled on every arrival, drain and finished batch: wakes the
+        #: serve loop and ``drain`` waiters alike.
+        self._changed = threading.Condition(self._lock)
         #: key -> [(tag, future, enqueued_at, trace_handle)] of collapsed
         #: followers (``trace_handle`` is ``None`` when tracing is off).
         self._inflight: Dict[
@@ -208,26 +191,18 @@ class MappingServer(Telemetry):
         #: duplicate-request storm can't grow state past admission control.
         self._follower_count = 0
         self._response_cache: "OrderedDict[Hashable, MappingResponse]" = OrderedDict()
-        self._running_batches = 0
-        #: When the last batch ended with nothing queued behind it.
+        #: When the last batch ended.
         self._idle_since = float("-inf")
+        #: Size of the running batch (0 while the loop waits).
         self._running_requests = 0
         self._accepting = True
         self._stopping = False
         # EMA of per-request service time, feeding the retry-after hint.
         self._service_ema_s = 0.05
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatcher", daemon=True
+        self._loop = threading.Thread(
+            target=self._serve_loop, name="serve-loop", daemon=True
         )
-        self._workers = [
-            threading.Thread(
-                target=self._work_loop, name=f"serve-worker-{i}", daemon=True
-            )
-            for i in range(self.config.workers)
-        ]
-        self._dispatcher.start()
-        for worker in self._workers:
-            worker.start()
+        self._loop.start()
         self._start_telemetry()
 
     # ------------------------------------------------------------------
@@ -258,9 +233,7 @@ class MappingServer(Telemetry):
         resolve_searcher(request.searcher)
         future: "Future[MappingResponse]" = Future()
         now = self._clock()
-        key = request_key(request) if (
-            self.config.collapse_duplicates or self.config.response_cache_size
-        ) else None
+        key = request_key(request)
         cached_response: Optional[MappingResponse] = None
         with self._lock:
             if not self._accepting:
@@ -274,47 +247,35 @@ class MappingServer(Telemetry):
                     self._record_served(0.0, now)
                     cached_response = replace(cached, tag=request.tag)
             if cached_response is None:
-                if key is not None and self.config.collapse_duplicates:
-                    followers = self._inflight.get(key)
-                    if followers is not None:
-                        # Collapsing is cheap but not free: followers hold
-                        # futures and fan-out state, so they count against
-                        # the same admission bound as queued requests.
-                        self._refuse_if_full_locked()
-                        handle = self._start_trace(
-                            request, trace_parent, start=now, follower=True
-                        )
-                        followers.append((request.tag, future, now, handle))
-                        self._follower_count += 1
-                        self.metrics.inc("collapsed")
-                        if priority == Priority.HIGH:
-                            # A HIGH duplicate must not wait out the
-                            # batching delay behind its NORMAL leader.
-                            # Flush the batcher only if the leader is
-                            # actually still in it (a newer batch must not
-                            # jump the queue by accident); otherwise
-                            # upgrade the queued job carrying it.
-                            if self._batcher.holds(key):
-                                self._enqueue_batch_locked(
-                                    self._batcher.flush("priority", now),
-                                    priority=Priority.HIGH,
-                                )
-                            else:
-                                self._promote_ready_job_locked(key)
-                        return future
+                # Keyless requests never lead, so they find no followers.
+                followers = self._inflight.get(key)
+                if followers is not None:
+                    # Collapsing is cheap but not free: followers hold
+                    # futures and fan-out state, so they count against
+                    # the same admission bound as queued requests.
+                    self._refuse_if_full_locked()
+                    handle = self._start_trace(
+                        request, trace_parent, start=now, follower=True
+                    )
+                    followers.append((request.tag, future, now, handle))
+                    self._follower_count += 1
+                    self.metrics.inc("collapsed")
+                    if priority == Priority.HIGH:
+                        # A HIGH duplicate must not wait out the batching
+                        # delay behind its NORMAL leader: a waiting leader
+                        # goes HIGH (a running one needs nothing).
+                        self._batcher.promote(key)
+                        self._changed.notify_all()
+                    return future
                 self._refuse_if_full_locked()
                 pending = PendingRequest(
                     request=request, future=future, priority=priority, key=key,
                     trace=self._start_trace(request, trace_parent, start=now),
                 )
-                if key is not None and self.config.collapse_duplicates:
+                if key is not None:
                     self._inflight[key] = []
-                flushed = self._batcher.add(pending, now)
-                if flushed is not None:
-                    self._enqueue_batch_locked(flushed)
-                else:
-                    # New deadline may be earlier than the dispatcher's nap.
-                    self._dispatch_wake.notify()
+                self._batcher.add(pending, now)
+                self._changed.notify_all()
         if cached_response is not None:
             # Outside the lock: set_result runs client done-callbacks,
             # which must be free to call back into this server.  A cache
@@ -382,7 +343,7 @@ class MappingServer(Telemetry):
     # ------------------------------------------------------------------
 
     def begin_drain(self) -> None:
-        """Stop admission and flush the batcher — without waiting.
+        """Stop admission and make the batcher due — without waiting.
 
         The non-blocking half of :meth:`drain`, for shutdown sequences
         that must keep observing the server while in-flight work finishes
@@ -392,12 +353,10 @@ class MappingServer(Telemetry):
         """
         with self._lock:
             self._accepting = False
-            for batch in self._batcher.flush_all(self._clock()):
-                self._enqueue_batch_locked(batch)
-            self._dispatch_wake.notify_all()
+            self._changed.notify_all()
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop admission, flush the batcher, wait for in-flight work.
+        """Stop admission, serve what is queued, wait for in-flight work.
 
         Returns ``True`` when everything finished within ``timeout``.
         Already-admitted requests are always served (their futures
@@ -406,25 +365,22 @@ class MappingServer(Telemetry):
         deadline = None if timeout is None else self._clock() + timeout
         self.begin_drain()
         with self._lock:
-            while self._ready or self._running_batches or self._batcher.depth:
+            while self._running_requests or self._batcher.depth:
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - self._clock()
                     if remaining <= 0:
                         return False
-                self._idle.wait(timeout=remaining)
+                self._changed.wait(timeout=remaining)
         return True
 
     def shutdown(self, timeout: Optional[float] = None) -> bool:
-        """Drain, then stop and join dispatcher, workers, and samplers."""
+        """Drain, then stop and join the serve loop and samplers."""
         finished = self.drain(timeout=timeout)
         with self._lock:
             self._stopping = True
-            self._dispatch_wake.notify_all()
-            self._work_available.notify_all()
-        self._dispatcher.join(timeout=5.0)
-        for worker in self._workers:
-            worker.join(timeout=5.0)
+            self._changed.notify_all()
+        self._loop.join(timeout=5.0)
         self._stop_telemetry()
         return finished
 
@@ -503,12 +459,10 @@ class MappingServer(Telemetry):
     # ------------------------------------------------------------------
 
     def _depth_locked(self) -> int:
-        queued = self._batcher.depth + sum(len(job.batch) for job in self._ready)
-        return queued + self._running_requests + self._follower_count
+        return self._batcher.depth + self._running_requests + self._follower_count
 
     def _retry_after_locked(self, depth: int) -> float:
-        workers = max(self.config.workers, 1)
-        return max(self.config.max_wait_s, depth * self._service_ema_s / workers)
+        return max(self.config.max_wait_s, depth * self._service_ema_s)
 
     def _refuse_if_full_locked(self) -> None:
         """Raise :class:`ServerOverloaded` (counted, and emitted as an
@@ -523,93 +477,56 @@ class MappingServer(Telemetry):
             )
             raise ServerOverloaded(retry_after, depth)
 
-    def _promote_ready_job_locked(self, key: Hashable) -> None:
-        """Re-key any queued job carrying ``key``'s leader to HIGH priority."""
-        promoted = False
-        for job in self._ready:
-            if any(item.key == key for item in job.batch.items):
-                job.sort_key = (int(Priority.HIGH), job.sort_key[1])
-                promoted = True
-        if promoted:
-            heapq.heapify(self._ready)
-
-    def _enqueue_batch_locked(
-        self, batch: Batch, priority: Optional[Priority] = None
-    ) -> None:
-        sort_key = batch.order_key()
-        if priority is not None:
-            # Upgrade (never downgrade) — e.g. a HIGH duplicate collapsing
-            # onto a NORMAL leader promotes the leader's whole batch.
-            sort_key = (min(int(priority), sort_key[0]), sort_key[1])
-        heapq.heappush(self._ready, _Job(sort_key=sort_key, batch=batch))
-        self._work_available.notify()
-
-    def _dispatch_loop(self) -> None:
-        """Flush a deadline-due batcher — but only onto an idle server.
+    def _serve_loop(self) -> None:
+        """Run every batch, one at a time, as the batcher makes one due.
 
         Batches are CPU-bound under one interpreter lock, so a batch
         started beside a running one buys no parallelism: the two hand
         the lock back and forth and both crawl (two concurrent batches of
         four ``gradient`` requests took ~1.2 s each on a 2-vCPU VM, one
-        batch of all eight ~0.55 s).  And two batches started apart keep
-        finishing apart, so a closed-loop client's waves stay split.  So
-        while a batch runs or waits for a worker, due requests stay in the
-        batcher and keep coalescing — they grow toward ``max_batch`` (the
-        size trigger still fires under the lock at admission, and
-        high-priority arrivals still flush at once).  On an idle server
-        ``max_wait_s`` bounds the *added* latency: the batcher flushes once
-        its oldest request has waited ``max_wait_s`` and the server has
-        been idle for ``max_wait_s``.  The second window lets the
-        requests just answered return and join the held queue, so a split
-        wave merges again on its next round.  Batch sizes still adapt to
-        load: singletons when idle, full batches under saturation.
+        batch of all eight ~0.55 s).  So one thread runs them all, and
+        while a batch runs, arrivals wait in the batcher and keep
+        coalescing toward ``max_batch``.  When it ends, a full queue or a
+        waiting high-priority request goes at once; anything else waits
+        out the deadline, which on an idle server bounds the *added*
+        latency by ``max_wait_s`` and lets the requests just answered
+        return and join the queue, so a closed-loop client's wave stays
+        merged.  After ``begin_drain`` whatever waits is due.
         """
-        with self._lock:
-            while not self._stopping:
-                now = self._clock()
-                # Busy: sleep until a worker's idle notification.
-                wait = None
-                if not self._running_batches and not self._ready:
-                    settled = self._idle_since + self.config.max_wait_s
-                    if now >= settled:
-                        for batch in self._batcher.poll(now):
-                            self._enqueue_batch_locked(batch)
-                    deadline = self._batcher.next_deadline()
-                    if deadline is not None:
-                        wait = max(max(deadline, settled) - now, 0.0)
-                self._dispatch_wake.wait(timeout=wait)
-
-    def _work_loop(self) -> None:
         while True:
             with self._lock:
-                while not self._ready and not self._stopping:
-                    self._work_available.wait()
-                if self._stopping and not self._ready:
-                    return
-                job = heapq.heappop(self._ready)
-                self._running_batches += 1
-                self._running_requests += len(job.batch)
+                while True:
+                    now = self._clock()
+                    trigger = self._batcher.due(now, self._idle_since)
+                    if not (trigger or self._accepting) and self._batcher.depth:
+                        trigger = "drain"
+                    if trigger is not None:
+                        break
+                    if self._stopping:
+                        return
+                    deadline = self._batcher.next_deadline(self._idle_since)
+                    self._changed.wait(
+                        None if deadline is None else max(deadline - now, 0.0)
+                    )
+                batch = self._batcher.take(trigger, now)
+                self._running_requests = len(batch)
             try:
-                self._execute(job.batch)
-            except BaseException as error:  # noqa: BLE001 — workers never die
+                self._execute(batch)
+            except BaseException as error:  # noqa: BLE001 — the loop never dies
                 # _execute handles runner failures itself; anything landing
                 # here is a server bug, but killing the thread would strand
                 # every queued request.  Fail this batch's futures (no-op
                 # for any already resolved) and keep serving.
-                for item in job.batch.items:
+                for item in batch.items:
                     self._fail_item(item, error)
             finally:
                 with self._lock:
-                    self._running_batches -= 1
-                    self._running_requests -= len(job.batch)
-                    if not self._running_batches and not self._ready:
-                        self._idle_since = self._clock()
-                    # A worker just freed up: a due queue may now flush.
-                    self._dispatch_wake.notify()
-                    self._idle.notify_all()
+                    self._running_requests = 0
+                    self._idle_since = self._clock()
+                    self._changed.notify_all()
 
     def _execute(self, batch: Batch) -> None:
-        started = self._clock()
+        started = batch.taken_at
         items = batch.items
         self.metrics.observe_batch(len(items))
         self.timeseries.observe_batch(len(items), now=started)
@@ -617,15 +534,12 @@ class MappingServer(Telemetry):
         for item in items:
             handle = item.trace
             if isinstance(handle, TraceHandle):
-                # Queue time is only known once a worker picks the batch
-                # up, so both wait spans are recorded retroactively.
+                # Queue time is only known once the loop takes the batch,
+                # so the admission span is recorded retroactively.
                 handle.record(
-                    "admission", item.enqueued_at, batch.flushed_at,
+                    "admission", item.enqueued_at, started,
                     stage="admission_wait_s", trigger=batch.trigger,
-                )
-                handle.record(
-                    "batch.wait", batch.flushed_at, started,
-                    stage="batch_wait_s", batch=len(items),
+                    batch=len(items),
                 )
         try:
             # The ambient context is index-aligned with the runner's
@@ -649,10 +563,8 @@ class MappingServer(Telemetry):
         finished = self._clock()
         elapsed = finished - started
         if items:
-            # EMA over per-request service time steers the retry-after hint.
-            # _retry_after_locked reads this under the lock, so the
-            # read-modify-write must hold it too or concurrent batches
-            # lose each other's updates.
+            # EMA over per-request service time steers the retry-after hint;
+            # _retry_after_locked reads it under the lock.
             per_request = elapsed / len(items)
             with self._lock:
                 self._service_ema_s += 0.2 * (per_request - self._service_ema_s)

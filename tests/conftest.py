@@ -20,8 +20,24 @@ settings.register_profile(
 settings.load_profile("repro")
 
 from repro.core import MindMappings, MindMappingsConfig, TrainingConfig, generate_dataset
+from repro.obs import events
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def fresh_event_log():
+    """A fresh process-default event log for every test.
+
+    ``repro.obs.events`` keeps one log per OS process, and every shipped
+    front door runs one per process; the suite runs many servers and
+    routers in one, so each test gets its own log and sees only its own
+    events."""
+    previous = events.set_default_log(events.EventLog())
+    try:
+        yield
+    finally:
+        events.set_default_log(previous)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -138,7 +138,7 @@ def test_hammer_traffic_agrees_with_static_graph():
         engine = MappingEngine(small_accelerator(), EngineConfig())
         problem = make_conv1d("hammer", w=16, r=3)
         with MappingServer(
-            engine, ServeConfig(max_batch=4, max_wait_s=0.02, workers=2)
+            engine, ServeConfig(max_batch=4, max_wait_s=0.02)
         ) as server:
             futures = [
                 server.submit(

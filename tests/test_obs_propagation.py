@@ -43,19 +43,6 @@ def mm_engine():
     return engine
 
 
-@pytest.fixture(autouse=True)
-def fresh_event_log():
-    """Isolate the process-default event log: earlier tests in the same
-    process (real cluster failovers, overload probes) leave events behind."""
-    from repro.obs import events
-
-    previous = events.set_default_log(events.EventLog())
-    try:
-        yield
-    finally:
-        events.set_default_log(previous)
-
-
 def _request(problem=PROBLEM, seed=0, tag="", searcher="random",
              iterations=20):
     return MappingRequest(
@@ -92,8 +79,12 @@ def _assert_complete_trace(server, response):
     assert snap is not None
     names = _span_names(snap)
     assert names[0] == "serve.request"
-    assert "admission" in names
-    assert "batch.wait" in names
+    # Admission runs from enqueue until the serve loop takes the batch;
+    # the batch starts there, so no wait span sits between the two.
+    [admission] = [s for s in snap["spans"] if s["name"] == "admission"]
+    assert admission["attrs"]["trigger"] in ("size", "priority", "deadline")
+    assert admission["attrs"]["batch"] >= 1
+    assert "batch.wait" not in names
     assert names.count("search") == 1
     assert "finalize" in names
     assert _well_nested(snap)
@@ -109,7 +100,7 @@ def _assert_complete_trace(server, response):
 class TestServerTraces:
     def test_response_carries_a_complete_trace(self, engine):
         server = MappingServer(
-            engine, ServeConfig(max_batch=4, max_wait_s=0.005, workers=1)
+            engine, ServeConfig(max_batch=4, max_wait_s=0.005)
         )
         try:
             response = server.submit(_request(seed=1, tag="t")).result(
@@ -121,7 +112,7 @@ class TestServerTraces:
 
     def test_gradient_stages_sum_to_wall_latency(self, mm_engine):
         server = MappingServer(
-            mm_engine, ServeConfig(max_batch=4, max_wait_s=0.005, workers=1)
+            mm_engine, ServeConfig(max_batch=4, max_wait_s=0.005)
         )
         try:
             response = server.submit(
@@ -147,7 +138,7 @@ class TestServerTraces:
             )},
         ))
         server = MappingServer(
-            engine, ServeConfig(max_batch=4, max_wait_s=0.005, workers=1)
+            engine, ServeConfig(max_batch=4, max_wait_s=0.005)
         )
         try:
             response = server.submit(
@@ -162,7 +153,7 @@ class TestServerTraces:
     def test_span_count_does_not_grow_with_iterations(self, engine):
         # One ``search`` span per request, however many rounds it runs.
         server = MappingServer(
-            engine, ServeConfig(max_batch=4, max_wait_s=0.005, workers=1)
+            engine, ServeConfig(max_batch=4, max_wait_s=0.005)
         )
         try:
             counts = []
@@ -180,7 +171,7 @@ class TestServerTraces:
         # Two coalescible searches in one batch: each trace gets one
         # ``search`` span; the shared prewarm kernels nest under it in both.
         server = MappingServer(
-            engine, ServeConfig(max_batch=8, max_wait_s=0.25, workers=1)
+            engine, ServeConfig(max_batch=8, max_wait_s=0.25)
         )
         try:
             futures = [
@@ -211,10 +202,7 @@ class TestServerTraces:
     def test_follower_records_admission_and_links_leader(self, engine):
         server = MappingServer(
             engine,
-            ServeConfig(
-                max_batch=8, max_wait_s=0.25, workers=1,
-                response_cache_size=0,
-            ),
+            ServeConfig(max_batch=8, max_wait_s=0.25, response_cache_size=0),
         )
         try:
             leader_future = server.submit(_request(seed=3, tag="leader"))
@@ -245,7 +233,7 @@ class TestServerTraces:
 
         server = MappingServer(
             engine,
-            ServeConfig(max_batch=1, max_wait_s=0.0, workers=1),
+            ServeConfig(max_batch=1, max_wait_s=0.0),
             runner=exploding_runner,
         )
         try:
@@ -275,7 +263,7 @@ class TestServerTraces:
 
     def test_cache_hit_gets_its_own_trivial_trace(self, engine):
         server = MappingServer(
-            engine, ServeConfig(max_batch=4, max_wait_s=0.005, workers=1)
+            engine, ServeConfig(max_batch=4, max_wait_s=0.005)
         )
         try:
             first = server.submit(_request(seed=9, tag="a")).result(
@@ -325,7 +313,7 @@ def _router_without_processes(num_shards=2):
 def _ok_reply(engine, request, trace_payload):
     """A canned shard reply: a real response traced by a real server."""
     server = MappingServer(
-        engine, ServeConfig(max_batch=1, max_wait_s=0.0, workers=1)
+        engine, ServeConfig(max_batch=1, max_wait_s=0.0)
     )
     try:
         trace_parent = (

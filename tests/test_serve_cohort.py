@@ -372,7 +372,7 @@ class TestRoutedGradient:
             num_shards=1,
             accelerator=small_accelerator(),
             engine=MM_ENGINE_CONFIG,
-            serve=ServeConfig(max_batch=8, max_wait_s=0.2, workers=1),
+            serve=ServeConfig(max_batch=8, max_wait_s=0.2),
             health_interval_s=0.2,
         )).start()
         try:

@@ -46,7 +46,7 @@ def _http_error(call, *args, **kwargs):
 def stack():
     engine = MappingEngine(small_accelerator(), EngineConfig())
     server = MappingServer(
-        engine, ServeConfig(max_batch=8, max_wait_s=0.01, workers=1)
+        engine, ServeConfig(max_batch=8, max_wait_s=0.01)
     )
     gateway = start_gateway(server)
     yield engine, server, gateway
@@ -175,8 +175,6 @@ class TestObservabilityEndpoints:
         SLO ok -> warning -> page at /v1/slo; slo_warning precedes
         slo_page at /v1/events; /v1/profile's collapsed stacks catch the
         megabatch kernel."""
-        from repro.obs import events
-
         spec = SLOSpec(
             name="burn_walk_latency", objective=0.9, threshold_s=1e-7,
             window_s=60.0, fast_window_s=0.5, slow_window_s=30.0,
@@ -191,8 +189,6 @@ class TestObservabilityEndpoints:
                         profile_interval_s=0.002),
         )
         gateway = start_gateway(server)
-        # A private event log, so later tests see no slo_page.
-        previous_log = events.set_default_log(events.EventLog())
 
         def serve(seed):
             request = MappingRequest(PROBLEM, searcher="random",
@@ -243,7 +239,6 @@ class TestObservabilityEndpoints:
                 pytest.fail("no collapsed stack reached evaluate_megabatch")
             assert "megabatch.kernel" in {row["name"] for row in profile["hotspots"]}
         finally:
-            events.set_default_log(previous_log)
             gateway.shutdown()
             gateway.server_close()
             server.shutdown(timeout=30.0)
@@ -329,8 +324,8 @@ class TestErrors:
         engine = MappingEngine(small_accelerator(), EngineConfig())
         server = MappingServer(
             engine,
-            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=1, workers=1,
-                        collapse_duplicates=False, response_cache_size=0),
+            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=1,
+                        response_cache_size=0),
             runner=gated_runner,
         )
         gateway = start_gateway(server)

@@ -5,6 +5,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.costmodel.accelerator import small_accelerator
 from repro.engine import EngineConfig, MappingEngine, MappingRequest
@@ -15,6 +16,7 @@ from repro.serve import (
     ServerClosed,
     ServerOverloaded,
 )
+from repro.serve.cohort import serve_batch
 from repro.workloads import make_conv1d
 
 PROBLEM_A = make_conv1d("serve_a", w=32, r=5)
@@ -60,7 +62,7 @@ class TestDeterminism:
         solo = [engine.map(request) for request in requests]
         via_batch = engine.map_batch(requests)
         with MappingServer(
-            engine, ServeConfig(max_batch=16, max_wait_s=0.05, workers=2)
+            engine, ServeConfig(max_batch=16, max_wait_s=0.05)
         ) as server:
             futures = [server.submit(request) for request in requests]
             via_server = [future.result(timeout=60) for future in futures]
@@ -75,7 +77,7 @@ class TestDeterminism:
 
     def test_batches_actually_formed(self, engine):
         with MappingServer(
-            engine, ServeConfig(max_batch=8, max_wait_s=0.1, workers=1)
+            engine, ServeConfig(max_batch=8, max_wait_s=0.1)
         ) as server:
             futures = [
                 server.submit(_request(seed=seed)) for seed in range(8)
@@ -92,7 +94,7 @@ class TestDeterminism:
 class TestCollapsing:
     def test_duplicate_inflight_requests_collapse(self, engine):
         config = ServeConfig(
-            max_batch=16, max_wait_s=0.05, workers=1, response_cache_size=0
+            max_batch=16, max_wait_s=0.05, response_cache_size=0
         )
         with MappingServer(engine, config) as server:
             first = server.submit(_request(seed=7, tag="original"))
@@ -109,7 +111,7 @@ class TestCollapsing:
 
     def test_response_cache_hits_across_time(self, engine):
         with MappingServer(
-            engine, ServeConfig(max_batch=4, max_wait_s=0.01, workers=1)
+            engine, ServeConfig(max_batch=4, max_wait_s=0.01)
         ) as server:
             cold = server.submit(_request(seed=3, tag="cold")).result(timeout=60)
             warm = server.submit(_request(seed=3, tag="warm")).result(timeout=60)
@@ -124,7 +126,7 @@ class TestCollapsing:
         with MappingServer(
             engine,
             # Leader would otherwise sit for the full 10s deadline.
-            ServeConfig(max_batch=64, max_wait_s=10.0, workers=1),
+            ServeConfig(max_batch=64, max_wait_s=10.0),
         ) as server:
             started = time.monotonic()
             leader = server.submit(_request(seed=7, tag="leader"))
@@ -142,7 +144,7 @@ class TestCollapsing:
 
     def test_unseeded_requests_never_collapse(self, engine):
         with MappingServer(
-            engine, ServeConfig(max_batch=4, max_wait_s=0.01, workers=1)
+            engine, ServeConfig(max_batch=4, max_wait_s=0.01)
         ) as server:
             futures = [
                 server.submit(_request(seed=None, iterations=5))
@@ -160,8 +162,8 @@ class TestBackpressure:
         runner = _GatedRunner()
         server = MappingServer(
             engine,
-            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=2, workers=1,
-                        collapse_duplicates=False, response_cache_size=0),
+            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=2,
+                        response_cache_size=0),
             runner=runner,
         )
         try:
@@ -186,8 +188,6 @@ class TestBackpressure:
     def test_collapsed_followers_count_against_admission(self, engine):
         """A duplicate-request storm can't grow follower state without
         bound: followers occupy queue slots and overflow is rejected."""
-        from repro.serve.cohort import serve_batch
-
         gate = threading.Event()
 
         def gated_real_runner(engine_, reqs):
@@ -196,7 +196,7 @@ class TestBackpressure:
 
         server = MappingServer(
             engine,
-            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=3, workers=1,
+            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=3,
                         response_cache_size=0),
             runner=gated_real_runner,
         )
@@ -223,8 +223,8 @@ class TestBackpressure:
         runner = _GatedRunner()
         server = MappingServer(
             engine,
-            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=64, workers=1,
-                        collapse_duplicates=False, response_cache_size=0),
+            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=64,
+                        response_cache_size=0),
             runner=runner,
         )
         try:
@@ -247,11 +247,9 @@ class TestBackpressure:
         assert runner.order.index("urgent") <= 1
 
 
-    def test_high_duplicate_promotes_already_flushed_leader(self, engine):
-        """If the leader's batch already flushed into the ready queue, a
-        HIGH duplicate re-keys that job ahead of the NORMAL backlog."""
-        from repro.serve.cohort import serve_batch
-
+    def test_high_duplicate_promotes_the_waiting_leader(self, engine):
+        """If the leader waits behind a running batch, a HIGH duplicate
+        moves it ahead of the NORMAL backlog."""
         gate = threading.Event()
         order = []
 
@@ -262,7 +260,7 @@ class TestBackpressure:
 
         server = MappingServer(
             engine,
-            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=64, workers=1,
+            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=64,
                         response_cache_size=0),
             runner=gated_recording_runner,
         )
@@ -305,27 +303,45 @@ class _BatchRecorder:
         return [None] * len(requests)
 
 
-def _dispatch_server(engine, runner, max_batch=64, max_wait_s=0.01):
+def _loop_server(engine, runner, max_batch=64, max_wait_s=0.01):
     return MappingServer(
         engine,
-        ServeConfig(max_batch=max_batch, max_wait_s=max_wait_s, workers=2,
-                    collapse_duplicates=False, response_cache_size=0),
+        ServeConfig(max_batch=max_batch, max_wait_s=max_wait_s,
+                    response_cache_size=0),
         runner=runner,
     )
 
 
-class TestDispatch:
+class TestServeLoop:
+    def test_runs_exactly_one_serving_thread(self, engine):
+        """A started server adds one serving thread (beside the telemetry
+        sampler), and every batch runs on it."""
+        ran_on = []
+
+        def runner(engine_, requests):
+            ran_on.append(threading.current_thread().name)
+            return [None] * len(requests)
+
+        before = set(threading.enumerate())
+        with _loop_server(engine, runner, max_batch=2) as server:
+            for future in [server.submit(_request(seed=s)) for s in range(5)]:
+                future.result(timeout=30)
+            started = sorted(thread.name for thread in threading.enumerate()
+                             if thread not in before)
+        assert started == ["obs-sampler", "serve-loop"]
+        assert ran_on and set(ran_on) == {"serve-loop"}
+
     def test_due_group_waits_for_the_running_batch(self, engine):
-        """A deadline-due group never starts beside a running batch, even
-        with a worker idle: it keeps coalescing until the server is idle."""
+        """A deadline-due group never starts beside a running batch: it
+        keeps coalescing until the server is idle."""
         runner = _BatchRecorder()
-        server = _dispatch_server(engine, runner)
+        server = _loop_server(engine, runner)
         try:
             first = server.submit(_request(seed=0, tag="first"))
             assert runner.started.wait(timeout=10.0)
             late = [server.submit(_request(seed=s, tag=f"late-{s}"))
                     for s in (1, 2)]
-            time.sleep(0.1)  # ten deadlines pass with a worker idle
+            time.sleep(0.1)  # ten deadlines pass while "first" runs
             assert runner.batches == [["first"]]
             runner.gate.set()
             for future in [first] + late:
@@ -336,10 +352,10 @@ class TestDispatch:
         assert runner.batches == [["first"], ["late-1", "late-2"]]
 
     def test_held_group_merges_with_requests_answered_meanwhile(self, engine):
-        """Once idle, the server waits ``max_wait_s`` before flushing a
+        """Once idle, the server waits ``max_wait_s`` before running a
         held group, so a closed-loop client's next request joins it."""
         runner = _BatchRecorder()
-        server = _dispatch_server(engine, runner, max_wait_s=0.2)
+        server = _loop_server(engine, runner, max_wait_s=0.2)
         try:
             first = server.submit(_request(seed=0, tag="first"))
             assert runner.started.wait(timeout=10.0)
@@ -356,18 +372,43 @@ class TestDispatch:
             server.shutdown(timeout=10.0)
         assert runner.batches == [["first"], ["held", "again"]]
 
-    def test_deadline_batches_never_overlap_under_stress(self, engine):
-        """Eight submitting threads, four workers, a tiny switch interval:
-        with only deadline flushes, no two batches ever run at once, and
-        every request is served exactly once."""
+    def test_full_batch_waits_for_the_running_batch(self, engine):
+        """A full queue goes as soon as the running batch ends, not beside
+        it."""
+        runner = _BatchRecorder()
+        server = _loop_server(engine, runner, max_batch=2, max_wait_s=10.0)
+        try:
+            futures = [server.submit(_request(seed=s, tag=f"r{s}"))
+                       for s in range(2)]
+            assert runner.started.wait(timeout=10.0)
+            futures += [server.submit(_request(seed=s, tag=f"r{s}"))
+                        for s in (2, 3)]
+            time.sleep(0.05)
+            assert runner.batches == [["r0", "r1"]]
+            runner.gate.set()
+            for future in futures:
+                future.result(timeout=30)
+        finally:
+            runner.gate.set()
+            server.shutdown(timeout=10.0)
+        assert runner.batches == [["r0", "r1"], ["r2", "r3"]]
+
+    def test_batches_never_overlap_under_stress(self, engine):
+        """Eight submitting threads, a tiny switch interval, every tenth
+        request HIGH and ``max_batch=7``, then a lone request: size,
+        priority and deadline triggers all fire, no two batches ever run
+        at once, none exceeds ``max_batch``, and every request is served
+        exactly once."""
         lock = threading.Lock()
         active = [0, 0]  # running now, most ever running at once
+        sizes = []
         served = []
 
         def runner(engine_, requests):
             with lock:
                 active[0] += 1
                 active[1] = max(active)
+                sizes.append(len(requests))
             time.sleep(0.001)
             with lock:
                 active[0] -= 1
@@ -378,16 +419,18 @@ class TestDispatch:
         sys.setswitchinterval(1e-5)
         server = MappingServer(
             engine,
-            ServeConfig(max_batch=100_000, max_wait_s=0.001, max_queue=1000,
-                        workers=4, collapse_duplicates=False,
-                        response_cache_size=0),
+            ServeConfig(max_batch=7, max_wait_s=0.001, max_queue=1000,
+                        response_cache_size=0, trace_capacity=1000),
             runner=runner,
         )
         futures = []
 
         def submit_many(first):
             for seed in range(first, first + 50):
-                futures.append(server.submit(_request(seed=seed, tag=str(seed))))
+                priority = Priority.HIGH if seed % 10 == 0 else Priority.NORMAL
+                futures.append(server.submit(
+                    _request(seed=seed, tag=str(seed)), priority=priority
+                ))
 
         try:
             threads = [threading.Thread(target=submit_many, args=(50 * i,))
@@ -398,37 +441,109 @@ class TestDispatch:
                 thread.join(timeout=30)
             for future in futures:
                 future.result(timeout=30)
+            server.map(_request(seed=400, tag="400"), timeout=30)
+            triggers = {
+                span["attrs"]["trigger"]
+                for trace_id in server.tracer.trace_ids()
+                for span in server.trace_snapshot(trace_id)["spans"]
+                if span["name"] == "admission"
+            }
         finally:
             sys.setswitchinterval(interval)
             server.shutdown(timeout=10.0)
+        assert triggers == {"size", "priority", "deadline"}
         assert active[1] == 1
-        assert sorted(served, key=int) == [str(seed) for seed in range(400)]
+        assert max(sizes) <= 7 and sum(sizes) == 401
+        assert sorted(served, key=int) == [str(seed) for seed in range(401)]
 
-    def test_size_trigger_still_takes_an_idle_worker(self, engine):
-        runner = _BatchRecorder()
-        server = _dispatch_server(engine, runner, max_batch=2)
+
+@pytest.fixture(scope="module")
+def shared_engine():
+    return MappingEngine(small_accelerator(), EngineConfig())
+
+
+class _OverlapRecorder:
+    """Real runner, wrapped to record each batch's size and the most
+    batches ever running at once."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.active = 0
+        self.most_active = 0
+        self.sizes = []
+
+    def __call__(self, engine, requests):
+        with self.lock:
+            self.active += 1
+            self.most_active = max(self.most_active, self.active)
+            self.sizes.append(len(requests))
         try:
-            futures = [server.submit(_request(seed=s, tag=f"r{s}"))
-                       for s in range(2)]
-            assert runner.started.wait(timeout=10.0)
-            futures += [server.submit(_request(seed=s, tag=f"r{s}"))
-                        for s in (2, 3)]
-            deadline = time.monotonic() + 10.0
-            while len(runner.batches) < 2 and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert runner.batches == [["r0", "r1"], ["r2", "r3"]]
-            runner.gate.set()
-            for future in futures:
-                future.result(timeout=30)
+            return serve_batch(engine, requests)
         finally:
-            runner.gate.set()
+            with self.lock:
+                self.active -= 1
+
+
+#: (seed, lane, poison) per arrival.  Four seeds make some requests
+#: collapse and some hit the response cache; lane 0 (1 in 5) is HIGH;
+#: poison 0 (1 in 6) carries a config that fails in prepare.
+_ARRIVALS = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 4), st.integers(0, 5)),
+    min_size=8, max_size=24,
+)
+
+
+class TestConservation:
+    @settings(max_examples=30, deadline=None)
+    @given(arrivals=_ARRIVALS, max_batch=st.integers(1, 5),
+           max_queue=st.integers(2, 8))
+    def test_every_admitted_request_ends_exactly_once(
+        self, shared_engine, arrivals, max_batch, max_queue
+    ):
+        """After ``drain`` every admitted future is done, the counters
+        balance (a lost request or a double resolution breaks the sum),
+        nothing is left queued or following, and batches never exceed
+        ``max_batch`` or overlap."""
+        runner = _OverlapRecorder()
+        server = MappingServer(
+            shared_engine,
+            ServeConfig(max_batch=max_batch, max_wait_s=0.001,
+                        max_queue=max_queue),
+            runner=runner,
+        )
+        admitted = []
+        try:
+            for seed, lane, poison in arrivals:
+                request = MappingRequest(
+                    (PROBLEM_A, PROBLEM_B)[seed % 2], searcher="random",
+                    iterations=5, seed=seed,
+                    searcher_config={"bogus_knob": 1} if poison == 0 else {},
+                )
+                priority = Priority.HIGH if lane == 0 else Priority.NORMAL
+                try:
+                    admitted.append(server.submit(request, priority=priority))
+                except ServerOverloaded:
+                    pass
+            assert server.drain(timeout=30.0)
+            counters = server.metrics_snapshot()["counters"]
+            assert all(future.done() for future in admitted)
+            assert counters["submitted"] == len(arrivals)
+            assert counters["rejected"] == len(arrivals) - len(admitted)
+            assert counters["submitted"] == (
+                counters["served"] + counters["errors"] + counters["rejected"]
+            )
+            assert server.queue_depth == 0
+            assert server._inflight == {}
+            assert max(runner.sizes, default=0) <= max_batch
+            assert runner.most_active <= 1
+        finally:
             server.shutdown(timeout=10.0)
 
 
 class TestLifecycle:
     def test_drain_serves_admitted_then_closes(self, engine):
         server = MappingServer(
-            engine, ServeConfig(max_batch=8, max_wait_s=5.0, workers=1)
+            engine, ServeConfig(max_batch=8, max_wait_s=5.0)
         )
         futures = [server.submit(_request(seed=seed)) for seed in range(3)]
         # max_wait is long: requests are still sitting in the batcher.
@@ -441,7 +556,7 @@ class TestLifecycle:
         server.shutdown(timeout=10.0)
 
     def test_context_manager_shuts_down(self, engine):
-        with MappingServer(engine, ServeConfig(workers=1)) as server:
+        with MappingServer(engine, ServeConfig()) as server:
             response = server.map(_request(seed=1), timeout=60)
             assert response.stats.edp > 0
         with pytest.raises(ServerClosed):
@@ -451,7 +566,7 @@ class TestLifecycle:
         """A bad searcher name is refused at submit, before it can be
         coalesced into (and poison) a batch of innocent requests."""
         with MappingServer(
-            engine, ServeConfig(max_batch=1, max_wait_s=0.0, workers=1)
+            engine, ServeConfig(max_batch=1, max_wait_s=0.0)
         ) as server:
             with pytest.raises(KeyError, match="no-such-searcher"):
                 server.submit(
@@ -465,8 +580,7 @@ class TestLifecycle:
         is re-run solo and succeeds."""
         with MappingServer(
             engine,
-            ServeConfig(max_batch=8, max_wait_s=0.05, workers=1,
-                        collapse_duplicates=False, response_cache_size=0),
+            ServeConfig(max_batch=8, max_wait_s=0.05, response_cache_size=0),
         ) as server:
             good = [server.submit(_request(seed=seed)) for seed in range(3)]
             bad = server.submit(
@@ -509,7 +623,7 @@ class TestLifecycle:
             _request(PROBLEM_B, "gradient", seed=3, iterations=25),
         ]
         with MappingServer(
-            engine, ServeConfig(max_batch=8, max_wait_s=0.2, workers=1)
+            engine, ServeConfig(max_batch=8, max_wait_s=0.2)
         ) as server:
             futures = [server.submit(request) for request in requests]
             with pytest.raises(ValueError, match="not finite"):
@@ -530,8 +644,8 @@ class TestLifecycle:
         runner = _GatedRunner()
         server = MappingServer(
             engine,
-            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=64, workers=1,
-                        collapse_duplicates=False, response_cache_size=0),
+            ServeConfig(max_batch=1, max_wait_s=0.0, max_queue=64,
+                        response_cache_size=0),
             runner=runner,
         )
         try:
@@ -552,7 +666,5 @@ class TestLifecycle:
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             ServeConfig(max_queue=0)
-        with pytest.raises(ValueError):
-            ServeConfig(workers=0)
         with pytest.raises(ValueError):
             ServeConfig(response_cache_size=-1)
