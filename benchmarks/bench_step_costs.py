@@ -67,7 +67,7 @@ def test_step_oracle_query(benchmark, accelerator):
 @pytest.mark.parametrize("lanes", [1, 64])
 def test_step_oracle_batch(benchmark, accelerator, mapping_pool, lanes):
     """One batched analytical query: ``CostModel.evaluate_many`` over 1
-    lane (an annealing step below the cohort's prewarm floor) or 64 lanes
+    lane (a lone annealing chain's step) or 64 lanes
     (a population), each call over the next mappings of the pool."""
     problem, _ = _problem_and_space(accelerator)
     model = CostModel(accelerator)

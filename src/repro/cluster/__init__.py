@@ -32,7 +32,7 @@ from repro.cluster.router import (
     NoLiveShards,
     start_cluster,
 )
-from repro.cluster.shard import ShardService, ShardSpec, run_shard
+from repro.cluster.shard import ShardService, run_shard
 from repro.cluster.watcher import RegistryWatcher
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "NoLiveShards",
     "RegistryWatcher",
     "ShardService",
-    "ShardSpec",
     "problem_fingerprint",
     "run_shard",
     "stable_digest",

@@ -16,12 +16,14 @@ HTTP gateway fronts a cluster unchanged (``start_gateway(router)``).
   serving stack is deterministic per seed) and unseeded requests accept
   any valid answer, so retrying elsewhere is always safe.
 * **Supervision** — a monitor thread pings every shard; a dead process
-  (or one failing ``health_failures`` consecutive pings) is respawned
+  (or one failing ``HEALTH_FAILURES`` consecutive pings) is respawned
   with the *same shard id*, so the ring never changes shape — the new
   process simply starts with cold caches on a new port.
 * **Backpressure** — the router bounds its own in-flight count
   (:class:`ServerOverloaded` → HTTP 429 via the gateway) and propagates a
-  shard's own overload verdict with its retry hint.
+  shard's own overload verdict with its retry hint and depth: a shard's
+  failure reply is raised again by
+  :func:`~repro.serve.server.failure_from_reply`.
 * **Fleet view** — ``metrics_snapshot`` aggregates every shard's snapshot
   plus router-side counters (failovers, respawns, rejected) and
   router-measured end-to-end latency quantiles; ``health_snapshot``
@@ -50,13 +52,29 @@ from repro.obs.core import Telemetry, check_telemetry_config
 from repro.obs.sketch import LatencySketch
 from repro.obs.slo import DEFAULT_SLOS, SLOSpec, worst_state
 from repro.obs.trace import TraceHandle
-from repro.serve.batcher import Priority
+from repro.serve.batcher import PRIORITY_NAMES, Priority
 from repro.serve.codec import request_to_dict, response_from_dict, trace_to_dict
 from repro.serve.metrics import Counter
-from repro.serve.server import ServeConfig, ServerClosed, ServerOverloaded
+from repro.serve.server import (
+    REQUEST_TIMEOUT_S,
+    ServeConfig,
+    ServerClosed,
+    ServerOverloaded,
+    failure_from_reply,
+)
 from repro.cluster.hashing import HashRing, problem_fingerprint
 from repro.cluster.rpc import ConnectionPool
-from repro.cluster.shard import ShardSpec, run_shard
+from repro.cluster.shard import DRAIN_TIMEOUT_S, run_shard
+
+#: Virtual nodes per shard on the consistent-hash ring.
+RING_REPLICAS = 64
+#: Pooled RPC connections per shard (also the per-shard concurrency).
+PER_SHARD_CONNECTIONS = 8
+#: Consecutive failed pings before a shard is declared dead.
+HEALTH_FAILURES = 3
+#: How long a shard process may take to report readiness (imports +
+#: engine construction; surrogates still train lazily afterwards).
+SPAWN_TIMEOUT_S = 120.0
 
 
 class NoLiveShards(RuntimeError):
@@ -65,7 +83,12 @@ class NoLiveShards(RuntimeError):
 
 @dataclass
 class ClusterConfig:
-    """Fleet-level knobs; per-shard knobs ride along on nested configs."""
+    """Fleet-level knobs; per-shard knobs ride along on nested configs.
+
+    The router hands this config to every shard process it spawns (see
+    :class:`~repro.cluster.shard.ShardService`), so every field must
+    pickle.
+    """
 
     num_shards: int = 2
     host: str = "127.0.0.1"
@@ -79,22 +102,9 @@ class ClusterConfig:
     #: RegistryWatcher that propagates gate-passed surrogates fleet-wide.
     registry_dir: Optional[Path] = None
     watch_interval_s: float = 0.25
-    #: Virtual nodes per shard on the consistent-hash ring.
-    ring_replicas: int = 64
     #: Router admission bound (independent of each shard's own bound).
     max_inflight: int = 512
-    #: Pooled RPC connections per shard (also the per-shard concurrency).
-    per_shard_connections: int = 8
-    request_timeout_s: float = 300.0
     health_interval_s: float = 0.5
-    #: Consecutive failed pings before a shard is declared dead.
-    health_failures: int = 3
-    #: Respawn dead shards (same shard id, new process, new port).
-    respawn: bool = True
-    #: How long a shard process may take to report readiness (imports +
-    #: engine construction; surrogates still train lazily afterwards).
-    spawn_timeout_s: float = 120.0
-    drain_timeout_s: float = 30.0
     #: Router-side tracing: every routed request gets a trace whose shard
     #: spans are merged back in (shards trace per their own ServeConfig).
     tracing: bool = True
@@ -104,7 +114,6 @@ class ClusterConfig:
     #: own per their ServeConfig.
     slos: Tuple[SLOSpec, ...] = DEFAULT_SLOS
     timeseries_interval_s: float = 1.0
-    timeseries_capacity: int = 180
     sample_interval_s: float = 0.5
 
     def __post_init__(self) -> None:
@@ -115,18 +124,13 @@ class ClusterConfig:
             raise ValueError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
             )
-        if self.per_shard_connections < 1:
-            raise ValueError(
-                "per_shard_connections must be >= 1, "
-                f"got {self.per_shard_connections}"
-            )
 
 
 class ShardHandle:
     """Router-side state for one shard id: process, address, pool, health."""
 
-    def __init__(self, spec: ShardSpec) -> None:
-        self.spec = spec
+    def __init__(self, shard_id: int) -> None:
+        self.shard_id = shard_id
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.port: Optional[int] = None
         self.pid: Optional[int] = None
@@ -135,10 +139,6 @@ class ShardHandle:
         self.failures = 0
         self.respawns = 0
         self.lock = threading.Lock()
-
-    @property
-    def shard_id(self) -> int:
-        return self.spec.shard_id
 
     def snapshot(self) -> Dict[str, object]:
         return {
@@ -156,14 +156,13 @@ class ClusterRouter(Telemetry):
     def __init__(self, config: Optional[ClusterConfig] = None) -> None:
         self.config = config or ClusterConfig()
         self._ctx = multiprocessing.get_context("spawn")
-        self._ring = HashRing(replicas=self.config.ring_replicas)
+        self._ring = HashRing(replicas=RING_REPLICAS)
         self._handles: Dict[int, ShardHandle] = {}
         for shard_id in range(self.config.num_shards):
             self._ring.add(shard_id)
-            self._handles[shard_id] = ShardHandle(self._spec_for(shard_id))
+            self._handles[shard_id] = ShardHandle(shard_id)
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.num_shards
-            * self.config.per_shard_connections,
+            max_workers=self.config.num_shards * PER_SHARD_CONNECTIONS,
             thread_name_prefix="cluster-router",
         )
         self._lock = threading.Lock()
@@ -193,21 +192,6 @@ class ClusterRouter(Telemetry):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _spec_for(self, shard_id: int) -> ShardSpec:
-        return ShardSpec(
-            shard_id=shard_id,
-            host=self.config.host,
-            accelerator=self.config.accelerator,
-            engine=self.config.engine,
-            serve=self.config.serve,
-            learn=self.config.learn,
-            registry_dir=self.config.registry_dir,
-            watch_registry=self.config.registry_dir is not None,
-            watch_interval_s=self.config.watch_interval_s,
-            request_timeout_s=self.config.request_timeout_s,
-            drain_timeout_s=self.config.drain_timeout_s,
-        )
-
     def start(self) -> "ClusterRouter":
         """Spawn every shard, wait for readiness, start the monitor."""
         if self._accepting:
@@ -227,17 +211,17 @@ class ClusterRouter(Telemetry):
         parent, child = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=run_shard,
-            args=(handle.spec, child),
+            args=(handle.shard_id, self.config, child),
             name=f"repro-shard-{handle.shard_id}",
             daemon=True,
         )
         process.start()
         child.close()  # the child's end lives in the child now
-        if not parent.poll(self.config.spawn_timeout_s):
+        if not parent.poll(SPAWN_TIMEOUT_S):
             process.terminate()
             raise RuntimeError(
                 f"shard {handle.shard_id} did not report ready within "
-                f"{self.config.spawn_timeout_s}s"
+                f"{SPAWN_TIMEOUT_S}s"
             )
         message = parent.recv()
         parent.close()
@@ -253,9 +237,7 @@ class ClusterRouter(Telemetry):
             handle.port = port
             handle.pid = pid
             handle.pool = ConnectionPool(
-                handle.spec.host,
-                port,
-                maxsize=self.config.per_shard_connections,
+                self.config.host, port, maxsize=PER_SHARD_CONNECTIONS
             )
             handle.failures = 0
             handle.live = True
@@ -305,7 +287,7 @@ class ClusterRouter(Telemetry):
                     pass
                 pool.close()
             if process is not None:
-                process.join(timeout=self.config.drain_timeout_s)
+                process.join(timeout=DRAIN_TIMEOUT_S)
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=5.0)
@@ -345,7 +327,7 @@ class ClusterRouter(Telemetry):
         payload = {
             "op": "map",
             "request": request_to_dict(request),  # raises for non-wire configs
-            "priority": "high" if priority == Priority.HIGH else "normal",
+            "priority": PRIORITY_NAMES[priority],
             "include_trace": include_trace,
         }
         with self._lock:
@@ -431,8 +413,7 @@ class ClusterRouter(Telemetry):
                     )
                 try:
                     reply = pool.call(
-                        attempt_payload,
-                        timeout_s=self.config.request_timeout_s,
+                        attempt_payload, timeout_s=REQUEST_TIMEOUT_S
                     )
                 except (ConnectionError, OSError, RuntimeError) as error:
                     # The shard is gone or its stream broke mid-call.
@@ -452,7 +433,7 @@ class ClusterRouter(Telemetry):
                 if not reply.get("ok") and reply.get("kind") == "closed":
                     # Draining shard (respawn window): its keys are welcome
                     # on the next shard in the chain until it's back.
-                    last_error = ServerClosed(str(reply.get("error")))
+                    last_error = failure_from_reply(reply, f"shard {shard_id}")
                     if trace is not None:
                         trace.close_span(rpc_span, error="closed")
                     continue
@@ -510,18 +491,7 @@ class ClusterRouter(Telemetry):
         if reply.get("ok"):
             self.counters["served"].inc()
             return response_from_dict(reply["response"])
-        kind = reply.get("kind")
-        error = reply.get("error", "unknown shard error")
-        if kind == "overloaded":
-            raise ServerOverloaded(
-                retry_after_s=float(reply.get("retry_after_s", 1.0)),
-                depth=self.config.max_inflight,
-            )
-        if kind == "closed":
-            raise ServerClosed(f"shard {shard_id} is draining: {error}")
-        if kind == "bad_request":
-            raise ValueError(f"shard {shard_id} refused request: {error}")
-        raise RuntimeError(f"shard {shard_id} failed: {error}")
+        raise failure_from_reply(reply, f"shard {shard_id}")
 
     # ------------------------------------------------------------------
     # Supervision
@@ -554,7 +524,7 @@ class ClusterRouter(Telemetry):
                     handle.failures = 0
                     return
                 handle.failures += 1
-                dead = handle.failures >= self.config.health_failures
+                dead = handle.failures >= HEALTH_FAILURES
         if not dead:
             return
         with handle.lock:
@@ -562,7 +532,7 @@ class ClusterRouter(Telemetry):
             handle.live = False
         if was_live:
             obs_events.emit("shard_down", shard=handle.shard_id)
-        if not self.config.respawn or not self._accepting:
+        if not self._accepting:
             return
         # Same shard id — the ring is untouched; only the address changes.
         if process is not None and process.is_alive():
@@ -852,7 +822,11 @@ def start_cluster(
 __all__ = [
     "ClusterConfig",
     "ClusterRouter",
+    "HEALTH_FAILURES",
     "NoLiveShards",
+    "PER_SHARD_CONNECTIONS",
+    "RING_REPLICAS",
+    "SPAWN_TIMEOUT_S",
     "ShardHandle",
     "merge_events",
     "merge_health",

@@ -9,13 +9,14 @@ response cache, memoized oracle, surrogate pipelines, and replay
 reservoirs stay as hot as the solo system's.
 
 :func:`run_shard` is the process entry point (spawn-safe: top level,
-picklable :class:`ShardSpec` argument).  Startup handshake: the child
-binds an ephemeral port and reports ``("ready", port, pid)`` on the pipe
-the router passed in (or ``("fatal", traceback)``), so the router never
-guesses ports and a respawned shard can land anywhere.  ``SIGTERM`` (or a
-``shutdown`` RPC) triggers the graceful sequence — stop admission, serve
-everything in flight, then exit 0 — so supervisor restarts and router
-respawns never drop requests.
+picklable arguments — the shard id and the router's
+:class:`~repro.cluster.router.ClusterConfig`).  Startup handshake: the
+child binds an ephemeral port and reports ``("ready", port, pid)`` on the
+pipe the router passed in (or ``("fatal", traceback)``), so the router
+never guesses ports and a respawned shard can land anywhere.  ``SIGTERM``
+(or a ``shutdown`` RPC) triggers the graceful sequence — stop admission,
+serve everything in flight, then exit 0 — so supervisor restarts and
+router respawns never drop requests.
 
 RPC operations (all framed by :mod:`repro.cluster.rpc`):
 
@@ -32,62 +33,32 @@ RPC operations (all framed by :mod:`repro.cluster.rpc`):
 
 The five view ops share one reply layout, ``{"ok": True, "shard_id":
 id, <op>: view}``; the ``metrics`` and ``health`` views also carry the
-shard's ``shard_id`` and ``pid``.
+shard's ``shard_id`` and ``pid``.  A ``map`` that fails, and an unknown
+op, reply with :func:`~repro.serve.server.failure_reply`: ``{"ok":
+False, "kind", "error"}`` with a kind from
+:data:`~repro.serve.server.FAILURE_KINDS` or ``error``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
 import traceback
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict
 
-from repro.costmodel.accelerator import Accelerator
-from repro.engine.engine import EngineConfig, MappingEngine
-from repro.serve.batcher import Priority
-from repro.serve.codec import request_from_dict, trace_from_dict
+from repro.engine.engine import MappingEngine
+from repro.serve.codec import BadRequest, map_call_from_dict
 from repro.serve.http import install_signal_drain
-from repro.serve.server import (
-    MappingServer,
-    ServeConfig,
-    ServerClosed,
-    ServerOverloaded,
-)
+from repro.serve.server import REQUEST_TIMEOUT_S, MappingServer, failure_reply
 from repro.cluster.rpc import RpcServer
 
+if TYPE_CHECKING:
+    from repro.cluster.router import ClusterConfig
 
-@dataclass
-class ShardSpec:
-    """Everything a shard process needs, in picklable form.
-
-    Crosses the ``multiprocessing`` spawn boundary, so every field is
-    plain data: configs are dataclasses of scalars, ``accelerator`` is the
-    (picklable) accelerator description itself — ``None`` means
-    :func:`~repro.costmodel.accelerator.default_accelerator`.  ``learn``
-    non-``None`` runs an :class:`~repro.learn.OnlineLearner` on the shard;
-    ``registry_dir`` points every shard at one shared directory, which is
-    what makes fleet propagation work (publishes land there, watchers poll
-    it).
-    """
-
-    shard_id: int
-    host: str = "127.0.0.1"
-    accelerator: Optional[Accelerator] = None
-    engine: EngineConfig = field(default_factory=EngineConfig)
-    serve: ServeConfig = field(default_factory=ServeConfig)
-    learn: Optional[object] = None  # LearnConfig; imported lazily
-    registry_dir: Optional[Path] = None
-    watch_registry: bool = True
-    watch_interval_s: float = 0.25
-    #: Per-request wait inside the shard before the RPC reply times out.
-    request_timeout_s: float = 300.0
-    #: Graceful-exit budget for in-flight work on SIGTERM/shutdown.
-    drain_timeout_s: float = 30.0
-
-
-_PRIORITIES = {"high": Priority.HIGH, "normal": Priority.NORMAL}
+#: How long a stopping shard may take to serve what it admitted (the
+#: router waits as long for the process to exit).
+DRAIN_TIMEOUT_S = 30.0
 
 #: The read-only view ops: op -> (service, payload) -> the shard's view.
 _VIEWS: Dict[str, Callable[["ShardService", Dict], object]] = {
@@ -102,37 +73,45 @@ _VIEWS: Dict[str, Callable[["ShardService", Dict], object]] = {
 
 
 class ShardService:
-    """The RPC handler around one shard's serving stack."""
+    """The RPC handler around one shard's serving stack.
 
-    def __init__(self, spec: ShardSpec) -> None:
-        import threading
+    Built from the router's :class:`~repro.cluster.router.ClusterConfig`:
+    ``accelerator`` (``None`` means
+    :func:`~repro.costmodel.accelerator.default_accelerator`), ``engine``
+    and ``serve`` configure the stack; ``learn`` non-``None`` runs an
+    :class:`~repro.learn.OnlineLearner`; a ``registry_dir`` shared by
+    every shard adds a :class:`~repro.cluster.watcher.RegistryWatcher`
+    polling it every ``watch_interval_s``, which is what makes fleet
+    propagation work (publishes land there, watchers adopt them).
+    """
 
-        self.spec = spec
+    def __init__(self, shard_id: int, config: "ClusterConfig") -> None:
+        self.shard_id = shard_id
         self._stop = threading.Event()  # replaced by bind_stop in a process
-        self.engine = MappingEngine(spec.accelerator, spec.engine)
+        self.engine = MappingEngine(config.accelerator, config.engine)
         self.registry = None
         self.learner = None
         self.watcher = None
-        if spec.registry_dir is not None:
+        if config.registry_dir is not None:
             from repro.learn.registry import ModelRegistry
 
-            self.registry = ModelRegistry(spec.registry_dir)
-        if spec.learn is not None:
+            self.registry = ModelRegistry(config.registry_dir)
+        if config.learn is not None:
             from repro.learn.lifecycle import OnlineLearner
 
             self.learner = OnlineLearner(
-                self.engine, spec.learn, registry=self.registry
+                self.engine, config.learn, registry=self.registry
             ).start()
-        if self.registry is not None and spec.watch_registry:
+        if self.registry is not None:
             from repro.cluster.watcher import RegistryWatcher
 
             self.watcher = RegistryWatcher(
                 self.engine,
                 self.registry,
-                interval_s=spec.watch_interval_s,
+                interval_s=config.watch_interval_s,
             ).start()
         self.server = MappingServer(
-            self.engine, spec.serve, learner=self.learner
+            self.engine, config.serve, learner=self.learner
         )
         if self.watcher is not None:
             self.server.attach_watcher(self.watcher)
@@ -142,66 +121,35 @@ class ShardService:
     def handle(self, payload: Dict) -> Dict:
         op = payload.get("op")
         if op == "ping":
-            return {"ok": True, "op": "ping", "shard_id": self.spec.shard_id}
+            return {"ok": True, "op": "ping", "shard_id": self.shard_id}
         if op == "map":
             return self._handle_map(payload)
         if op in _VIEWS:
-            return {"ok": True, "shard_id": self.spec.shard_id,
+            return {"ok": True, "shard_id": self.shard_id,
                     op: _VIEWS[op](self, payload)}
         if op == "shutdown":
             # Acknowledge first; the run loop drains and exits after us.
             self._stop.set()
             return {"ok": True, "status": "stopping"}
-        return {"ok": False, "kind": "bad_request", "error": f"unknown op {op!r}"}
+        return failure_reply(BadRequest(f"unknown op {op!r}"))
 
     def _stamped(self, view: Dict[str, object]) -> Dict[str, object]:
         """``view`` with this shard's id and process id added."""
-        return dict(view, shard_id=self.spec.shard_id, pid=os.getpid())
+        return dict(view, shard_id=self.shard_id, pid=os.getpid())
 
     def _handle_map(self, payload: Dict) -> Dict:
         try:
-            request = request_from_dict(payload["request"])
-            priority = _PRIORITIES[
-                str(payload.get("priority", "normal")).lower()
-            ]
-            include_trace = bool(payload.get("include_trace", False))
-            trace_parent = trace_from_dict(payload.get("trace"))
-        except (KeyError, TypeError, ValueError) as exc:
-            return {
-                "ok": False,
-                "kind": "bad_request",
-                "error": f"bad map payload: {exc}",
-            }
-        try:
-            future = self.server.submit(
-                request, priority=priority, trace_parent=trace_parent
-            )
-        except ServerOverloaded as exc:
-            return {
-                "ok": False,
-                "kind": "overloaded",
-                "error": str(exc),
-                "retry_after_s": exc.retry_after_s,
-            }
-        except ServerClosed as exc:
-            return {"ok": False, "kind": "closed", "error": str(exc)}
-        except (KeyError, ValueError) as exc:
-            return {
-                "ok": False,
-                "kind": "bad_request",
-                "error": f"bad request: {exc}",
-            }
-        try:
-            response = future.result(timeout=self.spec.request_timeout_s)
-        except Exception as exc:  # noqa: BLE001 — search errors cross as errors
-            return {
-                "ok": False,
-                "kind": "error",
-                "error": f"{exc.__class__.__name__}: {exc}",
-            }
+            call = map_call_from_dict(payload)
+            response = self.server.submit(
+                call.request,
+                priority=call.priority,
+                trace_parent=call.trace_parent,
+            ).result(timeout=REQUEST_TIMEOUT_S)
+        except Exception as exc:  # noqa: BLE001 — failures cross as their kind
+            return failure_reply(exc)
         reply = {
             "ok": True,
-            "response": response.to_dict(include_trace=include_trace),
+            "response": response.to_dict(include_trace=call.include_trace),
         }
         if response.trace_id:
             # Ship the shard-side span tree home with the reply; the
@@ -218,14 +166,14 @@ class ShardService:
     def close(self) -> None:
         """Graceful teardown: drain serving, stop learning and watching."""
         self.server.begin_drain()
-        self.server.shutdown(timeout=self.spec.drain_timeout_s)
+        self.server.shutdown(timeout=DRAIN_TIMEOUT_S)
         if self.learner is not None:
             self.learner.stop()
         if self.watcher is not None:
             self.watcher.stop()
 
 
-def run_shard(spec: ShardSpec, ready) -> None:
+def run_shard(shard_id: int, config: "ClusterConfig", ready) -> None:
     """Process entry point: build the stack, report readiness, serve.
 
     ``ready`` is the router's end of a one-shot pipe: ``("ready", port,
@@ -235,9 +183,9 @@ def run_shard(spec: ShardSpec, ready) -> None:
     """
     stop = install_signal_drain()  # must run on the main thread
     try:
-        service = ShardService(spec)
+        service = ShardService(shard_id, config)
         service.bind_stop(stop)
-        rpc = RpcServer(service.handle, host=spec.host, port=0)
+        rpc = RpcServer(service.handle, host=config.host, port=0)
     except BaseException:
         try:
             ready.send(("fatal", traceback.format_exc()))
@@ -256,4 +204,4 @@ def run_shard(spec: ShardSpec, ready) -> None:
     sys.exit(0)
 
 
-__all__ = ["ShardService", "ShardSpec", "run_shard"]
+__all__ = ["DRAIN_TIMEOUT_S", "ShardService", "run_shard"]

@@ -32,12 +32,9 @@ from repro.costmodel.model import CostModel
 from repro.costmodel.cache import CacheStats, CachedOracle
 from repro.costmodel.lower_bound import algorithmic_minimum
 from repro.costmodel.nest import LoopNest, build_nest
-from repro.costmodel.objective import OBJECTIVES, Objective, get_objective, weighted_objective
 
 __all__ = [
     "Accelerator",
-    "OBJECTIVES",
-    "Objective",
     "BatchCostStats",
     "CacheStats",
     "CachedOracle",
@@ -54,6 +51,4 @@ __all__ = [
     "default_accelerator",
     "evaluate_batch",
     "evaluate_megabatch",
-    "get_objective",
-    "weighted_objective",
 ]

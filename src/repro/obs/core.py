@@ -6,11 +6,12 @@
 tracker, the sampler that feeds the ring and evaluates the SLOs, and the
 optional sampling profiler from the config fields the serve and cluster
 configs share (``tracing``, ``trace_capacity``,
-``timeseries_interval_s``, ``timeseries_capacity``,
-``sample_interval_s``, ``slos``), which :func:`check_telemetry_config`
-validates for both.  It starts and stops the background threads and
-answers the local trace, events, timeseries, SLO and profile views; the
-router overrides the views that also gather its shards.
+``timeseries_interval_s``, ``sample_interval_s``, ``slos``), which
+:func:`check_telemetry_config` validates for both; the ring keeps
+:class:`~repro.obs.timeseries.TimeseriesRing`'s default 180 windows.  It
+starts and stops the background threads and answers the local trace,
+events, timeseries, SLO and profile views; the router overrides the views
+that also gather its shards.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ def check_telemetry_config(config) -> None:
     boundary."""
     for name, bound, strict in (("trace_capacity", 1, False),
                                 ("timeseries_interval_s", 0, True),
-                                ("timeseries_capacity", 2, False),
                                 ("sample_interval_s", 0, True)):
         value = getattr(config, name)
         if value <= bound if strict else value < bound:
@@ -62,9 +62,7 @@ class Telemetry:
             max_traces=config.trace_capacity,
         )
         self.timeseries = TimeseriesRing(
-            interval_s=config.timeseries_interval_s,
-            capacity=config.timeseries_capacity,
-            clock=clock,
+            interval_s=config.timeseries_interval_s, clock=clock
         )
         self.slo = SLOTracker(config.slos, self.timeseries)
         self._cumulative_counters = counters

@@ -43,6 +43,10 @@ class Priority(enum.IntEnum):
     NORMAL = 1
 
 
+#: Each lane's name on the wire: the ``priority`` field of a map call.
+PRIORITY_NAMES = {Priority.HIGH: "high", Priority.NORMAL: "normal"}
+
+
 _SEQUENCE = itertools.count()
 
 
@@ -142,5 +146,6 @@ __all__ = [
     "Batch",
     "MicroBatcher",
     "PendingRequest",
+    "PRIORITY_NAMES",
     "Priority",
 ]

@@ -4,21 +4,29 @@ The HTTP gateway, the load generator, and remote clients all speak one wire
 format, built from the value types' own ``to_dict``/``from_dict`` codecs
 (:meth:`Mapping.to_dict`, :meth:`SearchResult.to_dict`,
 :meth:`CostStats.to_dict`, :meth:`MappingResponse.to_dict`).  This module
-adds the two pieces those types don't carry themselves — the
-:class:`~repro.workloads.problem.Problem` codec and the
-:class:`~repro.engine.MappingRequest` envelope — plus :func:`request_key`,
-the identity the server uses to collapse duplicate in-flight requests.
+adds the pieces those types don't carry themselves — the
+:class:`~repro.workloads.problem.Problem` codec, the
+:class:`~repro.engine.MappingRequest` envelope and the decode of a whole
+map call (:func:`map_call_from_dict`, which the HTTP gateway and every
+cluster shard run) — plus :func:`request_key`, the identity the server
+uses to collapse duplicate in-flight requests.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Hashable, Mapping as MappingType, Optional
+from typing import Any, Dict, Hashable, Mapping as MappingType, NamedTuple, Optional
 
 from repro.costmodel.cache import problem_key
 from repro.engine.engine import MappingRequest, MappingResponse
 from repro.engine.registry import resolve_searcher
+from repro.serve.batcher import PRIORITY_NAMES, Priority
 from repro.workloads.problem import Dimension, Problem, TensorSpec
+
+
+class BadRequest(ValueError):
+    """A map call refused at the door: its payload does not decode into a
+    request a registered searcher can serve."""
 
 
 def problem_to_dict(problem: Problem) -> Dict[str, Any]:
@@ -137,6 +145,43 @@ def trace_from_dict(
     return (trace_id, "" if parent_span is None else str(parent_span))
 
 
+class MapCall(NamedTuple):
+    """A decoded map call."""
+
+    request: MappingRequest
+    priority: Priority
+    include_trace: bool
+    #: ``(trace_id, parent_span)`` for :meth:`MappingServer.submit`'s
+    #: ``trace_parent``, or ``None``.
+    trace_parent: Optional[tuple]
+
+
+_PRIORITY_BY_NAME = {name: lane for lane, name in PRIORITY_NAMES.items()}
+
+
+def map_call_from_dict(payload: MappingType[str, Any]) -> MapCall:
+    """Decode a map call ``{request, priority, include_trace, trace}``:
+    the body of ``POST /v1/map`` and of the router's ``map`` RPC.
+
+    Raises :class:`BadRequest` for a payload that does not decode, a
+    priority name outside ``PRIORITY_NAMES`` or an unregistered searcher.
+    """
+    try:
+        request = request_from_dict(payload["request"])
+        resolve_searcher(request.searcher)
+        priority = _PRIORITY_BY_NAME[
+            str(payload.get("priority", PRIORITY_NAMES[Priority.NORMAL])).lower()
+        ]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise BadRequest(f"bad request: {exc}") from exc
+    return MapCall(
+        request,
+        priority,
+        bool(payload.get("include_trace", False)),
+        trace_from_dict(payload.get("trace")),
+    )
+
+
 def request_key(request: MappingRequest) -> Optional[Hashable]:
     """Collapse identity for duplicate-request coalescing, or ``None``.
 
@@ -169,6 +214,9 @@ def request_key(request: MappingRequest) -> Optional[Hashable]:
 
 
 __all__ = [
+    "BadRequest",
+    "MapCall",
+    "map_call_from_dict",
     "problem_from_dict",
     "problem_to_dict",
     "request_from_dict",

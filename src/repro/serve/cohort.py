@@ -62,19 +62,6 @@ from repro.engine.engine import (
 from repro.mapspace.mapping import Mapping
 from repro.workloads.problem import Problem
 
-#: Smallest union worth a prewarm round-trip.  Below this the vectorized
-#: pass can't amortize the extra cache bookkeeping (each member's metered
-#: ``evaluate_many`` re-touches every entry the prewarm just inserted) —
-#: e.g. a cohort of sequential SA chains proposes one candidate each, and
-#: merging three singletons buys nothing.  The floor applies to the whole
-#: *cross-problem* union of a round, not to per-problem slices: the
-#: megabatched kernel runs once for the round, so three problems
-#: contributing three candidates each clear the bar together.  Members
-#: still share the cache either way, so skipping the prewarm never
-#: changes any value.
-MIN_PREWARM_UNION = 8
-
-
 class _Member:
     """One cohort member: a prepared search, its metered budget, and its
     trace's ``search`` span.
@@ -156,7 +143,7 @@ def _prewarm(
     engine: MappingEngine, round_pairs: Sequence[Tuple[_Member, List[Mapping]]]
 ) -> None:
     """Price a round's whole union — every member of every problem — in
-    one cross-problem kernel pass, when it clears ``MIN_PREWARM_UNION``.
+    one cross-problem kernel pass.
 
     ``prewarm_grouped`` merges members sharing a problem and issues a
     single inner megabatch for the union's misses.  Budget truncation is
@@ -164,14 +151,10 @@ def _prewarm(
     no member will record.
     """
     groups: List[Tuple[Problem, List[Mapping]]] = []
-    total = 0
     for member, batch in round_pairs:
         take = batch[: member.budget.remaining]
         if take:
             groups.append((member.prepared.request.problem, take))
-            total += len(take)
-    if total < MIN_PREWARM_UNION:
-        return
     # The shared kernel belongs to every traced member of this round, and
     # to no batchmate outside the cohort.  Its wall time minus the kernel
     # time inside it is each member's ``prewarm_s``.
@@ -252,7 +235,8 @@ def run_cohort(
             _prewarm(engine, oracle_pairs)
         for member, batch in round_pairs:
             # Replays are cache hits after a prewarm; any residual miss
-            # (e.g. a sub-floor union) is this member's own kernel work.
+            # (a round with one oracle member) is this member's own
+            # kernel work.
             with obs_trace.activate((member.handle,)):
                 values = member.budget.evaluate_many(batch)
             member.searcher.tell(batch[: len(values)], values)
@@ -301,4 +285,4 @@ def serve_batch(
     return responses  # type: ignore[return-value]
 
 
-__all__ = ["MIN_PREWARM_UNION", "coalescible", "run_cohort", "serve_batch"]
+__all__ = ["coalescible", "run_cohort", "serve_batch"]

@@ -5,9 +5,10 @@ No web framework — ``http.server.ThreadingHTTPServer`` plus the
 serving endpoint:
 
 * ``POST /v1/map`` — body ``{"request": {...}, "priority": "high"|"normal",
-  "include_trace": bool}``; replies ``200 {"response": {...}}``.  Requests
-  serialize via :func:`request_to_dict`, responses rebuild client-side via
-  :meth:`MappingResponse.from_dict`.
+  "include_trace": bool}`` (decoded by
+  :func:`~repro.serve.codec.map_call_from_dict`); replies ``200
+  {"response": {...}}``.  Requests serialize via :func:`request_to_dict`,
+  responses rebuild client-side via :meth:`MappingResponse.from_dict`.
 * ``GET /v1/metrics`` (alias ``/metrics``) — the live metrics snapshot;
   ``?format=prom`` renders Prometheus text exposition instead of JSON.
 * ``GET /v1/healthz`` (alias ``/healthz``) — liveness + queue depth.
@@ -22,9 +23,12 @@ serving endpoint:
 * ``GET /v1/profile`` — collapsed profiler stacks + span-derived
   hotspot tables (``?limit=N`` caps the stack table).
 
-Backpressure maps onto HTTP: :class:`ServerOverloaded` becomes ``429 Too
-Many Requests`` with a ``Retry-After`` header, drain becomes ``503``,
-malformed payloads become ``400`` with the validation error spelled out.
+A failed map call answers with its kind's status (:data:`HTTP_STATUS`
+over :data:`~repro.serve.server.FAILURE_KINDS`) and the body of
+:func:`~repro.serve.server.failure_reply` without ``ok`` and ``kind``:
+an overload becomes ``429 Too Many Requests`` with a ``Retry-After``
+header, drain becomes ``503``, malformed payloads become ``400`` with
+the validation error spelled out, and a failed search ``500``.
 """
 
 from __future__ import annotations
@@ -37,12 +41,15 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs import events as obs_events
 from repro.obs import prom
-from repro.serve.batcher import Priority
-from repro.serve.codec import request_from_dict
-from repro.serve.server import MappingServer, ServerClosed, ServerOverloaded
+from repro.serve.codec import map_call_from_dict
+from repro.serve.server import REQUEST_TIMEOUT_S, MappingServer, failure_reply
 
 #: Cap request bodies (a problem + config is a few KB; traces never upload).
 MAX_BODY_BYTES = 4 * 1024 * 1024
+
+#: The HTTP status of each map-call failure kind.
+HTTP_STATUS = {"bad_request": 400, "overloaded": 429, "closed": 503,
+               "error": 500}
 
 
 class GatewayHandler(BaseHTTPRequestHandler):
@@ -142,49 +149,24 @@ class GatewayHandler(BaseHTTPRequestHandler):
             self._reply(400, {"error": error})
             return
         try:
-            request = request_from_dict(payload["request"])
-            priority = {
-                "high": Priority.HIGH, "normal": Priority.NORMAL,
-            }[str(payload.get("priority", "normal")).lower()]
-            include_trace = bool(payload.get("include_trace", False))
-        except (KeyError, TypeError, ValueError) as exc:
-            self._reply(400, {"error": f"bad request payload: {exc}"})
+            call = map_call_from_dict(payload)
+            response = self.gateway.mapping_server.submit(
+                call.request, priority=call.priority
+            ).result(timeout=REQUEST_TIMEOUT_S)
+        except Exception as exc:  # noqa: BLE001 — every failure has a kind
+            reply = failure_reply(exc)
+            headers: Tuple = ()
+            if "retry_after_s" in reply:
+                headers = (
+                    ("Retry-After", f"{max(1, round(reply['retry_after_s']))}"),
+                )
+            status = HTTP_STATUS[reply.pop("kind")]
+            del reply["ok"]
+            self._reply(status, reply, headers=headers)
             return
-        try:
-            future = self.gateway.mapping_server.submit(request, priority=priority)
-        except (KeyError, ValueError) as exc:
-            # Admission validation (e.g. an unregistered searcher): the
-            # client's mistake, not a server failure.
-            self._reply(400, {"error": f"bad request: {exc}"})
-            return
-        except ServerOverloaded as exc:
-            self._reply(
-                429,
-                {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                headers=(("Retry-After", f"{max(1, round(exc.retry_after_s))}"),),
-            )
-            return
-        except ServerClosed as exc:
-            self._reply(503, {"error": str(exc)})
-            return
-        try:
-            response = future.result(timeout=self.gateway.request_timeout_s)
-        except ServerOverloaded as exc:
-            # A fronted cluster router learns about a shard's overload only
-            # when the dispatch future resolves; same verdict, same 429.
-            self._reply(
-                429,
-                {"error": str(exc), "retry_after_s": exc.retry_after_s},
-                headers=(("Retry-After", f"{max(1, round(exc.retry_after_s))}"),),
-            )
-            return
-        except ServerClosed as exc:
-            self._reply(503, {"error": str(exc)})
-            return
-        except Exception as exc:  # noqa: BLE001 — search errors become 500s
-            self._reply(500, {"error": f"{exc.__class__.__name__}: {exc}"})
-            return
-        self._reply(200, {"response": response.to_dict(include_trace=include_trace)})
+        self._reply(200, {"response": response.to_dict(
+            include_trace=call.include_trace
+        )})
 
     # ------------------------------------------------------------------
 
@@ -266,12 +248,10 @@ class Gateway(ThreadingHTTPServer):
         mapping_server: MappingServer,
         host: str = "127.0.0.1",
         port: int = 0,
-        request_timeout_s: Optional[float] = 300.0,
         verbose: bool = False,
     ) -> None:
         super().__init__((host, port), GatewayHandler)
         self.mapping_server = mapping_server
-        self.request_timeout_s = request_timeout_s
         self.verbose = verbose
 
     @property
@@ -284,7 +264,6 @@ def start_gateway(
     mapping_server: MappingServer,
     host: str = "127.0.0.1",
     port: int = 0,
-    request_timeout_s: Optional[float] = 300.0,
     verbose: bool = False,
 ) -> Gateway:
     """Start a gateway on a background thread; returns the listener.
@@ -293,13 +272,7 @@ def start_gateway(
     from ``gateway.address``.  Stop with ``gateway.shutdown()`` (the HTTP
     listener) and then ``mapping_server.shutdown()`` (the serve loop).
     """
-    gateway = Gateway(
-        mapping_server,
-        host=host,
-        port=port,
-        request_timeout_s=request_timeout_s,
-        verbose=verbose,
-    )
+    gateway = Gateway(mapping_server, host=host, port=port, verbose=verbose)
     # repro: ignore[RPR004] -- serve_forever exits on gateway.shutdown(); the daemon thread needs no join handle
     thread = threading.Thread(
         # Tight poll interval keeps gateway.shutdown() prompt.
@@ -341,6 +314,7 @@ def install_signal_drain(
 __all__ = [
     "Gateway",
     "GatewayHandler",
+    "HTTP_STATUS",
     "MAX_BODY_BYTES",
     "install_signal_drain",
     "start_gateway",

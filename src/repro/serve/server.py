@@ -43,7 +43,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.costmodel.cache import problem_fingerprint
 from repro.engine.engine import MappingEngine, MappingRequest, MappingResponse
@@ -53,7 +53,7 @@ from repro.obs.core import Telemetry, check_telemetry_config
 from repro.obs.slo import DEFAULT_SLOS, SLOSpec, worst_state
 from repro.obs.trace import TraceHandle, activate
 from repro.serve.batcher import Batch, MicroBatcher, PendingRequest, Priority
-from repro.serve.codec import request_key
+from repro.serve.codec import BadRequest, request_key
 from repro.serve.cohort import serve_batch
 from repro.serve.metrics import MetricsRegistry
 
@@ -92,6 +92,51 @@ class ServerClosed(RuntimeError):
     """Submission after ``drain``/``shutdown``."""
 
 
+#: The map call's failure kinds, each with the exception that carries it;
+#: any other exception a map call raises is the ``error`` kind.  A shard
+#: replies with the kind (:func:`failure_reply`), the router raises the
+#: kind's exception again (:func:`failure_from_reply`), and the gateway
+#: answers with the kind's HTTP status.
+FAILURE_KINDS: Dict[str, type] = {
+    "bad_request": BadRequest,
+    "overloaded": ServerOverloaded,
+    "closed": ServerClosed,
+}
+
+#: Longest a front door waits on one map call: the gateway and a shard on
+#: their server's future, the router on a shard's reply.
+REQUEST_TIMEOUT_S = 300.0
+
+
+def failure_reply(error: BaseException) -> Dict[str, object]:
+    """The reply for a map call that raised ``error``: ``{"ok": False,
+    "kind", "error"}``, plus ``retry_after_s`` and ``depth`` for an
+    overload."""
+    for kind, cls in FAILURE_KINDS.items():
+        if isinstance(error, cls):
+            reply: Dict[str, object] = {
+                "ok": False, "kind": kind, "error": str(error),
+            }
+            if isinstance(error, ServerOverloaded):
+                reply.update(retry_after_s=error.retry_after_s,
+                             depth=error.depth)
+            return reply
+    return {"ok": False, "kind": "error",
+            "error": f"{type(error).__name__}: {error}"}
+
+
+def failure_from_reply(reply: Mapping[str, object], source: str) -> Exception:
+    """The exception a failure reply from ``source`` stands for (the
+    inverse of :func:`failure_reply`; ``error`` becomes ``RuntimeError``)."""
+    if reply["kind"] == "overloaded":
+        return ServerOverloaded(
+            float(reply["retry_after_s"]), int(reply["depth"])
+        )
+    return FAILURE_KINDS.get(str(reply["kind"]), RuntimeError)(
+        f"{source}: {reply['error']}"
+    )
+
+
 @dataclass
 class ServeConfig:
     """Serving-layer knobs (engine knobs live on :class:`EngineConfig`)."""
@@ -113,8 +158,6 @@ class ServeConfig:
     trace_capacity: int = 256
     #: Width of one time-series window (``/v1/timeseries``).
     timeseries_interval_s: float = 1.0
-    #: Windows retained in the telemetry ring (oldest evicted).
-    timeseries_capacity: int = 180
     #: Cadence of the background counter sampler feeding the ring (and
     #: driving SLO evaluation).
     sample_interval_s: float = 0.5
@@ -660,9 +703,13 @@ class MappingServer(Telemetry):
 
 
 __all__ = [
+    "FAILURE_KINDS",
     "MappingServer",
     "Priority",
+    "REQUEST_TIMEOUT_S",
     "ServeConfig",
     "ServerClosed",
     "ServerOverloaded",
+    "failure_from_reply",
+    "failure_reply",
 ]

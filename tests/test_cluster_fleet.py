@@ -1,9 +1,13 @@
 """Fleet views without processes: the router's pure merges fed hand-built
-shard views, its one fan-out over fake pools, and the shard's view table."""
+shard views, its one fan-out over fake pools, the shard's view table, and
+the map call's failure kinds across shard, router and gateway."""
 
 from __future__ import annotations
 
+import json
 import os
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -16,8 +20,13 @@ from repro.cluster.router import (
     merge_profile,
     merge_slo,
 )
-from repro.cluster.shard import ShardService, ShardSpec
+from repro.cluster.shard import ShardService
 from repro.costmodel.accelerator import small_accelerator
+from repro.engine import MappingRequest
+from repro.serve import ServeConfig, request_to_dict, response_to_dict, start_gateway
+from repro.serve.http import HTTP_STATUS
+from repro.serve.server import failure_reply
+from repro.workloads import make_conv1d
 
 UNREACHABLE = {"status": "unreachable"}
 
@@ -284,8 +293,7 @@ class TestFanOut:
 
 
 def test_shard_views_share_one_reply_layout():
-    service = ShardService(ShardSpec(shard_id=5,
-                                     accelerator=small_accelerator()))
+    service = ShardService(5, ClusterConfig(accelerator=small_accelerator()))
     try:
         for op in ("metrics", "health", "events", "slo", "profile"):
             reply = service.handle({"op": op})
@@ -309,3 +317,116 @@ def test_shard_views_share_one_reply_layout():
         assert limits == [None, 7]
     finally:
         service.close()
+
+
+def _post(url, payload):
+    """POST ``payload``; ``(status, Retry-After header, JSON body)`` for a
+    success and an HTTP error alike."""
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=60) as reply:
+            return reply.status, reply.headers.get("Retry-After"), json.loads(
+                reply.read()
+            )
+    except urllib.error.HTTPError as error:
+        with error:
+            return error.code, error.headers.get("Retry-After"), json.loads(
+                error.read()
+            )
+
+
+def test_failure_kinds_agree_across_shard_router_and_gateway():
+    """Each failure kind a shard's map call can reply with reads the same
+    at every hop: the shard's reply, the exception a router raises from
+    that reply (a ``closed`` shard fails over instead), and the status and
+    ``Retry-After`` of a gateway in front of the shard's server and of one
+    in front of the router.  An overloaded shard's own depth reaches the
+    router's exception and the 429."""
+    problem = make_conv1d("failure_kinds", w=32, r=5)
+
+    def payload(seed, **fields):
+        request = MappingRequest(problem, searcher="random", iterations=5,
+                                 seed=seed, **fields)
+        return {"request": request_to_dict(request)}
+
+    # Two NORMAL requests never make a batch due before the minute-long
+    # deadline, so one admitted request holds the one-slot queue; a HIGH
+    # request is due at once.
+    service = ShardService(0, ClusterConfig(
+        accelerator=small_accelerator(),
+        serve=ServeConfig(max_batch=2, max_wait_s=60.0, max_queue=1,
+                          response_cache_size=0),
+    ))
+    router = ClusterRouter(ClusterConfig(num_shards=2))
+    routed = MappingRequest(problem, searcher="random", iterations=5, seed=9)
+    owner = router.shard_for(routed)
+    owner_pool = _attach(router, owner, {})
+    backup_pool = _attach(router, 1 - owner, {"map": {
+        "ok": True, "response": response_to_dict(service.engine.map(routed)),
+    }})
+    router._accepting = True
+    shard_gateway = start_gateway(service.server)
+    router_gateway = start_gateway(router)
+    unregistered = payload(1)
+    unregistered["request"]["searcher"] = "no-such-searcher"
+    bad_config = dict(payload(2, searcher_config={"no_such_knob": 1}),
+                      priority="high")
+    holder = None
+    try:
+        for kind, sent in (("bad_request", unregistered),
+                           ("error", bad_config),
+                           ("overloaded", payload(3)),
+                           ("closed", payload(4))):
+            if kind == "overloaded":
+                holder = service.server.submit(
+                    MappingRequest(problem, searcher="random", iterations=5,
+                                   seed=5)
+                )
+            if kind == "closed":
+                service.server.begin_drain()
+            reply = service.handle(dict(sent, op="map"))
+            assert (reply["ok"], reply["kind"]) == (False, kind)
+            status, retry_after, body = _post(
+                f"{shard_gateway.address}/v1/map", sent
+            )
+            assert status == HTTP_STATUS[kind]
+            assert body["error"]
+            if kind == "overloaded":
+                assert reply["depth"] == 1
+                assert reply["retry_after_s"] > 0
+                assert retry_after == f"{max(1, round(reply['retry_after_s']))}"
+                assert body["retry_after_s"] == reply["retry_after_s"]
+            else:
+                assert retry_after is None
+            owner_pool.replies["map"] = reply
+            failovers = router.counters["failovers"].value
+            future = router.submit(routed)
+            if kind == "closed":
+                assert future.result(timeout=60).mapping is not None
+                assert router.counters["failovers"].value == failovers + 1
+            else:
+                error = future.exception(timeout=60)
+                assert failure_reply(error)["kind"] == kind
+                if kind == "overloaded":
+                    assert error.depth == reply["depth"]
+                    assert error.retry_after_s == reply["retry_after_s"]
+            status, routed_retry_after, body = _post(
+                f"{router_gateway.address}/v1/map",
+                {"request": request_to_dict(routed)},
+            )
+            assert status == (200 if kind == "closed" else HTTP_STATUS[kind])
+            assert routed_retry_after == retry_after
+            if kind == "overloaded":
+                assert "(1 requests in flight)" in body["error"]
+        assert len(backup_pool.calls) == 2  # the two closed-kind failovers
+    finally:
+        for gateway in (shard_gateway, router_gateway):
+            gateway.shutdown()
+            gateway.server_close()
+        router._accepting = False
+        router.shutdown(timeout=5.0)
+        service.close()
+    assert holder is not None and holder.result(timeout=30).mapping is not None

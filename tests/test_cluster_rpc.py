@@ -164,7 +164,9 @@ class TestConnectionPool:
         pool = ConnectionPool(echo_server.host, echo_server.port, maxsize=4)
         first = pool.acquire()
         pool.release(first)
-        assert pool.acquire() is first
+        again = pool.acquire()
+        assert again is first
+        pool.release(again)
         pool.close()
 
     def test_call_discards_broken_connections(self, echo_server):

@@ -333,8 +333,8 @@ class TestBatchSurfaces:
 
 class TestCompileRetention:
     """Compiling keeps no per-mapping state: a long-lived process pricing
-    fresh mappings one lane at a time (annealing rounds below the serving
-    cohort's prewarm floor) must not grow with the traffic."""
+    fresh mappings one lane at a time (a lone annealing chain's rounds)
+    must not grow with the traffic."""
 
     FRESH = 3000
     LIMIT_BYTES = 64 * 1024

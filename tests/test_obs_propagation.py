@@ -305,7 +305,6 @@ def _router_without_processes(num_shards=2):
     config = ClusterConfig(
         num_shards=num_shards,
         accelerator=small_accelerator(),
-        respawn=False,
     )
     return ClusterRouter(config)
 

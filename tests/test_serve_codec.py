@@ -18,6 +18,8 @@ from repro.serve import (
     request_key,
     request_to_dict,
 )
+from repro.serve.batcher import PRIORITY_NAMES, Priority
+from repro.serve.codec import BadRequest, MapCall, map_call_from_dict, trace_to_dict
 from repro.workloads import (
     TABLE1_PROBLEMS,
     TRANSFORMER_PROBLEMS,
@@ -69,6 +71,65 @@ class TestRequestCodec:
         assert request.searcher == "gradient"
         assert request.iterations == 500
         assert request.seed is None
+
+
+class TestMapCallCodec:
+    """``map_call_from_dict``: the one decode of a map call's payload."""
+
+    REQUEST = MappingRequest(PROBLEM, searcher="sa", iterations=40, seed=3, tag="t")
+
+    def _payload(self, **fields):
+        return json.loads(json.dumps(
+            {"request": request_to_dict(self.REQUEST), **fields}
+        ))
+
+    def test_defaults_fill_in(self):
+        call = map_call_from_dict(self._payload())
+        assert call == MapCall(self.REQUEST, Priority.NORMAL, False, None)
+
+    @pytest.mark.parametrize("lane", list(Priority), ids=lambda lane: lane.name)
+    def test_every_lane_round_trips_through_its_wire_name(self, lane):
+        call = map_call_from_dict(self._payload(priority=PRIORITY_NAMES[lane]))
+        assert call.priority is lane
+
+    def test_wire_names_are_one_per_lane(self):
+        assert set(PRIORITY_NAMES) == set(Priority)
+        assert len(set(PRIORITY_NAMES.values())) == len(Priority)
+
+    def test_priority_name_is_case_insensitive(self):
+        call = map_call_from_dict(self._payload(priority="HIGH"))
+        assert call.priority is Priority.HIGH
+
+    def test_trace_flag_and_context_decode(self):
+        call = map_call_from_dict(self._payload(
+            include_trace=True, trace=trace_to_dict("abc123", "span7"),
+        ))
+        assert call.include_trace is True
+        assert call.trace_parent == ("abc123", "span7")
+
+    @pytest.mark.parametrize(
+        "mutate, needle",
+        [
+            (lambda p: p.pop("request"), "request"),
+            (lambda p: p.update(request="not-a-dict"), "bad request"),
+            (lambda p: p["request"].pop("problem"), "problem"),
+            (lambda p: p.update(priority="urgent"), "urgent"),
+            (lambda p: p["request"].update(searcher="no-such-searcher"),
+             "no-such-searcher"),
+        ],
+        ids=["no_request", "request_not_a_dict", "no_problem",
+             "unknown_priority", "unregistered_searcher"],
+    )
+    def test_bad_payload_raises_bad_request(self, mutate, needle):
+        payload = self._payload()
+        mutate(payload)
+        with pytest.raises(BadRequest) as info:
+            map_call_from_dict(payload)
+        # A ValueError, so callers that catch validation errors still do.
+        assert isinstance(info.value, ValueError)
+        message = str(info.value)
+        assert message.startswith("bad request: ")
+        assert needle in message
 
 
 class TestRequestKey:

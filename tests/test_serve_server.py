@@ -1,5 +1,6 @@
 """MappingServer: determinism, collapsing, backpressure, priority, drain."""
 
+import json
 import sys
 import threading
 import time
@@ -16,7 +17,10 @@ from repro.serve import (
     ServerClosed,
     ServerOverloaded,
 )
+from repro.serve.codec import BadRequest
 from repro.serve.cohort import serve_batch
+from repro.serve.http import HTTP_STATUS
+from repro.serve.server import FAILURE_KINDS, failure_from_reply, failure_reply
 from repro.workloads import make_conv1d
 
 PROBLEM_A = make_conv1d("serve_a", w=32, r=5)
@@ -538,6 +542,47 @@ class TestConservation:
             assert runner.most_active <= 1
         finally:
             server.shutdown(timeout=10.0)
+
+
+class TestFailureReplies:
+    """``failure_reply``/``failure_from_reply``: the one exception <-> kind
+    table a shard replies with, a router raises from and a gateway answers."""
+
+    @pytest.mark.parametrize(
+        "error, kind",
+        [
+            (BadRequest("bad request: 'problem'"), "bad_request"),
+            (ServerOverloaded(retry_after_s=0.25, depth=7), "overloaded"),
+            (ServerClosed("server is draining"), "closed"),
+            (TypeError("unexpected keyword 'nope'"), "error"),
+        ],
+        ids=["bad_request", "overloaded", "closed", "error"],
+    )
+    def test_kind_round_trips_through_a_json_reply(self, error, kind):
+        reply = json.loads(json.dumps(failure_reply(error)))
+        assert reply["ok"] is False
+        assert reply["kind"] == kind
+        raised = failure_from_reply(reply, "shard 2")
+        assert type(raised) is FAILURE_KINDS.get(kind, RuntimeError)
+        if kind == "overloaded":
+            assert (reply["retry_after_s"], reply["depth"]) == (0.25, 7)
+            assert (raised.retry_after_s, raised.depth) == (0.25, 7)
+            assert str(raised) == str(error)
+        else:
+            assert "retry_after_s" not in reply and "depth" not in reply
+            assert str(raised) == f"shard 2: {reply['error']}"
+        if kind == "error":
+            assert reply["error"] == "TypeError: unexpected keyword 'nope'"
+
+    def test_plain_value_error_is_the_error_kind(self):
+        # Only a refused payload is the client's fault; a search that
+        # raises ValueError is a server failure.
+        assert failure_reply(ValueError("boom"))["kind"] == "error"
+
+    def test_every_kind_has_an_http_status(self):
+        assert set(HTTP_STATUS) == set(FAILURE_KINDS) | {"error"}
+        assert HTTP_STATUS == {"bad_request": 400, "overloaded": 429,
+                               "closed": 503, "error": 500}
 
 
 class TestLifecycle:
