@@ -36,7 +36,7 @@ def _evaluate_variant(space, surrogate, model, problem, lower_bound, **kwargs):
     scores = []
     for seed in range(RUNS):
         searcher = GradientSearcher(space, surrogate, **kwargs)
-        result = searcher.search(ITERATIONS, seed=seed)
+        result = searcher.run(ITERATIONS, seed=seed)
         scores.append(_true_best(result, model, problem, lower_bound))
     return float(np.mean(scores))
 

@@ -6,9 +6,9 @@ rather than silently degrading the hot path:
 * **Surrogate batching** (PR 2): handing the surrogate whole populations
   (one encoded (N, D) matrix, one stacked network forward) beats N scalar
   ``predict_edp_mapping`` calls, because the MLP's matmuls amortize across
-  rows.  Measured for the prediction-only path (what a ``SurrogateOracle``
-  serves) and the fused objective+gradient path (what vectorized
-  multi-restart gradient search runs every iteration).
+  rows.  Measured for the prediction-only path (what gradient search's
+  injection candidates take) and the fused objective+gradient path (what
+  vectorized multi-restart gradient search runs every iteration).
 * **Analytical batching** (PR 3): ``CostModel.evaluate_many`` lowers the
   population to stacked arrays and runs the vectorized reuse/traffic
   kernels (:mod:`repro.costmodel.batch`) instead of N Python loop-nest

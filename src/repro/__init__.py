@@ -11,8 +11,8 @@ re-implements the method and every substrate it depends on from scratch:
 * :mod:`repro.nn`         — a from-scratch autograd/MLP framework,
 * :mod:`repro.core`       — the Mind Mappings two-phase method itself,
 * :mod:`repro.search`     — SA / GA / RL / random / exhaustive baselines,
-* :mod:`repro.engine`     — the serving façade: searcher registry,
-  pluggable cost oracles, and :class:`MappingEngine` with surrogate
+* :mod:`repro.engine`     — the serving façade: searcher registry and
+  :class:`MappingEngine` with its memoized true-cost oracle, surrogate
   artifact caching and coalesced ``map_batch``,
 * :mod:`repro.serve`      — the traffic layer: dynamic micro-batching,
   backpressure, duplicate collapsing, live metrics, HTTP gateway,
@@ -63,13 +63,10 @@ from repro.costmodel import (
     default_accelerator,
 )
 from repro.engine import (
-    AnalyticalOracle,
-    CostOracle,
     EngineConfig,
     MappingEngine,
     MappingRequest,
     MappingResponse,
-    SurrogateOracle,
     make_searcher,
     register_searcher,
     searcher_names,
@@ -100,10 +97,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Accelerator",
-    "AnalyticalOracle",
     "CachedOracle",
     "CostModel",
-    "CostOracle",
     "CostStats",
     "EngineConfig",
     "ExhaustiveSearcher",
@@ -123,7 +118,6 @@ __all__ = [
     "Searcher",
     "SimulatedAnnealingSearcher",
     "Surrogate",
-    "SurrogateOracle",
     "TABLE1_PROBLEMS",
     "TRANSFORMER_PROBLEMS",
     "TrainingConfig",

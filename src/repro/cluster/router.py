@@ -78,7 +78,7 @@ SPAWN_TIMEOUT_S = 120.0
 
 
 class NoLiveShards(RuntimeError):
-    """Every shard in the request's failover chain was unreachable."""
+    """No shard in the request's failover chain answered."""
 
 
 @dataclass
@@ -392,6 +392,7 @@ class ClusterRouter(Telemetry):
             key = problem_fingerprint(request.problem)
             chain = self._ring.chain_for(key)
             last_error: Optional[BaseException] = None
+            closed: Optional[BaseException] = None
             for attempt, shard_id in enumerate(chain):
                 handle = self._handles[shard_id]
                 with handle.lock:
@@ -433,7 +434,9 @@ class ClusterRouter(Telemetry):
                 if not reply.get("ok") and reply.get("kind") == "closed":
                     # Draining shard (respawn window): its keys are welcome
                     # on the next shard in the chain until it's back.
-                    last_error = failure_from_reply(reply, f"shard {shard_id}")
+                    last_error = closed = failure_from_reply(
+                        reply, f"shard {shard_id}"
+                    )
                     if trace is not None:
                         trace.close_span(rpc_span, error="closed")
                     continue
@@ -467,14 +470,16 @@ class ClusterRouter(Telemetry):
                         stages=shard_stages,
                     )
                 return response
-            self.counters["errors"].inc()
+            if closed is not None:
+                # Every shard that answered is draining: the fleet is
+                # closed, like one draining server, not broken.
+                raise closed
             raise NoLiveShards(
                 f"no live shard could serve {request.problem.name!r} "
                 f"(chain {chain}; last error: {last_error})"
             )
         except BaseException as error:
-            if not isinstance(error, NoLiveShards):
-                self.counters["errors"].inc()
+            self.counters["errors"].inc()
             if trace is not None and not trace.closed:
                 trace.annotate(error=type(error).__name__)
                 trace.finish()
@@ -489,8 +494,9 @@ class ClusterRouter(Telemetry):
 
     def _decode_reply(self, reply: Dict, shard_id: int) -> MappingResponse:
         if reply.get("ok"):
+            response = response_from_dict(reply["response"])
             self.counters["served"].inc()
-            return response_from_dict(reply["response"])
+            return response
         raise failure_from_reply(reply, f"shard {shard_id}")
 
     # ------------------------------------------------------------------

@@ -17,7 +17,8 @@ cluster a frame is one ``recv`` loop and one ``json.loads``.
 * :class:`RpcServer` — a threaded accept loop: one daemon thread per
   connection, frames dispatched to a ``handler(payload) -> payload``
   callable, keep-alive until the peer closes.  Handler exceptions become
-  ``{"ok": False, ...}`` error replies, never connection drops.
+  :func:`repro.serve.server.failure_reply` replies, never connection
+  drops.
 
 Payloads are dicts of JSON-compatible values; requests/responses cross as
 :func:`repro.serve.codec.request_to_dict` / ``MappingResponse.to_dict``
@@ -31,6 +32,8 @@ import socket
 import struct
 import threading
 from typing import Callable, Dict, List, Optional
+
+from repro.serve.server import failure_reply
 
 #: Frame size cap: a response with a full trace is a few MB; anything
 #: bigger is a framing error, not a payload.
@@ -256,11 +259,7 @@ class RpcServer:
                 try:
                     reply = self.handler(request)
                 except Exception as exc:  # noqa: BLE001 — handler bug ≠ dead pipe
-                    reply = {
-                        "ok": False,
-                        "kind": "error",
-                        "error": f"{exc.__class__.__name__}: {exc}",
-                    }
+                    reply = failure_reply(exc)
                 try:
                     send_message(conn, reply)
                 except (ProtocolError, OSError):

@@ -120,13 +120,9 @@ class GradientSearcher(Searcher):
     # Objective (surrogate only — the true oracle is never queried)
     # ------------------------------------------------------------------
 
-    def objective(self, mapping: Mapping) -> float:
-        """Surrogate-predicted log2-normalized EDP for one mapping."""
-        whitened = self.surrogate.whiten_mapping(mapping, self.problem)
-        return float(self.surrogate.predict_log2_norm_edp(whitened)[0])
-
     def objective_batch(self, mappings: Sequence[Mapping]) -> List[float]:
-        """Batch objective, fused with the gradients ``tell`` will need.
+        """Surrogate-predicted log2-normalized EDP, fused with the
+        gradients ``tell`` will need.
 
         On descent steps the values come from the stash
         :func:`prime_descents` filled for exactly this batch, so the

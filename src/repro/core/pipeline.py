@@ -146,7 +146,7 @@ class MindMappings:
         search (the oracle is never queried mid-search), then scored once
         with the true cost model for reporting.
         """
-        result = self.searcher(problem, **kwargs).search(iterations, seed=seed)
+        result = self.searcher(problem, **kwargs).run(iterations, seed=seed)
         best = result.best_mapping
         return best, self.cost_model.evaluate(best, problem)
 

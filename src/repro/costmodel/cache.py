@@ -1,12 +1,12 @@
-"""Memoizing cost-oracle wrapper shared by the harness and the engine.
+"""The memoizing true-cost oracle shared by the harness and the engine.
 
 Search traces revisit the same mappings heavily (projection rounds nearby
 points onto the same lattice site; populations carry elites forward), so
 re-scoring a trace with the true cost model is dominated by duplicate
-queries.  :class:`CachedOracle` wraps any oracle exposing the
-``evaluate`` / ``evaluate_edp`` signature of
-:class:`~repro.costmodel.model.CostModel` and memoizes both, with optional
-LRU eviction and hit/miss counters for observability.
+queries.  :class:`CachedOracle` memoizes a
+:class:`~repro.costmodel.model.CostModel` — full statistics and bare
+EDPs — with optional LRU eviction and hit/miss counters for
+observability, and prices every miss batch with one megabatch kernel call.
 
 Promoted from the harness-private ``_TrueCostCache`` so the experiment
 runners and :class:`repro.engine.MappingEngine` share one implementation.
@@ -22,18 +22,18 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.costmodel.batch import megabatch_shape_stats
+from repro.costmodel.model import CostModel
 from repro.costmodel.stats import CostStats
 from repro.mapspace.mapping import Mapping
 from repro.obs.trace import span as _kernel_span
 from repro.workloads.problem import Problem
 
 #: Tap signature for the oracle's miss path: ``listener(problem, mappings,
-#: edps, stats)``.  ``stats`` is the richest label the miss path had in
-#: hand — a :class:`~repro.costmodel.batch.BatchCostStats` when the inner
-#: backend priced the batch through its vectorized kernels, a list of
-#: :class:`CostStats` for scalar ``evaluate`` misses, or ``None`` when only
-#: bare EDPs exist.  Listeners must be cheap and must never raise into the
-#: serving path; exceptions are swallowed with a warning.
+#: edps, stats)``.  ``stats`` is the label the miss path had in hand — a
+#: :class:`~repro.costmodel.batch.BatchCostStats` for a batch priced by
+#: the vectorized kernels, or a list of :class:`CostStats` for a scalar
+#: ``evaluate`` miss.  Listeners must be cheap and must never raise into
+#: the serving path; exceptions are swallowed with a warning.
 MissListener = Callable[
     [Problem, Sequence[Mapping], Sequence[float], object], None
 ]
@@ -41,14 +41,14 @@ MissListener = Callable[
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Counters snapshot: queries answered from cache vs. the inner oracle.
+    """Counters snapshot: queries answered from cache vs. the inner model.
 
     ``prewarmed`` counts entries inserted by the scheduler's
-    :meth:`CachedOracle.prewarm` hook; those insertions are *not* queries,
-    so they appear in neither ``hits`` nor ``misses`` — but the searcher
-    lookups they later answer do count as hits, which is why a coalesced
-    serving run reports a higher hit rate than the same requests served
-    solo (same totals, different attribution).
+    :meth:`CachedOracle.prewarm_grouped` hook; those insertions are *not*
+    queries, so they appear in neither ``hits`` nor ``misses`` — but the
+    searcher lookups they later answer do count as hits, which is why a
+    coalesced serving run reports a higher hit rate than the same requests
+    served solo (same totals, different attribution).
     """
 
     hits: int
@@ -106,34 +106,32 @@ def _shape_attrs(problems: Sequence[Problem]):
 
 
 class CachedOracle:
-    """LRU-memoized view of a cost oracle, safe for concurrent callers.
+    """LRU-memoized view of a :class:`CostModel`, safe for concurrent callers.
 
-    ``inner`` is anything with ``evaluate(mapping, problem) -> CostStats``
-    and ``evaluate_edp(mapping, problem) -> float`` — typically a
-    :class:`~repro.costmodel.model.CostModel` or another oracle from
-    :mod:`repro.engine.oracle`.  ``maxsize=None`` (the default) caches
-    without bound, matching the old harness behaviour; a positive bound
-    evicts least-recently-used entries.
+    ``inner`` prices scalar ``evaluate`` misses and, through
+    ``evaluate_megabatch``, every batch of misses.  ``maxsize=None`` (the
+    default) caches without bound, matching the old harness behaviour; a
+    positive bound evicts least-recently-used entries.
 
     **Concurrency contract** (audited for concurrent serving threads):
     every access to the LRU store *and* to the hit/miss/prewarm counters
     happens under ``self._lock`` — lookups, insertions, eviction,
     ``move_to_end`` recency updates, ``stats()``, and ``clear()``.  The
-    lock is released while the inner oracle computes, so concurrent misses
+    lock is released while the inner model computes, so concurrent misses
     on the *same* key may each pay one inner query (both counted as
     misses, last insert wins); that duplicated work is benign because the
-    inner oracle is deterministic — both threads observe the same value,
+    inner model is deterministic — both threads observe the same value,
     and the store never holds torn state.  The regression hammer in
     ``tests/test_costmodel_cache.py`` drives mixed ``evaluate`` /
-    ``evaluate_edp`` / ``evaluate_many`` / ``prewarm`` traffic from many
-    threads and checks counters and values stay exact.
+    ``evaluate_many`` / ``prewarm_grouped`` traffic from many threads and
+    checks counters and values stay exact.
 
     EDP queries are answered from a cached :class:`CostStats` when one
     exists (EDP is derived from stats), so mixed ``evaluate`` /
-    ``evaluate_edp`` traffic on the same mapping costs one model query.
+    ``evaluate_many`` traffic on the same mapping costs one model query.
     """
 
-    def __init__(self, inner, maxsize: Optional[int] = None) -> None:
+    def __init__(self, inner: CostModel, maxsize: Optional[int] = None) -> None:
         if maxsize is not None and maxsize < 1:
             raise ValueError(f"maxsize must be None or >= 1, got {maxsize}")
         self.inner = inner
@@ -150,15 +148,15 @@ class CachedOracle:
     def set_miss_listener(self, listener: Optional[MissListener]) -> None:
         """Install (or clear) the miss tap.
 
-        Every mapping the inner oracle prices — ``evaluate`` /
-        ``evaluate_edp`` / ``evaluate_many`` misses and ``prewarm``
-        insertions — is reported to ``listener`` together with the labels
-        the miss path computed anyway, so observers (the online-learning
-        replay buffer) get true-cost training samples at zero extra model
-        cost.  The listener runs outside the cache lock, on the querying
-        thread; it must enqueue and return (heavy work belongs on a
-        background thread), and its exceptions are swallowed with a
-        warning so a broken observer can never fail a query.
+        Every mapping the inner model prices — ``evaluate`` and
+        ``evaluate_many`` misses and ``prewarm_grouped`` insertions — is
+        reported to ``listener`` together with the labels the miss path
+        computed anyway, so observers (the online-learning replay buffer)
+        get true-cost training samples at zero extra model cost.  The
+        listener runs outside the cache lock, on the querying thread; it
+        must enqueue and return (heavy work belongs on a background
+        thread), and its exceptions are swallowed with a warning so a
+        broken observer can never fail a query.
         """
         self._miss_listener = listener
 
@@ -186,46 +184,23 @@ class CachedOracle:
         """Price per-problem miss lists, the cache's one pricing path.
 
         ``groups`` pairs each distinct problem with its uncached mappings.
-        When the inner backend exposes ``evaluate_megabatch`` (the
-        analytical :class:`~repro.costmodel.model.CostModel` and
-        ``AnalyticalOracle`` do), every group — one or many — is lowered
-        into a single megabatch and priced by one run of the cost kernels,
-        and the tap receives each group's ``problem_slice``, a
+        Every group — one or many — is lowered into a single megabatch and
+        priced by one run of the cost kernels, and the tap receives each
+        group's ``problem_slice``, a
         :class:`~repro.costmodel.batch.BatchCostStats`, as its labels.
-        Other backends (surrogates, caller-supplied oracles) have no
-        kernel to share, so each group goes through their own
-        ``evaluate_many`` — or a scalar ``evaluate_edp`` loop — and the
-        tap receives bare EDPs.
         """
-        # The ambient kernel span is a no-op unless a request trace is
-        # active; ``attrs_fn`` defers the shape stats to that case.  Spans
-        # wrap only real inner-oracle work — cache-hit replays never get
-        # here — so ``kernel_s`` measures actual kernel time.
-        inner_mega = getattr(self.inner, "evaluate_megabatch", None)
-        if inner_mega is None:
-            inner_many = getattr(self.inner, "evaluate_many", None)
-            results: List[List[float]] = []
-            for problem, mappings in groups:
-                with _kernel_span("megabatch.kernel", stage="kernel_s",
-                                  attrs_fn=_shape_attrs([problem] * len(mappings))):
-                    if inner_many is not None:
-                        values = [float(v) for v in inner_many(mappings, problem)]
-                    else:
-                        values = [
-                            float(self.inner.evaluate_edp(mapping, problem))
-                            for mapping in mappings
-                        ]
-                self._notify_misses(problem, mappings, values, None)
-                results.append(values)
-            return results
         lane_mappings: List[Mapping] = []
         lane_problems: List[Problem] = []
         for problem, mappings in groups:
             lane_mappings.extend(mappings)
             lane_problems.extend([problem] * len(mappings))
+        # The ambient kernel span is a no-op unless a request trace is
+        # active; ``attrs_fn`` defers the shape stats to that case.  Spans
+        # wrap only real kernel work — cache-hit replays never get here —
+        # so ``kernel_s`` measures actual kernel time.
         with _kernel_span("megabatch.kernel", stage="kernel_s",
                           attrs_fn=_shape_attrs(lane_problems)):
-            mega = inner_mega(lane_mappings, lane_problems)
+            mega = self.inner.evaluate_megabatch(lane_mappings, lane_problems)
         edp = mega.edp
         listener = self._miss_listener
         results = []
@@ -266,43 +241,12 @@ class CachedOracle:
             self._notify_misses(problem, [mapping], [stats.edp], [stats])
         return stats
 
-    def evaluate_edp(self, mapping: Mapping, problem: Problem) -> float:
-        key = (problem_key(problem), mapping)
-        with self._lock:
-            cached = self._store.get(key)
-            if cached is not None:
-                self._hits += 1
-                self._store.move_to_end(key)
-                return cached.edp if isinstance(cached, CostStats) else cached
-        stats: Optional[CostStats] = None
-        inner_evaluate = getattr(self.inner, "evaluate", None)
-        if self._miss_listener is not None and inner_evaluate is not None:
-            # The scalar EDP is defined as evaluate(...).edp, so asking the
-            # inner oracle for the full statistics returns the *same* value
-            # at the same cost — and gives the tap a full label instead of a
-            # bare float (which meta-mode replay buffers must discard).
-            try:
-                stats = inner_evaluate(mapping, problem)
-            except NotImplementedError:
-                stats = None  # e.g. a surrogate backend: scalar-only
-        if stats is not None:
-            value = float(stats.edp)
-        else:
-            value = float(self.inner.evaluate_edp(mapping, problem))
-        with self._lock:
-            self._misses += 1
-            self._insert(key, stats if stats is not None else value)
-        self._notify_misses(
-            problem, [mapping], [value], None if stats is None else [stats]
-        )
-        return value
-
     def evaluate_many(self, mappings: Sequence[Mapping], problem: Problem) -> List[float]:
         """Batched EDP for mappings of one problem.
 
         :meth:`evaluate_many_grouped` with every lane on ``problem``:
         answers what it can from the cache, prices *only the misses*
-        through the inner oracle in one call, and merges the results back
+        through the inner model in one call, and merges the results back
         in input order.
         """
         return self.evaluate_many_grouped(mappings, [problem] * len(mappings))
@@ -314,11 +258,11 @@ class CachedOracle:
 
         Hits are answered from cache per lane, and the misses of *all*
         problems are priced in one :meth:`_price_misses_grouped` union — a
-        single inner megabatch when the backend has one.  Counters match
-        the sequential loop exactly: a batch of k cached mappings and m
-        uncached ones counts k hits and m misses, and a mapping repeated
-        within a batch is one miss plus hits for the repeats (the repeats
-        are served from the first occurrence's result, never re-priced).
+        single inner megabatch.  Counters match the sequential loop
+        exactly: a batch of k cached mappings and m uncached ones counts k
+        hits and m misses, and a mapping repeated within a batch is one
+        miss plus hits for the repeats (the repeats are served from the
+        first occurrence's result, never re-priced).
         """
         if len(mappings) != len(problems):
             raise ValueError(
@@ -388,35 +332,26 @@ class CachedOracle:
             values[index] = values[source]
         return [float(value) for value in values]
 
-    def prewarm(self, mappings: Sequence[Mapping], problem: Problem) -> int:
-        """Price every uncached mapping in one inner batch, counter-neutral.
-
-        The scheduler hook behind request coalescing
-        (:mod:`repro.serve.cohort`): a lockstep cohort unions the candidate
-        batches of many concurrent searches and prewarms them here, so each
-        search's own metered ``evaluate_many`` is answered from cache while
-        the union rides the widest vectorized path through the inner
-        oracle.  Prewarm insertions touch neither ``hits`` nor ``misses``
-        (they are not queries — ``CacheStats.prewarmed`` counts them), and
-        existing entries are left untouched, including their LRU recency.
-        Returns the number of entries inserted.
-        """
-        return self.prewarm_grouped([(problem, mappings)])
-
     def prewarm_grouped(
         self, groups: Sequence[Tuple[Problem, Sequence[Mapping]]]
     ) -> int:
-        """:meth:`prewarm` for a whole multi-problem round at once.
+        """Price every uncached mapping of a round in one kernel run,
+        counter-neutrally.
 
-        Partitions every group's mappings into cached vs. uncached under
-        one lock pass, then prices the union of *all* groups' misses
-        through one :meth:`_price_misses_grouped` call — a single inner
-        cost-kernel run when the backend supports megabatching — and
-        inserts the results counter-neutrally (``CacheStats.prewarmed``
-        counts insertions, hits/misses are untouched).  Groups repeating a
-        problem (by cost identity) are merged first, so each distinct
-        problem is priced as one contiguous slice.  Returns the number of
-        entries inserted.
+        The scheduler hook behind request coalescing
+        (:mod:`repro.serve.cohort`): a lockstep cohort unions the candidate
+        batches of many concurrent searches — ``(problem, mappings)``
+        groups over any problems — and prewarms them here, so each
+        search's own metered ``evaluate_many`` is answered from cache while
+        the union rides one megabatch.  Partitions every group's mappings
+        into cached vs. uncached under one lock pass, prices the union of
+        *all* groups' misses through one :meth:`_price_misses_grouped`
+        call, and inserts the results.  Insertions touch neither ``hits``
+        nor ``misses`` (they are not queries — ``CacheStats.prewarmed``
+        counts them), and existing entries are left untouched, including
+        their LRU recency.  Groups repeating a problem (by cost identity)
+        are merged first, so each distinct problem is priced as one
+        contiguous slice.  Returns the number of entries inserted.
         """
         merged: "OrderedDict[Hashable, Tuple[Problem, List[Mapping]]]" = (
             OrderedDict()

@@ -1,21 +1,20 @@
 """``repro.engine`` — the serving-grade mapping API.
 
-A stable request/response façade in front of interchangeable search and
-cost-oracle backends:
+A stable request/response façade in front of interchangeable searchers
+and one memoized true-cost oracle:
 
 * :mod:`repro.engine.registry` — string-keyed searcher registry
   (``@register_searcher("genetic")`` / ``make_searcher("genetic", space)``)
   that all baselines and the gradient searcher register into,
-* :mod:`repro.engine.oracle` — the :class:`CostOracle` protocol (scalar
-  ``evaluate``/``evaluate_edp`` plus batched ``evaluate_many``) with
-  analytical, surrogate, and cached backends; searchers hand oracles whole
-  populations, so the surrogate backend prices a batch in one stacked
-  forward pass and the cached backend forwards only its misses,
 * :mod:`repro.engine.engine` — :class:`MappingEngine`, which lazily
-  trains-or-loads surrogates per (algorithm, accelerator-fingerprint) and
-  serves :class:`MappingRequest` → :class:`MappingResponse`, one at a time
-  (``engine.map``) or as a coalesced batch (``engine.map_batch``, routed
-  through the :mod:`repro.serve` scheduler).
+  trains-or-loads surrogates per (algorithm, accelerator-fingerprint),
+  prices every true cost through its
+  :class:`~repro.costmodel.cache.CachedOracle` over the analytical
+  :class:`~repro.costmodel.model.CostModel` (searchers hand it whole
+  populations; it forwards only its misses, in one megabatch kernel call),
+  and serves :class:`MappingRequest` → :class:`MappingResponse`, one at a
+  time (``engine.map``) or as a coalesced batch (``engine.map_batch``,
+  routed through the :mod:`repro.serve` scheduler).
 
 Quickstart::
 
@@ -30,14 +29,6 @@ Tests: ``tests/test_engine.py`` (serving, batch determinism, artifact
 cache) and ``tests/test_engine_registry.py``.
 """
 
-from repro.engine.oracle import (
-    AnalyticalOracle,
-    CacheStats,
-    CachedOracle,
-    CostOracle,
-    SurrogateOracle,
-    evaluate_many,
-)
 from repro.engine.registry import (
     make_searcher,
     register_searcher,
@@ -65,16 +56,10 @@ def __dir__():
 
 
 __all__ = [
-    "AnalyticalOracle",
-    "CacheStats",
-    "CachedOracle",
-    "CostOracle",
     "EngineConfig",
     "MappingEngine",
     "MappingRequest",
     "MappingResponse",
-    "SurrogateOracle",
-    "evaluate_many",
     "make_searcher",
     "register_searcher",
     "resolve_searcher",

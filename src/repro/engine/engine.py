@@ -43,7 +43,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     List,
@@ -77,6 +76,12 @@ def _wants_engine_surrogate(
     return "surrogate" in parameters and "surrogate" not in config
 
 
+#: Entry bound of the shared true-cost cache.  The oracle also serves
+#: baseline searchers' in-search queries, so it is bounded to keep a
+#: long-lived engine's memory flat.
+ORACLE_CACHE_SIZE = 65_536
+
+
 @dataclass
 class EngineConfig:
     """Engine-level knobs (per-request knobs live on :class:`MappingRequest`).
@@ -95,10 +100,6 @@ class EngineConfig:
     train_seed: int = 0
     artifact_dir: Optional[Path] = None
     training_problems: Optional[MappingType[str, Sequence[Problem]]] = None
-    #: Entry bound of the shared true-cost cache.  The oracle also serves
-    #: baseline searchers' in-search queries, so it is bounded by default
-    #: to keep a long-lived engine's memory flat; ``None`` means unbounded.
-    oracle_cache_size: Optional[int] = 65_536
 
 
 @dataclass(frozen=True)
@@ -273,19 +274,11 @@ class MappingEngine:
         self,
         accelerator: Optional[Accelerator] = None,
         config: Optional[EngineConfig] = None,
-        oracle=None,
     ) -> None:
-        """``oracle`` swaps the scoring backend (any
-        :class:`~repro.engine.oracle.CostOracle`); by default the engine
-        memoizes its analytical model.  Oracles that cannot produce full
-        statistics fall back to the analytical model for the final
-        reporting query only."""
         self.accelerator = accelerator or default_accelerator()
         self.config = config or EngineConfig()
         self.cost_model = CostModel(self.accelerator)
-        self.oracle = oracle if oracle is not None else CachedOracle(
-            self.cost_model, maxsize=self.config.oracle_cache_size
-        )
+        self.oracle = CachedOracle(self.cost_model, maxsize=ORACLE_CACHE_SIZE)
         self._pipelines: Dict[str, MindMappings] = {}
         self._pipeline_sources: Dict[str, str] = {}
         self._pipeline_versions: Dict[str, int] = {}
@@ -293,9 +286,6 @@ class MappingEngine:
         self._locks_guard = threading.Lock()
         self._bounds: Dict[Hashable, float] = {}
         self._bounds_lock = threading.Lock()
-        self._finalize_listeners: List[
-            Callable[[MappingRequest, Mapping, CostStats], None]
-        ] = []
 
     # ------------------------------------------------------------------
     # Surrogate lifecycle
@@ -437,39 +427,6 @@ class MappingEngine:
                 self._pipeline_versions[algorithm] = version
 
     # ------------------------------------------------------------------
-    # Learning taps
-    # ------------------------------------------------------------------
-
-    def add_finalize_listener(
-        self, listener: Callable[[MappingRequest, Mapping, CostStats], None]
-    ) -> None:
-        """Observe every finalized search: ``listener(request, best, stats)``.
-
-        Fired once per served request with the winning mapping and its
-        *true* (analytical) cost statistics — the low-EDP tail samples the
-        online replay buffer values most.  Listeners must be cheap
-        (enqueue-and-return); exceptions are swallowed with a warning so an
-        observer can never fail a response.
-        """
-        self._finalize_listeners.append(listener)
-
-    def remove_finalize_listener(self, listener) -> None:
-        """Detach a listener added by :meth:`add_finalize_listener`."""
-        self._finalize_listeners.remove(listener)
-
-    def _notify_finalized(
-        self, request: MappingRequest, best: Mapping, stats: CostStats
-    ) -> None:
-        for listener in self._finalize_listeners:
-            try:
-                listener(request, best, stats)
-            except Exception as error:  # noqa: BLE001 — observers never fail serving
-                warnings.warn(
-                    f"finalize listener failed "
-                    f"({error.__class__.__name__}: {error}); sample dropped"
-                )
-
-    # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
 
@@ -517,14 +474,7 @@ class MappingEngine:
                 f"was scored; raise the budget"
             )
         best = result.best_mapping
-        try:
-            stats = self.oracle.evaluate(best, request.problem)
-        except NotImplementedError:
-            # Oracles without full statistics (e.g. SurrogateOracle) are
-            # fine for search-time scoring; the one reporting query falls
-            # back to the exact analytical model.
-            stats = self.cost_model.evaluate(best, request.problem)
-        self._notify_finalized(request, best, stats)
+        stats = self.oracle.evaluate(best, request.problem)
         norm_edp = stats.edp / self._lower_bound_edp(request.problem)
         provenance = {
             "engine": "repro.engine",
@@ -584,11 +534,9 @@ class MappingEngine:
     # Introspection
     # ------------------------------------------------------------------
 
-    def oracle_stats(self) -> Optional[CacheStats]:
-        """Hit/miss counters of the oracle, or ``None`` for backends
-        (e.g. a bare :class:`AnalyticalOracle`) that keep no counters."""
-        stats = getattr(self.oracle, "stats", None)
-        return stats() if callable(stats) else None
+    def oracle_stats(self) -> CacheStats:
+        """Hit/miss counters of the shared true-cost oracle."""
+        return self.oracle.stats()
 
     def loaded_algorithms(self) -> Dict[str, str]:
         """Algorithms with a live surrogate, mapped to where it came from."""
@@ -627,6 +575,7 @@ class MappingEngine:
 
 
 __all__ = [
+    "ORACLE_CACHE_SIZE",
     "EngineConfig",
     "MappingEngine",
     "MappingRequest",

@@ -16,7 +16,7 @@ only ever enqueues an observation.
 * :mod:`repro.learn.registry` — versioned, atomic, rollback-able on-disk
   model artifacts,
 * :mod:`repro.learn.lifecycle` — the :class:`OnlineLearner` loop wiring
-  taps → replay → train → gate → registry → engine hot-swap.
+  tap → replay → train → gate → registry → engine hot-swap.
 
 ``tests/test_learn_lifecycle.py`` drives a cold-surrogate → traffic →
 improved-surrogate loop end to end.

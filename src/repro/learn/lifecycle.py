@@ -3,10 +3,10 @@
 :class:`OnlineLearner` closes the loop between serving and learning for
 one :class:`~repro.engine.MappingEngine`:
 
-1. **Observe** — ``attach()`` installs two taps: the engine oracle's miss
-   listener (every true cost the serving path computes anyway) and the
-   engine's finalize listener (every served winner with full statistics).
-   Both taps do one bounded-deque append and return — the request path
+1. **Observe** — ``attach()`` installs one tap, the engine oracle's miss
+   listener: every true cost the serving path computes anyway, including
+   each served winner, which finalize prices through the same oracle.
+   The tap does one bounded-deque append and returns — the request path
    gains no model work, no training, no I/O.
 2. **Replay** — a background step drains the queue into per-algorithm
    :class:`~repro.learn.replay.ReplayBuffer`\\ s (encoding/whitening
@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import MindMappings
-from repro.costmodel.stats import CostStats
-from repro.engine.engine import MappingEngine, MappingRequest
+from repro.engine.engine import MappingEngine
 from repro.learn.gate import GateConfig, GateReport, validate_swap
 from repro.learn.registry import ModelRegistry
 from repro.learn.replay import ReplayBuffer, ReplayConfig
@@ -117,36 +116,25 @@ class OnlineLearner(Periodic):
         self.swaps = Counter()
         self.rejected_swaps = Counter()
         self._attached = False
-        self._miss_tap_active = False
 
     # ------------------------------------------------------------------
-    # Taps (serving hot path — enqueue and return)
+    # Tap (serving hot path — enqueue and return)
     # ------------------------------------------------------------------
 
     def attach(self) -> "OnlineLearner":
-        """Install the oracle-miss and finalize taps on the engine."""
-        if self._attached:
-            return self
-        set_listener = getattr(self.engine.oracle, "set_miss_listener", None)
-        if set_listener is not None:
-            set_listener(self._on_oracle_miss)
-            self._miss_tap_active = True
-        self.engine.add_finalize_listener(self._on_finalized)
-        self._attached = True
+        """Install the oracle-miss tap on the engine."""
+        if not self._attached:
+            self.engine.oracle.set_miss_listener(self._on_oracle_miss)
+            self._attached = True
         return self
 
     def detach(self) -> None:
-        """Remove the taps (pending observations are kept)."""
-        if not self._attached:
-            return
-        set_listener = getattr(self.engine.oracle, "set_miss_listener", None)
-        if set_listener is not None:
-            set_listener(None)
-        self._miss_tap_active = False
-        self.engine.remove_finalize_listener(self._on_finalized)
-        self._attached = False
+        """Remove the tap (pending observations are kept)."""
+        if self._attached:
+            self.engine.oracle.set_miss_listener(None)
+            self._attached = False
 
-    def _enqueue(
+    def _on_oracle_miss(
         self,
         problem: Problem,
         mappings: Sequence[Mapping],
@@ -162,28 +150,6 @@ class OnlineLearner(Periodic):
                 stale = self._pending.popleft()
                 self.dropped.inc(len(stale[1]))
         self.observed.inc(count)
-
-    def _on_oracle_miss(
-        self,
-        problem: Problem,
-        mappings: Sequence[Mapping],
-        edps: Sequence[float],
-        stats: object,
-    ) -> None:
-        self._enqueue(problem, mappings, edps, stats)
-
-    def _on_finalized(
-        self, request: MappingRequest, best: Mapping, stats: CostStats
-    ) -> None:
-        # With the miss tap active the winner was already captured when its
-        # cost was first priced (every finalize scoring routes through the
-        # oracle); enqueueing it again would double-weight winners in the
-        # replay reservoir and over-count `observed`.  The finalize tap is
-        # the *fallback* label source for engines whose oracle exposes no
-        # miss listener.
-        if self._miss_tap_active:
-            return
-        self._enqueue(request.problem, (best,), (stats.edp,), (stats,))
 
     # ------------------------------------------------------------------
     # Background loop
@@ -346,14 +312,14 @@ class OnlineLearner(Periodic):
         return self.config.poll_interval_s
 
     def start(self) -> "OnlineLearner":
-        """Attach the taps and run :meth:`step` on a daemon thread every
+        """Attach the tap and run :meth:`step` on a daemon thread every
         ``poll_interval_s`` (a failed step warns; the loop goes on)."""
         if self._thread is None:
             self.attach()
         return super().start()
 
     def stop(self, timeout: Optional[float] = 5.0) -> None:
-        """Stop the background thread and detach the taps."""
+        """Stop the background thread and detach the tap."""
         super().stop(timeout)
         self.detach()
 

@@ -10,7 +10,7 @@ training store and a held-out store the validation gate scores against.
 Two properties matter for serving:
 
 * **Hot-path neutrality** — the buffer never runs on the request path.
-  The taps enqueue raw observations (see
+  The tap enqueues raw observations (see
   :class:`repro.learn.lifecycle.OnlineLearner`); :meth:`ingest` does the
   encoding, whitening, and target conversion on the learner's background
   thread.

@@ -13,14 +13,14 @@ Searchers follow a **batched ask/tell protocol**:
 * :meth:`Searcher.tell` feeds back the evaluated ``(mappings, values)``.
 
 :meth:`Searcher.run` is the generic driver: it loops ask → evaluate → tell
-against a :class:`BudgetedObjective` until the budget is exhausted.  Handing
-the evaluator *whole batches* (instead of scalar calls in a loop) is what
-lets numpy-backed oracles amortize — a surrogate prices a population in one
-stacked forward pass, a memoized oracle partitions cache hits from misses
-and forwards only the misses (see :mod:`repro.engine.oracle`).  External
-drivers (schedulers, distributed evaluators) can run the same protocol by
-hand; the parity tests in ``tests/test_search_asktell.py`` pin ``run()`` to
-be exactly that loop.
+against a :class:`BudgetedObjective` until the budget is exhausted.  Every
+searcher prices candidates in *whole batches* through its one objective,
+:meth:`Searcher.objective_batch` — the surrogate prices a population in one
+stacked forward pass, the memoized true-cost oracle
+(:class:`~repro.costmodel.cache.CachedOracle`) partitions cache hits from
+misses and forwards only the misses.  External drivers (schedulers,
+distributed evaluators) can run the same protocol by hand; the parity tests
+in ``tests/test_search_asktell.py`` pin ``run()`` to be exactly that loop.
 """
 
 from __future__ import annotations
@@ -114,34 +114,27 @@ class SearchResult:
 class BudgetedObjective:
     """Meters an objective function by evaluations and wall-clock.
 
-    The ask/tell driver calls :meth:`evaluate_many` for every batch of
-    candidates; scalar :meth:`evaluate` / :meth:`record` remain for callers
-    with fused or external evaluation.  All bookkeeping for
-    :class:`SearchResult` happens here so individual searchers stay focused
-    on their heuristics.
-
-    ``batch_objective`` is the vectorized evaluator (whole batch in, one
-    value per candidate out); without one, :meth:`evaluate_many` falls back
-    to scalar calls.  Metering is *per candidate* either way: each evaluated
-    mapping counts one iteration, is charged one ``simulated_latency_s`` of
-    virtual time, and gets its own timestamp — so iso-iteration and
-    iso-time accounting are identical between the scalar and batched paths.
+    ``objective`` is the batch evaluator (whole batch in, one value per
+    candidate out); the ask/tell driver calls :meth:`evaluate_many` for
+    every batch of candidates.  All bookkeeping for :class:`SearchResult`
+    happens here so individual searchers stay focused on their heuristics.
+    Metering is *per candidate*: each evaluated mapping counts one
+    iteration, is charged one ``simulated_latency_s`` of virtual time, and
+    gets its own timestamp.
     """
 
     def __init__(
         self,
-        objective: Callable[[Mapping], float],
+        objective: Callable[[Sequence[Mapping]], Sequence[float]],
         max_evaluations: int,
         time_budget_s: Optional[float] = None,
         simulated_latency_s: float = 0.0,
-        batch_objective: Optional[Callable[[Sequence[Mapping]], Sequence[float]]] = None,
     ) -> None:
         if max_evaluations < 1:
             raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
         if simulated_latency_s < 0:
             raise ValueError("simulated_latency_s must be >= 0")
         self._objective = objective
-        self._batch_objective = batch_objective
         self.max_evaluations = max_evaluations
         self.time_budget_s = time_budget_s
         self.simulated_latency_s = simulated_latency_s
@@ -163,49 +156,30 @@ class BudgetedObjective:
         """
         return self._stopwatch.elapsed + self._virtual_time
 
-    def evaluate(self, mapping: Mapping) -> float:
-        """Evaluate + record one candidate.
-
-        Raises ``RuntimeError`` when the *evaluation* budget is already
-        spent — that would give a searcher more iterations than its
-        competitors.  Time-budget overshoot is tolerated: wall-clock elapses
-        inside an evaluation, so the final in-flight evaluation may land
-        past the deadline (as it would in any real deployment); the
-        searcher's loop exits at its next ``exhausted`` check.
-        """
-        if self.used >= self.max_evaluations:
-            raise RuntimeError("evaluation budget exhausted")
-        value = float(self._objective(mapping))
-        self._virtual_time += self.simulated_latency_s
-        self.mappings.append(mapping)
-        self.values.append(value)
-        self.times.append(self.elapsed)
-        return value
-
     def evaluate_many(self, mappings: Sequence[Mapping]) -> List[float]:
         """Evaluate + record a batch, truncated to what the budget affords.
 
         Returns the values for the recorded *prefix* of ``mappings`` (the
         caller pairs them back with ``mappings[:len(values)]``).  Truncation
-        mirrors the scalar loop's ``while not exhausted: evaluate`` check,
-        per candidate:
+        mirrors a one-at-a-time ``while not exhausted: evaluate`` loop, per
+        candidate:
 
         * never more candidates than ``remaining`` iterations;
         * under a time budget, recording stops at the first candidate past
           the deadline — with simulated oracle latency the batch is also
           pre-shrunk to what the remaining virtual time affords, so the
-          overshoot is at most one candidate's latency, the same tolerance
-          as the scalar path's final in-flight evaluation.  (Candidates a
-          batch backend computed but the deadline cut are discarded
-          unrecorded — the batched analogue of wall-clock elapsing inside
-          an evaluation.)
+          overshoot is at most one candidate's latency (wall-clock elapses
+          inside an evaluation, so the final in-flight candidate may land
+          past the deadline, as it would in any real deployment).
+          Candidates the objective computed but the deadline cut are
+          discarded unrecorded.
 
         Each recorded candidate is metered individually: one iteration, one
         latency charge, one timestamp.  With virtual latency the timestamps
-        step per candidate exactly like scalar calls; pure wall-clock
-        batches share their batch's completion time (they really did finish
-        together).  Raises ``RuntimeError`` when the evaluation budget is
-        already spent, like :meth:`evaluate`.
+        step per candidate; pure wall-clock batches share their batch's
+        completion time (they really did finish together).  Raises
+        ``RuntimeError`` when the evaluation budget is already spent — that
+        would give a searcher more iterations than its competitors.
         """
         if self.used >= self.max_evaluations:
             raise RuntimeError("evaluation budget exhausted")
@@ -219,15 +193,12 @@ class BudgetedObjective:
         batch = list(mappings[:limit])
         if not batch:
             return []
-        if self._batch_objective is not None:
-            values = [float(v) for v in self._batch_objective(batch)]
-            if len(values) != len(batch):
-                raise ValueError(
-                    f"batch objective returned {len(values)} values for "
-                    f"{len(batch)} mappings"
-                )
-        else:
-            values = [float(self._objective(mapping)) for mapping in batch]
+        values = [float(v) for v in self._objective(batch)]
+        if len(values) != len(batch):
+            raise ValueError(
+                f"batch objective returned {len(values)} values for "
+                f"{len(batch)} mappings"
+            )
         recorded: List[float] = []
         for mapping, value in zip(batch, values):
             if recorded and (
@@ -241,20 +212,6 @@ class BudgetedObjective:
             self.times.append(self.elapsed)
             recorded.append(value)
         return recorded
-
-    def record(self, mapping: Mapping, value: float) -> None:
-        """Record an externally-computed evaluation.
-
-        For searchers whose objective computation is fused with other work;
-        keeps budget accounting identical.  Time-budget overshoot is
-        tolerated exactly as in :meth:`evaluate`.
-        """
-        if self.used >= self.max_evaluations:
-            raise RuntimeError("evaluation budget exhausted")
-        self._virtual_time += self.simulated_latency_s
-        self.mappings.append(mapping)
-        self.values.append(float(value))
-        self.times.append(self.elapsed)
 
     @property
     def used(self) -> int:
@@ -292,13 +249,13 @@ class Searcher(abc.ABC):
     :meth:`tell` feeds the evaluated batch back so the heuristic can adapt.
     Evaluation itself lives outside the searcher — in :meth:`run`'s budget,
     or any external driver speaking the same protocol — which is what lets
-    one searcher be served by a scalar cost model, a memoized oracle, or a
-    stacked surrogate forward pass without modification.
+    one searcher be served by a cost model, a memoized oracle, or a stacked
+    surrogate forward pass without modification.
 
-    :meth:`objective` / :meth:`objective_batch` define the searcher's own
-    scoring function (true log2-EDP for black-box baselines, the surrogate
-    prediction for Mind Mappings); ``run()`` wires them into the budget so
-    the batched path is the default.  ``name`` labels results in figures.
+    :meth:`objective_batch` is the searcher's one scoring function (true
+    log2-EDP for black-box baselines, the surrogate prediction for Mind
+    Mappings); ``run()`` wires it into the budget.  ``name`` labels results
+    in figures.
     ``simulated_latency_s`` charges a virtual per-query cost against the
     time budget — used by iso-time experiments to model an expensive cost
     oracle (the paper's Timeloop) without sleeping.
@@ -316,12 +273,8 @@ class Searcher(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def objective(self, mapping: Mapping) -> float:
-        """This searcher's scalar objective for one mapping."""
-
     def objective_batch(self, mappings: Sequence[Mapping]) -> List[float]:
-        """Objectives for a whole batch (scalar fallback; override to batch)."""
-        return [self.objective(mapping) for mapping in mappings]
+        """This searcher's objective for each mapping of a batch."""
 
     # ------------------------------------------------------------------
     # Ask/tell protocol
@@ -360,11 +313,10 @@ class Searcher(abc.ABC):
     ) -> BudgetedObjective:
         """A budget wired to this searcher's objective and oracle latency."""
         return BudgetedObjective(
-            self.objective,
+            self.objective_batch,
             iterations,
             time_budget_s,
             simulated_latency_s=self.simulated_latency_s,
-            batch_objective=self.objective_batch,
         )
 
     def run(
@@ -389,40 +341,28 @@ class Searcher(abc.ABC):
             self.tell(batch[: len(values)], values)
         return budget.result(self.name, self.problem.name)
 
-    def search(
-        self,
-        iterations: int,
-        seed: SeedLike = None,
-        time_budget_s: Optional[float] = None,
-    ) -> SearchResult:
-        """Alias of :meth:`run` (the pre-ask/tell entry point)."""
-        return self.run(iterations, seed=seed, time_budget_s=time_budget_s)
-
 
 class OracleSearcher(Searcher):
     """Base for black-box searchers scored by a true-cost oracle.
 
-    ``cost_model`` is anything pricing ``(mapping, problem)`` pairs —
-    a :class:`~repro.costmodel.model.CostModel` or any
-    :class:`~repro.engine.oracle.CostOracle` (the engine injects its shared
-    memoized oracle here).  The objective is log2 EDP, the scale the paper's
-    iso-iteration figures compare on.  Batches route through the oracle's
-    ``evaluate_many`` when it has one — a single partitioned/stacked oracle
-    query per generation instead of one query per candidate.
+    ``cost_model`` prices a batch of mappings of one problem through
+    ``evaluate_many(mappings, problem)`` — a
+    :class:`~repro.costmodel.model.CostModel`, or the engine's shared
+    :class:`~repro.costmodel.cache.CachedOracle`, which answers hits in
+    place and forwards only the misses.  The objective is log2 EDP, the
+    scale the paper's iso-iteration figures compare on; each generation is
+    one ``evaluate_many`` query.
     """
 
     def __init__(self, space: MapSpace, cost_model) -> None:
         super().__init__(space)
         self.cost_model = cost_model
 
-    def objective(self, mapping: Mapping) -> float:
-        return math.log2(self.cost_model.evaluate_edp(mapping, self.problem))
-
     def objective_batch(self, mappings: Sequence[Mapping]) -> List[float]:
-        evaluate_many = getattr(self.cost_model, "evaluate_many", None)
-        if evaluate_many is None:
-            return [self.objective(mapping) for mapping in mappings]
-        return [math.log2(value) for value in evaluate_many(mappings, self.problem)]
+        return [
+            math.log2(value)
+            for value in self.cost_model.evaluate_many(mappings, self.problem)
+        ]
 
 
 __all__ = ["BudgetedObjective", "OracleSearcher", "SearchResult", "Searcher"]

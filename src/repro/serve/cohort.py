@@ -22,7 +22,7 @@ is bitwise independent of its batchmates, over any problems (pinned by
 ``tests/test_surrogate_pass_parity.py``) — so a search's full trace and
 response are bit-identical to serving it solo.
 
-Cohort-ineligible requests (caller-supplied oracles, wall-clock time
+Cohort-ineligible requests (caller-supplied cost models, wall-clock time
 budgets) run through the same loop as cohorts of one: a single member
 never prewarms, so its loop is exactly :meth:`Searcher.run`'s.
 :func:`run_cohort` is the one search loop of the serving path, and
@@ -51,7 +51,6 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.gradient_search import GradientSearcher, prime_descents, settle_descents
-from repro.costmodel.cache import CachedOracle
 from repro.obs import trace as obs_trace
 from repro.engine.engine import (
     MappingEngine,
@@ -134,8 +133,9 @@ def coalescible(engine: MappingEngine, prepared: PreparedSearch) -> bool:
     """
     if prepared.request.time_budget_s is not None:
         return False
-    return isinstance(prepared.searcher, GradientSearcher) or (
-        prepared.uses_engine_oracle and isinstance(engine.oracle, CachedOracle)
+    return (
+        isinstance(prepared.searcher, GradientSearcher)
+        or prepared.uses_engine_oracle
     )
 
 

@@ -477,9 +477,7 @@ class MappingServer(Telemetry):
             depth = self._depth_locked()
         oracle = self.engine.oracle_stats()
         extra: Dict[str, object] = {
-            "oracle_cache": None
-            if oracle is None
-            else {
+            "oracle_cache": {
                 "hits": oracle.hits,
                 "misses": oracle.misses,
                 "prewarmed": oracle.prewarmed,

@@ -53,7 +53,7 @@ def train_surrogate() -> MindMappings:
 def run_search(mm: MindMappings, name: str, seed: int, iterations: int,
                restarts: int) -> dict:
     problem = problem_by_name(name)
-    result = mm.searcher(problem, restarts=restarts).search(iterations, seed=seed)
+    result = mm.searcher(problem, restarts=restarts).run(iterations, seed=seed)
     best = result.best_mapping
     return {
         "problem": name,

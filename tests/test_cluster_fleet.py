@@ -14,6 +14,7 @@ import pytest
 from repro.cluster.router import (
     ClusterConfig,
     ClusterRouter,
+    NoLiveShards,
     merge_events,
     merge_health,
     merge_metrics,
@@ -25,7 +26,7 @@ from repro.costmodel.accelerator import small_accelerator
 from repro.engine import MappingRequest
 from repro.serve import ServeConfig, request_to_dict, response_to_dict, start_gateway
 from repro.serve.http import HTTP_STATUS
-from repro.serve.server import failure_reply
+from repro.serve.server import ServerClosed, ServerOverloaded, failure_reply
 from repro.workloads import make_conv1d
 
 UNREACHABLE = {"status": "unreachable"}
@@ -430,3 +431,112 @@ def test_failure_kinds_agree_across_shard_router_and_gateway():
         router.shutdown(timeout=5.0)
         service.close()
     assert holder is not None and holder.result(timeout=30).mapping is not None
+
+
+def test_fleet_of_draining_shards_answers_closed():
+    """When every shard of a request's chain answers ``closed``, the router
+    raises that ``ServerClosed`` and a gateway in front of it answers 503,
+    as one in front of a draining server does; a chain where no shard
+    answered at all still raises ``NoLiveShards``.  Both count as errors,
+    so submitted = served + rejected + errors holds."""
+    request = MappingRequest(make_conv1d("all_closed", w=32, r=5),
+                             searcher="random", iterations=5, seed=0)
+    draining = failure_reply(
+        ServerClosed("server is draining; not accepting requests")
+    )
+    router = ClusterRouter(ClusterConfig(num_shards=2))
+    pools = [_attach(router, shard_id, {"map": draining})
+             for shard_id in range(2)]
+    router._accepting = True
+    gateway = start_gateway(router)
+    counters = router.counters
+    try:
+        error = router.submit(request).exception(timeout=60)
+        assert isinstance(error, ServerClosed)
+        assert "draining" in str(error)
+        status, retry_after, body = _post(
+            f"{gateway.address}/v1/map", {"request": request_to_dict(request)}
+        )
+        assert status == HTTP_STATUS["closed"] == 503
+        assert retry_after is None and "draining" in body["error"]
+        assert [len(pool.calls) for pool in pools] == [2, 2]
+        assert counters["errors"].value == 2
+        for shard_id in range(2):
+            _attach(router, shard_id, {"map": ConnectionError("shard died")})
+        error = router.submit(request).exception(timeout=60)
+        assert isinstance(error, NoLiveShards)
+        assert counters["errors"].value == 3
+        assert counters["submitted"].value == (
+            counters["served"].value + counters["rejected"].value
+            + counters["errors"].value
+        )
+    finally:
+        gateway.shutdown()
+        gateway.server_close()
+        router._accepting = False
+        router.shutdown(timeout=5.0)
+
+
+_DRAINING = failure_reply(
+    ServerClosed("server is draining; not accepting requests")
+)
+
+
+@pytest.mark.parametrize(
+    "owner_reply, backup_reply, expected",
+    [
+        (_DRAINING, ConnectionError("shard died"), ServerClosed),
+        (ConnectionError("shard died"), _DRAINING, ServerClosed),
+        (_DRAINING, failure_reply(ValueError("boom")), RuntimeError),
+        (_DRAINING, failure_reply(ServerOverloaded(0.5, 3)), ServerOverloaded),
+    ],
+    ids=["closed_then_dead", "dead_then_closed", "closed_then_error",
+         "closed_then_overloaded"],
+)
+def test_chain_past_a_draining_shard_raises_what_answered(
+    owner_reply, backup_reply, expected
+):
+    """A draining shard hands its request on down the chain.  A shard that
+    does not answer leaves the fleet closed; any other failure the next
+    shard answers is the request's failure.  Either way the request counts
+    once, in ``errors``."""
+    request = MappingRequest(make_conv1d("chain_kinds", w=32, r=5),
+                             searcher="random", iterations=5, seed=0)
+    router = ClusterRouter(ClusterConfig(num_shards=2))
+    owner = router.shard_for(request)
+    owner_pool = _attach(router, owner, {"map": owner_reply})
+    backup_pool = _attach(router, 1 - owner, {"map": backup_reply})
+    router._accepting = True
+    counters = router.counters
+    try:
+        error = router.submit(request).exception(timeout=60)
+        assert type(error) is expected
+        if expected is ServerOverloaded:
+            assert (error.retry_after_s, error.depth) == (0.5, 3)
+        if expected is RuntimeError:
+            assert str(error) == f"shard {1 - owner}: ValueError: boom"
+        assert (len(owner_pool.calls), len(backup_pool.calls)) == (1, 1)
+        assert (counters["submitted"].value, counters["served"].value,
+                counters["errors"].value) == (1, 0, 1)
+    finally:
+        router._accepting = False
+        router.shutdown(timeout=5.0)
+
+
+def test_undecodable_shard_reply_counts_one_error():
+    """An ``ok`` reply whose response does not decode fails the request and
+    counts in ``errors`` only, so submitted = served + rejected + errors."""
+    request = MappingRequest(make_conv1d("undecodable", w=32, r=5),
+                             searcher="random", iterations=5, seed=0)
+    router = ClusterRouter(ClusterConfig(num_shards=1))
+    _attach(router, 0, {"map": {"ok": True, "response": {"tag": "x"}}})
+    router._accepting = True
+    counters = router.counters
+    try:
+        assert isinstance(router.submit(request).exception(timeout=60),
+                          KeyError)
+        assert (counters["submitted"].value, counters["served"].value,
+                counters["errors"].value) == (1, 0, 1)
+    finally:
+        router._accepting = False
+        router.shutdown(timeout=5.0)

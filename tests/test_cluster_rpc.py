@@ -17,6 +17,8 @@ from repro.cluster.rpc import (
     recv_message,
     send_message,
 )
+from repro.serve.codec import BadRequest
+from repro.serve.server import ServerClosed, ServerOverloaded
 
 
 class TestFraming:
@@ -97,6 +99,12 @@ def echo_server():
     def handler(payload):
         if payload.get("op") == "boom":
             raise ValueError("handler exploded")
+        if payload.get("op") == "busy":
+            raise ServerOverloaded(2.0, 7)
+        if payload.get("op") == "refuse":
+            raise BadRequest("bad request: 'problem'")
+        if payload.get("op") == "drain":
+            raise ServerClosed("server is draining")
         return {"ok": True, "echo": payload}
 
     server = RpcServer(handler).start()
@@ -123,6 +131,27 @@ class TestClientServer:
             assert "ValueError" in reply["error"]
             # The connection survives a handler error.
             assert client.call({"op": "ping"})["ok"] is True
+
+    @pytest.mark.parametrize(
+        "op, kind, error",
+        [
+            ("busy", "overloaded",
+             "server overloaded (7 requests in flight); retry after 2.00s"),
+            ("refuse", "bad_request", "bad request: 'problem'"),
+            ("drain", "closed", "server is draining"),
+        ],
+        ids=["overloaded", "bad_request", "closed"],
+    )
+    def test_handler_failure_kind_reaches_the_reply(self, echo_server, op,
+                                                    kind, error):
+        with RpcClient(echo_server.host, echo_server.port) as client:
+            reply = client.call({"op": op})
+        assert (reply["ok"], reply["kind"], reply["error"]) == (False, kind,
+                                                                error)
+        if kind == "overloaded":
+            assert (reply["retry_after_s"], reply["depth"]) == (2.0, 7)
+        else:
+            assert "retry_after_s" not in reply and "depth" not in reply
 
     def test_concurrent_clients(self, echo_server):
         def roundtrip(i):

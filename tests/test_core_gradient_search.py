@@ -12,13 +12,13 @@ from repro.mapspace import MapSpace
 class TestGradientSearcher:
     def test_runs_and_respects_budget(self, trained_mm, cnn_space):
         searcher = GradientSearcher(cnn_space, trained_mm.surrogate)
-        result = searcher.search(50, seed=0)
+        result = searcher.run(50, seed=0)
         assert result.n_evaluations == 50
         assert result.searcher == "MM"
 
     def test_all_visited_mappings_valid(self, trained_mm, cnn_space):
         searcher = GradientSearcher(cnn_space, trained_mm.surrogate)
-        result = searcher.search(60, seed=1)
+        result = searcher.run(60, seed=1)
         assert all(cnn_space.is_member(m) for m in result.mappings)
 
     def test_never_queries_true_cost_model(self, trained_mm, cnn_space, monkeypatch):
@@ -30,12 +30,12 @@ class TestGradientSearcher:
 
         monkeypatch.setattr(CostModel, "evaluate", forbidden)
         monkeypatch.setattr(CostModel, "evaluate_edp", forbidden)
-        GradientSearcher(cnn_space, trained_mm.surrogate).search(30, seed=2)
+        GradientSearcher(cnn_space, trained_mm.surrogate).run(30, seed=2)
 
     def test_deterministic_given_seed(self, trained_mm, cnn_space):
         searcher = GradientSearcher(cnn_space, trained_mm.surrogate)
-        a = searcher.search(40, seed=3)
-        b = searcher.search(40, seed=3)
+        a = searcher.run(40, seed=3)
+        b = searcher.run(40, seed=3)
         assert a.mappings == b.mappings
         assert a.objective_values == b.objective_values
 
@@ -45,7 +45,7 @@ class TestGradientSearcher:
         searcher = GradientSearcher(cnn_space, trained_mm.surrogate)
         improved = 0
         for seed in range(5):
-            result = searcher.search(80, seed=seed)
+            result = searcher.run(80, seed=seed)
             if result.best_objective < result.objective_values[0] - 1e-9:
                 improved += 1
         assert improved >= 3
@@ -53,7 +53,7 @@ class TestGradientSearcher:
     def test_injections_occur(self, trained_mm, cnn_space):
         """With inject_every=5, injection evaluations appear in the trace."""
         searcher = GradientSearcher(cnn_space, trained_mm.surrogate, inject_every=5)
-        result = searcher.search(60, seed=0)
+        result = searcher.run(60, seed=0)
         # 60 evals = 50 GD steps + 10 injections at minimum diversity:
         assert len(set(result.mappings)) > 5
 
@@ -64,7 +64,7 @@ class TestGradientSearcher:
             normalize_gradient=False,
             escalate_when_stuck=False,
         )
-        result = searcher.search(30, seed=0)
+        result = searcher.run(30, seed=0)
         assert result.n_evaluations == 30
 
     def test_mismatched_surrogate_raises(self, trained_mm, mttkrp_problem, accelerator):
@@ -102,12 +102,12 @@ class TestGradientSearcher:
 
         monkeypatch.setattr(type(encoder), "decode", counting)
         searcher = GradientSearcher(cnn_space, trained_mm.surrogate, restarts=3)
-        result = searcher.search(15, seed=0)  # five descent steps of 3 rows
+        result = searcher.run(15, seed=0)  # five descent steps of 3 rows
         assert result.n_evaluations == 15
         assert calls == [(3, encoder.length)] * 4
 
     def test_time_budget_respected(self, trained_mm, cnn_space):
         searcher = GradientSearcher(cnn_space, trained_mm.surrogate)
-        result = searcher.search(100_000, seed=0, time_budget_s=0.2)
+        result = searcher.run(100_000, seed=0, time_budget_s=0.2)
         assert result.wall_time < 2.0
         assert result.n_evaluations < 100_000

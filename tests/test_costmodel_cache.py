@@ -10,14 +10,41 @@ def sampled(cnn_space):
     return cnn_space.sample_many(8, seed=3)
 
 
+class _CountingModel(CostModel):
+    """CostModel recording the lanes of each megabatch call and counting
+    its other batch entry points."""
+
+    def __init__(self, accelerator):
+        super().__init__(accelerator)
+        self.mega_lanes = []
+        self.many_calls = 0
+        self.batch_calls = 0
+
+    @property
+    def mega_calls(self):
+        return len(self.mega_lanes)
+
+    def evaluate_many(self, mappings, problem):
+        self.many_calls += 1
+        return super().evaluate_many(mappings, problem)
+
+    def evaluate_batch(self, mappings, problem):
+        self.batch_calls += 1
+        return super().evaluate_batch(mappings, problem)
+
+    def evaluate_megabatch(self, mappings, problems):
+        self.mega_lanes.append(len(mappings))
+        return super().evaluate_megabatch(mappings, problems)
+
+
 class TestCorrectness:
     def test_edp_matches_uncached_model(self, cost_model, cnn_problem, sampled):
         oracle = CachedOracle(cost_model)
-        for mapping in sampled:
-            expected = cost_model.evaluate_edp(mapping, cnn_problem)
-            assert oracle.evaluate_edp(mapping, cnn_problem) == expected
+        expected = cost_model.evaluate_many(sampled, cnn_problem)
+        for mapping, value in zip(sampled, expected):
+            assert oracle.evaluate_many([mapping], cnn_problem) == [value]
             # Second query must be identical (and served from cache).
-            assert oracle.evaluate_edp(mapping, cnn_problem) == expected
+            assert oracle.evaluate_many([mapping], cnn_problem) == [value]
 
     def test_stats_match_uncached_model(self, cost_model, cnn_problem, sampled):
         oracle = CachedOracle(cost_model)
@@ -29,11 +56,11 @@ class TestCorrectness:
         assert stats.cycles == expected.cycles
 
     def test_edp_served_from_stats_entry(self, cost_model, cnn_problem, sampled):
-        """A full evaluate() also answers later evaluate_edp() queries."""
+        """A full evaluate() also answers later evaluate_many() queries."""
         oracle = CachedOracle(cost_model)
         mapping = sampled[0]
         stats = oracle.evaluate(mapping, cnn_problem)
-        assert oracle.evaluate_edp(mapping, cnn_problem) == stats.edp
+        assert oracle.evaluate_many([mapping], cnn_problem) == [stats.edp]
         snapshot = oracle.stats()
         assert snapshot.misses == 1
         assert snapshot.hits == 1
@@ -50,10 +77,12 @@ class TestCorrectness:
         heavier = dataclasses.replace(base, ops_per_point=7)
         oracle = CachedOracle(CostModel(tiny_accelerator))
         mapping = MapSpace(base, tiny_accelerator).sample(0)
-        first = oracle.evaluate_edp(mapping, base)
-        second = oracle.evaluate_edp(mapping, heavier)
+        first = oracle.evaluate_many([mapping], base)
+        second = oracle.evaluate_many([mapping], heavier)
         assert first != second
-        assert second == CostModel(tiny_accelerator).evaluate_edp(mapping, heavier)
+        assert second == CostModel(tiny_accelerator).evaluate_many(
+            [mapping], heavier
+        )
         assert oracle.stats().misses == 2
 
     def test_distinct_problems_not_conflated(self, tiny_accelerator):
@@ -63,9 +92,9 @@ class TestCorrectness:
         a = make_conv1d("cache_a", w=32, r=5)
         b = make_conv1d("cache_b", w=40, r=5)
         oracle = CachedOracle(CostModel(tiny_accelerator))
-        oracle.evaluate_edp(MapSpace(a, tiny_accelerator).sample(0), a)
+        oracle.evaluate_many([MapSpace(a, tiny_accelerator).sample(0)], a)
         assert oracle.stats().misses == 1
-        oracle.evaluate_edp(MapSpace(b, tiny_accelerator).sample(0), b)
+        oracle.evaluate_many([MapSpace(b, tiny_accelerator).sample(0)], b)
         assert oracle.stats().misses == 2
 
 
@@ -73,9 +102,9 @@ class TestCounters:
     def test_hit_miss_accounting(self, cost_model, cnn_problem, sampled):
         oracle = CachedOracle(cost_model)
         for mapping in sampled:
-            oracle.evaluate_edp(mapping, cnn_problem)
+            oracle.evaluate_many([mapping], cnn_problem)
         for mapping in sampled:
-            oracle.evaluate_edp(mapping, cnn_problem)
+            oracle.evaluate_many([mapping], cnn_problem)
         snapshot = oracle.stats()
         assert snapshot.misses == len(sampled)
         assert snapshot.hits == len(sampled)
@@ -87,7 +116,7 @@ class TestCounters:
 
     def test_clear_resets(self, cost_model, cnn_problem, sampled):
         oracle = CachedOracle(cost_model)
-        oracle.evaluate_edp(sampled[0], cnn_problem)
+        oracle.evaluate_many([sampled[0]], cnn_problem)
         oracle.clear()
         snapshot = oracle.stats()
         assert snapshot.size == 0
@@ -98,20 +127,20 @@ class TestEviction:
     def test_lru_bound_respected(self, cost_model, cnn_problem, sampled):
         oracle = CachedOracle(cost_model, maxsize=4)
         for mapping in sampled:  # 8 distinct entries through a bound of 4
-            oracle.evaluate_edp(mapping, cnn_problem)
+            oracle.evaluate_many([mapping], cnn_problem)
         assert oracle.stats().size <= 4
         # Oldest entries were evicted: re-querying them misses again.
-        oracle.evaluate_edp(sampled[0], cnn_problem)
+        oracle.evaluate_many([sampled[0]], cnn_problem)
         assert oracle.stats().misses == len(sampled) + 1
 
     def test_recently_used_survives(self, cost_model, cnn_problem, sampled):
         oracle = CachedOracle(cost_model, maxsize=2)
-        oracle.evaluate_edp(sampled[0], cnn_problem)
-        oracle.evaluate_edp(sampled[1], cnn_problem)
-        oracle.evaluate_edp(sampled[0], cnn_problem)  # refresh 0
-        oracle.evaluate_edp(sampled[2], cnn_problem)  # evicts 1, not 0
+        oracle.evaluate_many([sampled[0]], cnn_problem)
+        oracle.evaluate_many([sampled[1]], cnn_problem)
+        oracle.evaluate_many([sampled[0]], cnn_problem)  # refresh 0
+        oracle.evaluate_many([sampled[2]], cnn_problem)  # evicts 1, not 0
         hits_before = oracle.stats().hits
-        oracle.evaluate_edp(sampled[0], cnn_problem)
+        oracle.evaluate_many([sampled[0]], cnn_problem)
         assert oracle.stats().hits == hits_before + 1
 
     def test_invalid_maxsize_rejected(self, cost_model):
@@ -124,7 +153,7 @@ class TestEviction:
         """maxsize bounds *total* entries, not per query kind."""
         oracle = CachedOracle(cost_model, maxsize=4)
         for mapping in sampled[:4]:
-            oracle.evaluate_edp(mapping, cnn_problem)
+            oracle.evaluate_many([mapping], cnn_problem)
         for mapping in sampled[4:]:
             oracle.evaluate(mapping, cnn_problem)
         assert oracle.stats().size <= 4
@@ -134,23 +163,11 @@ class TestEviction:
     ):
         oracle = CachedOracle(cost_model)
         mapping = sampled[0]
-        oracle.evaluate_edp(mapping, cnn_problem)
+        oracle.evaluate_many([mapping], cnn_problem)
         assert oracle.stats().size == 1
         stats = oracle.evaluate(mapping, cnn_problem)
         assert oracle.stats().size == 1  # upgraded in place, no duplicate
-        assert oracle.evaluate_edp(mapping, cnn_problem) == stats.edp
-
-
-class _CountingOracle:
-    """Scalar-only inner oracle that counts every query it serves."""
-
-    def __init__(self, model, problem_unused=None):
-        self.model = model
-        self.scalar_calls = 0
-
-    def evaluate_edp(self, mapping, problem):
-        self.scalar_calls += 1
-        return self.model.evaluate_edp(mapping, problem)
+        assert oracle.evaluate_many([mapping], cnn_problem) == [stats.edp]
 
 
 class TestEvaluateMany:
@@ -180,46 +197,36 @@ class TestEvaluateMany:
         misses counts k hits and m misses — no double counting."""
         mappings = cnn_space.sample_many(10, seed=11)
         seen, unseen = mappings[:4], mappings[4:]
-        inner = _CountingOracle(cost_model)
+        inner = _CountingModel(cost_model.accelerator)
         oracle = CachedOracle(inner)
         oracle.evaluate_many(seen, cnn_problem)
-        inner.scalar_calls = 0
         oracle.evaluate_many(mappings, cnn_problem)
         stats = oracle.stats()
         assert stats.hits == len(seen)
         assert stats.misses == len(seen) + len(unseen)
-        # Only the misses reached the inner oracle.
-        assert inner.scalar_calls == len(unseen)
+        # Only the misses reached the inner model.
+        assert inner.mega_lanes == [len(seen), len(unseen)]
 
     def test_duplicate_miss_in_batch_priced_once(self, cost_model, cnn_problem, cnn_space):
         """An unseen mapping repeated in one batch is one miss + hits for
         the repeats, matching what a sequential loop would have counted."""
         mapping = cnn_space.sample_many(1, seed=5)[0]
-        inner = _CountingOracle(cost_model)
+        inner = _CountingModel(cost_model.accelerator)
         oracle = CachedOracle(inner)
         values = oracle.evaluate_many([mapping, mapping, mapping], cnn_problem)
         assert values[0] == values[1] == values[2]
         stats = oracle.stats()
         assert stats.misses == 1
         assert stats.hits == 2
-        assert inner.scalar_calls == 1
+        assert inner.mega_lanes == [1]
 
     def test_misses_forwarded_in_one_inner_batch(self, cost_model, cnn_problem, sampled):
-        """A batched inner oracle receives the misses as one call."""
-        calls = []
-
-        class BatchedInner:
-            def evaluate_many(self, mappings, problem):
-                calls.append(list(mappings))
-                return cost_model.evaluate_many(mappings, problem)
-
-            def evaluate_edp(self, mapping, problem):
-                raise AssertionError("scalar path must not be used")
-
-        oracle = CachedOracle(BatchedInner())
+        """The inner model receives each batch's misses as one call."""
+        inner = _CountingModel(cost_model.accelerator)
+        oracle = CachedOracle(inner)
         oracle.evaluate_many(sampled[:3], cnn_problem)
         oracle.evaluate_many(sampled, cnn_problem)
-        assert [len(c) for c in calls] == [3, len(sampled) - 3]
+        assert inner.mega_lanes == [3, len(sampled) - 3]
 
     def test_batch_respects_lru_bound(self, cost_model, cnn_problem, sampled):
         oracle = CachedOracle(cost_model, maxsize=4)
@@ -240,7 +247,7 @@ class TestPrewarm:
         self, cost_model, cnn_problem, sampled
     ):
         oracle = CachedOracle(cost_model)
-        inserted = oracle.prewarm(sampled, cnn_problem)
+        inserted = oracle.prewarm_grouped([(cnn_problem, sampled)])
         stats = oracle.stats()
         assert inserted == len(sampled)
         assert stats.hits == 0 and stats.misses == 0
@@ -251,7 +258,7 @@ class TestPrewarm:
         self, cost_model, cnn_problem, sampled
     ):
         oracle = CachedOracle(cost_model)
-        oracle.prewarm(sampled, cnn_problem)
+        oracle.prewarm_grouped([(cnn_problem, sampled)])
         values = oracle.evaluate_many(sampled, cnn_problem)
         expected = [cost_model.evaluate_edp(m, cnn_problem) for m in sampled]
         assert values == pytest.approx(expected)
@@ -268,16 +275,16 @@ class TestPrewarm:
         self, cost_model, cnn_problem, sampled
     ):
         oracle = CachedOracle(cost_model)
-        oracle.evaluate_edp(sampled[0], cnn_problem)
-        inserted = oracle.prewarm(
-            [sampled[0], sampled[1], sampled[1]], cnn_problem
+        oracle.evaluate_many([sampled[0]], cnn_problem)
+        inserted = oracle.prewarm_grouped(
+            [(cnn_problem, [sampled[0], sampled[1], sampled[1]])]
         )
         assert inserted == 1  # sampled[0] cached, sampled[1] deduplicated
         assert oracle.stats().prewarmed == 1
 
     def test_prewarm_empty_is_free(self, cost_model, cnn_problem):
         oracle = CachedOracle(cost_model)
-        assert oracle.prewarm([], cnn_problem) == 0
+        assert oracle.prewarm_grouped([(cnn_problem, [])]) == 0
         assert oracle.stats().size == 0
 
 
@@ -301,31 +308,28 @@ class TestMissListener:
         oracle = CachedOracle(cost_model)
         seen = self._tapped(oracle)
         oracle.evaluate(sampled[0], cnn_problem)          # scalar stats miss
-        oracle.evaluate_edp(sampled[1], cnn_problem)      # scalar EDP miss
-        oracle.evaluate_many(sampled[2:5], cnn_problem)   # batch misses
-        oracle.prewarm(sampled[5:8], cnn_problem)         # prewarm inserts
+        oracle.evaluate_many(sampled[1:5], cnn_problem)   # batch misses
+        oracle.prewarm_grouped([(cnn_problem, sampled[5:8])])  # prewarm inserts
         reported = [m for _, mappings, _, _ in seen for m in mappings]
         assert reported == list(sampled[:8])
-        # Labels: full stats on every path — the tapped evaluate_edp miss
-        # upgrades itself to evaluate() (same value, same cost, full label).
+        # Labels: full stats on every path.
         assert isinstance(seen[0][3][0], CostStats)
-        assert isinstance(seen[1][3][0], CostStats)
+        assert isinstance(seen[1][3], BatchCostStats)
         assert isinstance(seen[2][3], BatchCostStats)
-        assert isinstance(seen[3][3], BatchCostStats)
 
-    def test_tapped_evaluate_edp_matches_untapped_value(
+    def test_tapped_evaluate_matches_untapped_value(
         self, cost_model, cnn_problem, sampled
     ):
-        """Attaching a listener must not change any served value: the
-        stats-harvesting scalar path returns exactly evaluate(...).edp."""
+        """Attaching a listener must not change any served value on the
+        scalar path either."""
         plain = CachedOracle(cost_model)
         tapped = CachedOracle(cost_model)
         self._tapped(tapped)
         for mapping in sampled[:4]:
-            assert tapped.evaluate_edp(mapping, cnn_problem) == plain.evaluate_edp(
+            assert tapped.evaluate(mapping, cnn_problem) == plain.evaluate(
                 mapping, cnn_problem
             )
-        # And the full label is now cached: a follow-up stats query hits.
+        # And the full label is cached: a follow-up stats query hits.
         before = tapped.stats()
         tapped.evaluate(sampled[0], cnn_problem)
         after = tapped.stats()
@@ -394,14 +398,6 @@ class TestMissListener:
         oracle.evaluate_many(sampled, cnn_problem)
         assert seen == []
 
-    def test_scalar_only_inner_reports_floats(self, cost_model, cnn_problem, sampled):
-        inner = _CountingOracle(cost_model)
-        oracle = CachedOracle(inner)
-        seen = self._tapped(oracle)
-        oracle.evaluate_many(sampled[:4], cnn_problem)
-        assert len(seen) == 1
-        assert seen[0][3] is None  # no evaluate_batch on the inner: bare EDPs
-
 
 class TestConcurrentHammer:
     """Satellite regression: the lock really covers store + counters under
@@ -435,7 +431,9 @@ class TestConcurrentHammer:
                     kind = rng.randrange(4)
                     if kind == 0:
                         mapping = rng.choice(population)
-                        value = oracle.evaluate_edp(mapping, cnn_problem)
+                        (value,) = oracle.evaluate_many_grouped(
+                            [mapping], [cnn_problem]
+                        )
                         assert close(value, truth[mapping])
                         with queries_lock:
                             queries.append(1)
@@ -455,7 +453,8 @@ class TestConcurrentHammer:
                             queries.append(len(batch))
                     else:
                         batch = rng.sample(population, rng.randrange(1, 6))
-                        oracle.prewarm(batch, cnn_problem)  # never a query
+                        # Never a query.
+                        oracle.prewarm_grouped([(cnn_problem, batch)])
             except BaseException as error:  # noqa: BLE001 — surfaced below
                 errors.append(error)
 
@@ -473,37 +472,6 @@ class TestConcurrentHammer:
         assert stats.size <= 16
 
 
-class _CountingInner:
-    """CostModel proxy that counts which inner pricing entry point ran."""
-
-    def __init__(self, model, megabatch=True):
-        self.model = model
-        self.mega_calls = 0
-        self.many_calls = 0
-        self.batch_calls = 0
-        if not megabatch:
-            # Hide the megabatch path: CachedOracle probes with getattr.
-            self.evaluate_megabatch = None
-
-    def evaluate(self, mapping, problem):
-        return self.model.evaluate(mapping, problem)
-
-    def evaluate_edp(self, mapping, problem):
-        return self.model.evaluate_edp(mapping, problem)
-
-    def evaluate_many(self, mappings, problem):
-        self.many_calls += 1
-        return self.model.evaluate_many(mappings, problem)
-
-    def evaluate_batch(self, mappings, problem):
-        self.batch_calls += 1
-        return self.model.evaluate_batch(mappings, problem)
-
-    def evaluate_megabatch(self, mappings, problems):
-        self.mega_calls += 1
-        return self.model.evaluate_megabatch(mappings, problems)
-
-
 class TestGroupedPaths:
     """Cross-problem unions: one inner kernel call for a whole round."""
 
@@ -518,7 +486,7 @@ class TestGroupedPaths:
         ]
 
     def test_prewarm_grouped_single_inner_call(self, cost_model, three_groups):
-        inner = _CountingInner(cost_model)
+        inner = _CountingModel(cost_model.accelerator)
         oracle = CachedOracle(inner)
         inserted = oracle.prewarm_grouped(three_groups)
         assert inserted == sum(len(ms) for _, ms in three_groups)
@@ -539,7 +507,7 @@ class TestGroupedPaths:
     def test_prewarm_grouped_merges_repeated_problems(
         self, cost_model, cnn_problem, cnn_space
     ):
-        inner = _CountingInner(cost_model)
+        inner = _CountingModel(cost_model.accelerator)
         oracle = CachedOracle(inner)
         sampled = cnn_space.sample_many(6, seed=21)
         inserted = oracle.prewarm_grouped(
@@ -553,12 +521,12 @@ class TestGroupedPaths:
     def test_evaluate_many_grouped_values_and_counters(
         self, cost_model, three_groups
     ):
-        inner = _CountingInner(cost_model)
+        inner = _CountingModel(cost_model.accelerator)
         oracle = CachedOracle(inner)
         # Warm part of the first group so the union mixes hits and misses.
         warm_problem, warm_mappings = three_groups[0]
-        oracle.prewarm(warm_mappings[:2], warm_problem)
-        inner.mega_calls = inner.many_calls = inner.batch_calls = 0
+        oracle.prewarm_grouped([(warm_problem, warm_mappings[:2])])
+        inner.mega_lanes.clear()
 
         lanes = [
             (mapping, problem)
@@ -585,25 +553,12 @@ class TestGroupedPaths:
         with pytest.raises(ValueError, match="misaligned"):
             oracle.evaluate_many_grouped(cnn_space.sample_many(2, seed=1), [])
 
-    def test_grouped_fallback_without_megabatch_backend(
-        self, cost_model, three_groups
-    ):
-        inner = _CountingInner(cost_model, megabatch=False)
-        oracle = CachedOracle(inner)
-        inserted = oracle.prewarm_grouped(three_groups)
-        assert inserted == sum(len(ms) for _, ms in three_groups)
-        assert inner.many_calls == len(three_groups)  # per-group loop
-        for problem, mappings in three_groups:
-            assert oracle.evaluate_many(mappings, problem) == cost_model.evaluate_many(
-                mappings, problem
-            )
-
     def test_grouped_listener_gets_per_problem_slices(
         self, cost_model, three_groups
     ):
         from repro.costmodel import BatchCostStats
 
-        inner = _CountingInner(cost_model)
+        inner = _CountingModel(cost_model.accelerator)
         oracle = CachedOracle(inner)
         taps = []
         oracle.set_miss_listener(

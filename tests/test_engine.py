@@ -100,28 +100,28 @@ class TestMap:
         with pytest.raises(RuntimeError, match="time_budget_s"):
             engine.map(request)
 
-    def test_oracle_stats_none_for_counterless_backend(self):
-        from repro.engine import AnalyticalOracle
+    def test_oracle_is_one_cache_over_the_cost_model(self):
+        """Every engine prices through one bounded ``CachedOracle`` over its
+        own ``CostModel``, so a fresh engine already has counters to report."""
+        from repro.costmodel import CachedOracle
+        from repro.engine.engine import ORACLE_CACHE_SIZE
 
-        accel = small_accelerator()
-        engine = MappingEngine(accel, _engine_config(), oracle=AnalyticalOracle(accel))
-        assert engine.oracle_stats() is None
+        engine = MappingEngine(small_accelerator(), _engine_config())
+        assert isinstance(engine.oracle, CachedOracle)
+        assert engine.oracle.inner is engine.cost_model
+        assert engine.oracle.maxsize == ORACLE_CACHE_SIZE == 65_536
+        stats = engine.oracle_stats()
+        assert (stats.hits, stats.misses, stats.prewarmed, stats.size) == (0, 0, 0, 0)
 
-    def test_surrogate_oracle_falls_back_for_reporting(self):
-        """A pluggable oracle without full stats (SurrogateOracle) must not
-        break map(): the engine falls back to the analytical model for the
-        reporting query, as the CostOracle protocol documents."""
-        from repro.engine import SurrogateOracle
-
-        trainer = MappingEngine(small_accelerator(), _engine_config())
-        surrogate = trainer.surrogate_for("conv1d")
-        engine = MappingEngine(
-            small_accelerator(), _engine_config(), oracle=SurrogateOracle(surrogate)
-        )
+    def test_gradient_response_reports_true_cost(self, engine):
+        """A surrogate-driven search's winner is reported at its true cost:
+        the response's stats are the cost model's own for that mapping."""
         response = engine.map(
-            MappingRequest(TARGETS[0], searcher="random", iterations=10, seed=3)
+            MappingRequest(TARGETS[1], searcher="gradient", iterations=20, seed=4)
         )
-        assert response.stats.edp > 0  # exact stats despite surrogate oracle
+        assert response.stats == engine.cost_model.evaluate(
+            response.mapping, TARGETS[1]
+        )
 
     def test_search_traffic_flows_through_shared_oracle(self, engine):
         """Baseline searchers price candidates via the engine's memoized

@@ -90,7 +90,7 @@ class TestAllRegisteredNamesRun:
             space, config = conv1d_space, {}
         searcher = make_searcher(name, space, **config)
         assert isinstance(searcher, Searcher)
-        result = searcher.search(10, seed=0)
+        result = searcher.run(10, seed=0)
         assert 1 <= result.n_evaluations <= 10
         assert result.best_objective == min(result.objective_values)
         assert space.is_member(result.best_mapping)

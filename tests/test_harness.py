@@ -73,8 +73,8 @@ class TestIsoTime:
         fast = RandomSearcher(space, model)
         slow = RandomSearcher(space, model)
         slow.simulated_latency_s = 0.05
-        fast_result = fast.search(10_000, seed=0, time_budget_s=0.3)
-        slow_result = slow.search(10_000, seed=0, time_budget_s=0.3)
+        fast_result = fast.run(10_000, seed=0, time_budget_s=0.3)
+        slow_result = slow.run(10_000, seed=0, time_budget_s=0.3)
         assert slow_result.n_evaluations < fast_result.n_evaluations
         assert slow_result.n_evaluations <= 7  # ~0.3 / 0.05
 

@@ -62,7 +62,7 @@ class TestSearchResultJson:
         from repro.engine import make_searcher
         from repro.harness import load_result_json, result_to_json
 
-        result = make_searcher("random", conv1d_space).search(12, seed=0)
+        result = make_searcher("random", conv1d_space).run(12, seed=0)
         path = tmp_path / "trace.json"
         result_to_json(result, path)
         loaded = load_result_json(path)

@@ -30,7 +30,7 @@ class TestEndToEndCnn:
         space = MapSpace(cnn_problem, trained_mm.accelerator)
         model = CostModel(trained_mm.accelerator)
         searcher = trained_mm.searcher(cnn_problem)
-        result = searcher.search(200, seed=1)
+        result = searcher.run(200, seed=1)
         best_true = min(model.evaluate_edp(m, cnn_problem) for m in result.mappings)
         bound = algorithmic_minimum(cnn_problem, trained_mm.accelerator)
         assert best_true / bound.edp < 50.0
@@ -74,7 +74,7 @@ class TestSearcherAgreementOnTinySpace:
             tiny_cost_model.evaluate_edp(m, conv1d_problem)
             for m in space.enumerate_mappings(include_orders=False)
         )
-        result = SimulatedAnnealingSearcher(space, tiny_cost_model).search(400, seed=0)
+        result = SimulatedAnnealingSearcher(space, tiny_cost_model).run(400, seed=0)
         best = 2.0**result.best_objective
         assert best <= optimum * 4.0
 
@@ -82,8 +82,8 @@ class TestSearcherAgreementOnTinySpace:
         self, conv1d_problem, tiny_accelerator, tiny_cost_model
     ):
         space = MapSpace(conv1d_problem, tiny_accelerator)
-        short = RandomSearcher(space, tiny_cost_model).search(10, seed=0)
-        long = RandomSearcher(space, tiny_cost_model).search(300, seed=0)
+        short = RandomSearcher(space, tiny_cost_model).run(10, seed=0)
+        long = RandomSearcher(space, tiny_cost_model).run(300, seed=0)
         assert long.best_objective <= short.best_objective
 
 

@@ -81,15 +81,26 @@ class TestTaps:
         _traffic(engine, rounds=1)
         assert learner.observed.value == 0
 
+    def test_tap_is_the_engine_oracles_miss_listener(self):
+        """The learner's one tap is the miss listener of the engine's own
+        oracle: attaching twice installs it once, detaching clears it."""
+        engine = _engine()
+        learner = OnlineLearner(engine, _learn_config())
+        assert engine.oracle._miss_listener is None
+        learner.attach().attach()
+        assert engine.oracle._miss_listener == learner._on_oracle_miss
+        learner.detach()
+        assert engine.oracle._miss_listener is None
+
     def test_finalize_tap_captures_winners(self):
         """Even surrogate-driven searches (no oracle misses mid-search)
         contribute their finalized winner."""
         engine = _engine()
         learner = OnlineLearner(engine, _learn_config()).attach()
         engine.map(MappingRequest(TARGET, searcher="gradient", iterations=10, seed=0))
-        # At minimum the winner's final true-cost evaluation was observed
-        # (as an oracle miss and/or the finalize tap).
-        assert learner.observed.value >= 1
+        # The winner's final true-cost evaluation is the search's one
+        # oracle miss.
+        assert learner.observed.value == 1
 
     def test_winner_not_double_counted(self):
         """The finalize scoring re-prices the winner through the oracle (an
@@ -102,17 +113,30 @@ class TestTaps:
         # miss (counted in `misses`) was deliberately not re-reported.
         assert learner.observed.value == stats.misses - 1
 
-    def test_finalize_tap_is_fallback_for_untapped_oracles(self):
-        """An oracle without a miss listener still feeds the learner: the
-        finalize tap captures each served winner (and only the winner)."""
-        from repro.engine.oracle import AnalyticalOracle
+    def test_cohort_observes_each_priced_mapping_once(self):
+        """A served cohort prices through its shared prewarm, the members'
+        own budgets and each finalize (a gradient winner is a fresh miss
+        there); the tap sees every mapping the oracle priced exactly once."""
+        from repro.costmodel.cache import problem_key
+        from repro.serve.cohort import serve_batch
 
         engine = _engine()
-        engine.oracle = AnalyticalOracle(engine.accelerator)
         learner = OnlineLearner(engine, _learn_config()).attach()
-        assert not learner._miss_tap_active
-        engine.map(MappingRequest(TARGET, searcher="random", iterations=10, seed=0))
-        assert learner.observed.value == 1
+        problems = (TARGET, make_conv1d("lc_cohort_other", w=32, r=5))
+        searchers = ("random", "annealing", "genetic", "gradient")
+        serve_batch(engine, [
+            MappingRequest(problems[seed % 2], searcher=searchers[seed // 2],
+                           iterations=30, seed=seed)
+            for seed in range(8)
+        ])
+        pairs = {
+            (problem_key(problem), mapping)
+            for problem, mappings, _, _ in learner._pending
+            for mapping in mappings
+        }
+        stats = engine.oracle_stats()
+        assert stats.prewarmed > 0 and learner.dropped.value == 0
+        assert learner.observed.value == len(pairs) == stats.size
 
     def test_queue_bound_drops_oldest(self):
         engine = _engine()

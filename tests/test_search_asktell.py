@@ -72,20 +72,13 @@ class TestRunEqualsHandRolledDriver:
         assert first.mappings == second.mappings
         assert first.objective_values == second.objective_values
 
-    def test_search_aliases_run(self, build):
-        searcher = build("random")
-        assert (
-            searcher.search(15, seed=2).mappings
-            == searcher.run(15, seed=2).mappings
-        )
-
 
 class TestBatchMetering:
     """BudgetedObjective.evaluate_many keeps accounting exact."""
 
     @staticmethod
-    def _objective(mapping):
-        return float(mapping)
+    def _objective(mappings):
+        return [float(mapping) for mapping in mappings]
 
     def test_truncates_to_remaining(self):
         budget = BudgetedObjective(self._objective, 5)
@@ -125,20 +118,16 @@ class TestBatchMetering:
     def test_batch_objective_used_for_batches(self):
         calls = []
 
-        def batch_objective(mappings):
+        def objective(mappings):
             calls.append(len(mappings))
             return [float(m) for m in mappings]
 
-        budget = BudgetedObjective(
-            self._objective, 10, batch_objective=batch_objective
-        )
+        budget = BudgetedObjective(objective, 10)
         budget.evaluate_many([1, 2, 3])
         assert calls == [3]
 
     def test_wrong_batch_value_count_rejected(self):
-        budget = BudgetedObjective(
-            self._objective, 10, batch_objective=lambda mappings: [0.0]
-        )
+        budget = BudgetedObjective(lambda mappings: [0.0], 10)
         with pytest.raises(ValueError):
             budget.evaluate_many([1, 2, 3])
 
@@ -147,14 +136,6 @@ class TestBatchMetering:
         assert budget.evaluate_many([]) == []
         assert budget.used == 0
 
-    def test_scalar_and_batched_traces_interleave(self):
-        budget = BudgetedObjective(self._objective, 6)
-        budget.evaluate(9)
-        budget.evaluate_many([8, 7])
-        budget.record(6, 6.0)
-        assert budget.values == [9.0, 8.0, 7.0, 6.0]
-        assert budget.times == sorted(budget.times)
-
 
 class TestOracleSearcherBatching:
     def test_objective_batch_routes_through_evaluate_many(self, cnn_space,
@@ -162,9 +143,6 @@ class TestOracleSearcherBatching:
         calls = []
 
         class SpyOracle:
-            def evaluate_edp(self, mapping, problem):
-                raise AssertionError("scalar path must not be used for batches")
-
             def evaluate_many(self, mappings, problem):
                 calls.append(len(mappings))
                 return cost_model.evaluate_many(mappings, problem)
@@ -176,16 +154,6 @@ class TestOracleSearcherBatching:
         assert calls == [8, 8]
         for value in result.objective_values:
             assert math.isfinite(value)
-
-    def test_scalar_oracle_still_works(self, cnn_space, cost_model):
-        class ScalarOnly:
-            def evaluate_edp(self, mapping, problem):
-                return cost_model.evaluate_edp(mapping, problem)
-
-        searcher = make_searcher("random", cnn_space, cost_model=ScalarOnly(),
-                                 batch_size=4)
-        result = searcher.run(8, seed=0)
-        assert result.n_evaluations == 8
 
 
 class TestVectorizedRestarts:

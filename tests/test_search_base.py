@@ -7,40 +7,34 @@ import pytest
 from repro.search.base import BudgetedObjective, SearchResult
 
 
-def _objective(mapping):
+def _objective(mappings):
     # mappings in these tests are plain ints; cost = value
-    return float(mapping)
+    return [float(mapping) for mapping in mappings]
 
 
 class TestBudgetedObjective:
     def test_counts_evaluations(self):
         budget = BudgetedObjective(_objective, 3)
-        budget.evaluate(5)
-        budget.evaluate(2)
+        budget.evaluate_many([5])
+        budget.evaluate_many([2])
         assert budget.used == 2
         assert budget.remaining == 1
         assert not budget.exhausted
 
     def test_exhausts_at_max(self):
         budget = BudgetedObjective(_objective, 2)
-        budget.evaluate(1)
-        budget.evaluate(2)
+        budget.evaluate_many([1])
+        budget.evaluate_many([2])
         assert budget.exhausted
         with pytest.raises(RuntimeError):
-            budget.evaluate(3)
-
-    def test_record_external_value(self):
-        budget = BudgetedObjective(_objective, 2)
-        budget.record(7, 3.25)
-        assert budget.values == [3.25]
-        assert budget.used == 1
+            budget.evaluate_many([3])
 
     def test_simulated_latency_charges_time(self):
         budget = BudgetedObjective(_objective, 100, time_budget_s=1.0,
                                    simulated_latency_s=0.4)
-        budget.evaluate(1)
-        budget.evaluate(2)
-        budget.evaluate(3)
+        budget.evaluate_many([1])
+        budget.evaluate_many([2])
+        budget.evaluate_many([3])
         # 3 * 0.4s of virtual time > 1.0s budget
         assert budget.exhausted
         assert budget.used == 3
@@ -48,18 +42,18 @@ class TestBudgetedObjective:
     def test_times_monotone(self):
         budget = BudgetedObjective(_objective, 5, simulated_latency_s=0.01)
         for i in range(5):
-            budget.evaluate(i)
+            budget.evaluate_many([i])
         assert budget.times == sorted(budget.times)
         assert budget.times[-1] >= 0.05
 
     def test_result_freezes_trace(self):
         budget = BudgetedObjective(_objective, 3)
-        budget.evaluate(3)
-        budget.evaluate(1)
+        budget.evaluate_many([3])
+        budget.evaluate_many([1])
         result = budget.result("Test", "prob")
         assert result.n_evaluations == 2
         assert result.objective_values == [3.0, 1.0]
-        budget.evaluate(9)
+        budget.evaluate_many([9])
         assert result.n_evaluations == 2  # frozen copy
 
     def test_invalid_args_raise(self):

@@ -7,7 +7,7 @@ from repro.core.encoding import MappingEncoder
 from repro.core.surrogate import Surrogate
 from repro.costmodel import CostModel
 from repro.costmodel.accelerator import small_accelerator
-from repro.engine import AnalyticalOracle, EngineConfig, MappingEngine, MappingRequest
+from repro.engine import EngineConfig, MappingEngine, MappingRequest
 from repro.mapspace import MapSpace
 from repro.serve.cohort import coalescible, serve_batch
 from repro.workloads import make_conv1d, problem_by_name
@@ -90,13 +90,17 @@ class TestEligibility:
         assert not coalescible(engine, prepared)
 
     def test_caller_supplied_oracle_runs_solo(self, engine):
-        prepared = engine._prepare_search(
+        requests = [
             MappingRequest(
-                PROBLEM, searcher="random", iterations=5, seed=0,
+                PROBLEM, searcher="random", iterations=10, seed=s,
                 searcher_config={"cost_model": CostModel(engine.accelerator)},
             )
-        )
-        assert not coalescible(engine, prepared)
+            for s in range(3)
+        ]
+        assert not coalescible(engine, engine._prepare_search(requests[0]))
+        # ... and serve_batch runs each as a cohort of one, bit-identical
+        # to solo serving.
+        assert_same_as_solo(engine, requests, serve_batch(engine, requests))
 
     def test_gradient_searches_are_coalescible(self, mm_engine):
         prepared = mm_engine._prepare_search(
@@ -110,26 +114,6 @@ class TestEligibility:
                            time_budget_s=10.0)
         )
         assert not coalescible(mm_engine, prepared)
-
-    def test_uncached_engine_oracle_disables_coalescing(self):
-        accelerator = small_accelerator()
-        engine = MappingEngine(
-            accelerator, EngineConfig(), oracle=AnalyticalOracle(accelerator)
-        )
-        prepared = engine._prepare_search(
-            MappingRequest(PROBLEM, searcher="random", iterations=5, seed=0)
-        )
-        assert not coalescible(engine, prepared)
-        # ... but serving still works, just without prewarmed rounds.
-        requests = [
-            MappingRequest(PROBLEM, searcher="random", iterations=10, seed=s)
-            for s in range(3)
-        ]
-        solo = [engine.map(request) for request in requests]
-        batched = serve_batch(engine, requests)
-        for left, right in zip(solo, batched):
-            assert left.mapping == right.mapping
-            assert left.stats == right.stats
 
 
 class TestServeBatch:
@@ -265,32 +249,26 @@ class TestGradientLockstep:
         assert_same_as_solo(mm_engine, requests, responses)
 
 
-class _CountingInner:
-    """CostModel proxy counting which inner pricing entry point ran."""
+class _CountingModel(CostModel):
+    """CostModel counting which pricing entry point ran."""
 
-    def __init__(self, model):
-        self.model = model
+    def __init__(self, accelerator):
+        super().__init__(accelerator)
         self.mega_calls = 0
         self.many_calls = 0
         self.batch_calls = 0
 
-    def evaluate(self, mapping, problem):
-        return self.model.evaluate(mapping, problem)
-
-    def evaluate_edp(self, mapping, problem):
-        return self.model.evaluate_edp(mapping, problem)
-
     def evaluate_many(self, mappings, problem):
         self.many_calls += 1
-        return self.model.evaluate_many(mappings, problem)
+        return super().evaluate_many(mappings, problem)
 
     def evaluate_batch(self, mappings, problem):
         self.batch_calls += 1
-        return self.model.evaluate_batch(mappings, problem)
+        return super().evaluate_batch(mappings, problem)
 
     def evaluate_megabatch(self, mappings, problems):
         self.mega_calls += 1
-        return self.model.evaluate_megabatch(mappings, problems)
+        return super().evaluate_megabatch(mappings, problems)
 
 
 class TestCrossProblemCohort:
@@ -313,13 +291,9 @@ class TestCrossProblemCohort:
         "iterations", [24, 2], ids=["24_each", "six_candidate_union"]
     )
     def test_mixed_round_is_one_kernel_call(self, iterations):
-        from repro.costmodel import CachedOracle
-
         accelerator = small_accelerator()
-        inner = _CountingInner(CostModel(accelerator))
-        engine = MappingEngine(
-            accelerator, EngineConfig(), oracle=CachedOracle(inner)
-        )
+        engine = MappingEngine(accelerator, EngineConfig())
+        inner = engine.oracle.inner = _CountingModel(accelerator)
         requests = self._requests(iterations)
         responses = serve_batch(engine, requests)
         # The three-problem round's misses were priced by exactly one

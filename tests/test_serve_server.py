@@ -607,6 +607,24 @@ class TestLifecycle:
         with pytest.raises(ServerClosed):
             server.submit(_request(seed=2))
 
+    def test_metrics_report_the_engine_oracle_from_the_start(self, engine):
+        """``oracle_cache`` in the metrics is the engine oracle's counters,
+        present before the first request and in step after it."""
+        def oracle_view(stats):
+            return {"hits": stats.hits, "misses": stats.misses,
+                    "prewarmed": stats.prewarmed, "hit_rate": stats.hit_rate,
+                    "size": stats.size}
+
+        with MappingServer(engine, ServeConfig()) as server:
+            assert server.metrics_snapshot()["oracle_cache"] == {
+                "hits": 0, "misses": 0, "prewarmed": 0, "hit_rate": 0.0,
+                "size": 0,
+            }
+            server.map(_request(seed=3), timeout=60)
+            snapshot = server.metrics_snapshot()["oracle_cache"]
+            assert snapshot == oracle_view(engine.oracle_stats())
+            assert snapshot["misses"] > 0
+
     def test_unknown_searcher_rejected_at_admission(self, engine):
         """A bad searcher name is refused at submit, before it can be
         coalesced into (and poison) a batch of innocent requests."""
