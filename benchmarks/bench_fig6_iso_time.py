@@ -1,15 +1,18 @@
-"""Figure 6: iso-time search quality (log-time x-axis) on Table 1 problems.
+"""Figure 6: iso-time search quality on Table 1 problems.
 
 The paper's headline speed result: MM never queries the expensive cost
-oracle during search, so at a fixed wall-clock budget it fits dramatically
-more optimization steps.  Oracle-driven baselines are charged a simulated
-per-query latency (DESIGN.md substitution: the paper's Timeloop queries are
-153-425x slower than surrogate steps; our from-scratch oracle is too fast,
-so the latency is reintroduced virtually and reported explicitly).
+oracle during search, so at a fixed time budget it fits dramatically more
+optimization steps.  Time is charged, not measured: every oracle query
+costs ``ORACLE_QUERY_S`` (the paper's Timeloop queries are 153-425x slower
+than surrogate steps; the analytical oracle here is too fast, so the
+latency is charged and reported explicitly) and every MM step
+``SURROGATE_STEP_S``.  No clock is read, so the ratios repeat exactly.
 """
 
 from conftest import add_report
 from repro.harness import (
+    ORACLE_QUERY_S,
+    SURROGATE_STEP_S,
     ExperimentConfig,
     ascii_curve,
     build_standard_methods,
@@ -20,7 +23,6 @@ from repro.harness import (
 from repro.workloads import cnn_problems, mttkrp_problems
 
 TIME_BUDGET_S = 1.5  # paper: 62.5 s (MM convergence time on their Xeon)
-ORACLE_LATENCY_S = 0.02  # simulated Timeloop query cost
 RUNS = 2
 
 
@@ -28,12 +30,7 @@ def _run(accelerator, mm_instance, problems):
     methods = build_standard_methods(
         accelerator, mm_instance.surrogate, include=("MM", "SA", "GA", "RL", "Random")
     )
-    config = ExperimentConfig(
-        iterations=100_000,
-        runs=RUNS,
-        time_budget_s=TIME_BUDGET_S,
-        oracle_latency_s=ORACLE_LATENCY_S,
-    )
+    config = ExperimentConfig(runs=RUNS, time_budget_s=TIME_BUDGET_S)
     return {
         problem.name: run_iso_time(problem, accelerator, methods, config, seed=23)
         for problem in problems
@@ -42,8 +39,8 @@ def _run(accelerator, mm_instance, problems):
 
 def _report(title, curves_by_problem):
     lines = [
-        f"time budget {TIME_BUDGET_S}s; oracle latency {ORACLE_LATENCY_S * 1e3:.0f} ms/query "
-        "(simulated; surrogate queries pay real wall-clock only)",
+        f"time budget {TIME_BUDGET_S}s, charged {ORACLE_QUERY_S * 1e3:.0f} ms "
+        f"per oracle query and {SURROGATE_STEP_S * 1e3:.1f} ms per surrogate step",
         "",
     ]
     for problem, curves in curves_by_problem.items():
@@ -59,7 +56,7 @@ def _report(title, curves_by_problem):
     first = next(iter(curves_by_problem))
     lines.append("")
     lines.append(
-        ascii_curve(curves_by_problem[first], title=f"{first} quality vs time (log grid)")
+        ascii_curve(curves_by_problem[first], title=f"{first} quality vs charged time")
     )
     add_report(title, "\n".join(lines))
 

@@ -22,6 +22,8 @@ from repro import (
     problem_by_name,
 )
 from repro.harness import (
+    ORACLE_QUERY_S,
+    SURROGATE_STEP_S,
     ExperimentConfig,
     ascii_curve,
     build_standard_methods,
@@ -50,9 +52,7 @@ def main() -> None:
     methods = build_standard_methods(
         accelerator, mm.surrogate, include=("MM", "SA", "GA", "RL", "Random")
     )
-    config = ExperimentConfig(
-        iterations=600, runs=2, time_budget_s=2.0, oracle_latency_s=0.02
-    )
+    config = ExperimentConfig(iterations=600, runs=2, time_budget_s=2.0)
 
     print(f"\nIso-iteration comparison on {problem.describe()} "
           f"({config.iterations} evaluations x {config.runs} runs)")
@@ -64,15 +64,16 @@ def main() -> None:
     print()
     print(ascii_curve(curves, title=f"{problem.name}: best-so-far normalized EDP"))
 
-    print(f"\nIso-time comparison ({config.time_budget_s}s budget, oracle "
-          f"latency {config.oracle_latency_s * 1e3:.0f} ms/query simulated)")
+    print(f"\nIso-time comparison ({config.time_budget_s}s budget, charged "
+          f"{ORACLE_QUERY_S * 1e3:.0f} ms per oracle query and "
+          f"{SURROGATE_STEP_S * 1e3:.1f} ms per surrogate step)")
     time_curves = run_iso_time(problem, accelerator, methods, config, seed=8)
     print(format_table(
         ("method", "final norm EDP", "runs"),
         summarize_final_quality(time_curves),
     ))
     print()
-    print(ascii_curve(time_curves, title=f"{problem.name}: quality vs wall-clock"))
+    print(ascii_curve(time_curves, title=f"{problem.name}: quality vs charged time"))
 
 
 if __name__ == "__main__":

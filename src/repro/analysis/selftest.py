@@ -238,7 +238,7 @@ def scan(root):
 import time
 
 
-class Stopwatch:
+class Timer:
     def __init__(self):
         self._started = time.monotonic()
 
@@ -246,7 +246,7 @@ class Stopwatch:
         return time.perf_counter() - self._started
 ''',
         '''\
-class Stopwatch:
+class Timer:
     def __init__(self, clock):
         self._clock = clock
         self._started = clock()

@@ -125,26 +125,6 @@ class TargetCodec:
             return rows[..., 0].copy()
         return rows[..., self.total_energy_index] + rows[..., self.cycles_index]
 
-    def from_edp_batch(
-        self, edps: Sequence[float], lower_bound: AlgorithmicMinimum
-    ) -> np.ndarray:
-        """Raw target rows from bare EDP values (``mode="edp"`` only).
-
-        The online replay tap sometimes observes only scalar EDPs (an
-        oracle miss path whose backend returned no full statistics); an
-        ``edp``-mode surrogate can still learn from those.  ``meta`` mode
-        needs the full meta-statistics vector and raises.
-        """
-        if self.mode != "edp":
-            raise ValueError(
-                "from_edp_batch requires mode='edp'; meta-statistics targets "
-                "need full CostStats (use from_stats / from_stats_batch)"
-            )
-        values = np.log2(
-            np.asarray(edps, dtype=np.float64) / lower_bound.edp + _LOG_EPS
-        )
-        return values[:, None]
-
     def from_stats_batch(
         self,
         batch_stats: BatchCostStats,

@@ -108,25 +108,22 @@ class MappingRequest:
 
     ``searcher`` is any name from :func:`repro.engine.searcher_names`
     (aliases like ``"mm"``/``"sa"`` work); ``searcher_config`` passes
-    through to its constructor.  ``seed`` makes the response deterministic.
-    ``tag`` is an opaque caller correlation id echoed on the response.
+    through to its constructor.  ``iterations`` is the search's one budget,
+    counted in evaluations: no search reads a clock, so ``seed`` makes the
+    response deterministic on every serving path.  ``tag`` is an opaque
+    caller correlation id echoed on the response.
     """
 
     problem: Problem
     searcher: str = "gradient"
     iterations: int = 500
     seed: Optional[int] = None
-    time_budget_s: Optional[float] = None
     searcher_config: MappingType[str, Any] = field(default_factory=dict)
     tag: str = ""
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.time_budget_s is not None and self.time_budget_s <= 0:
-            raise ValueError(
-                f"time_budget_s must be positive or None, got {self.time_budget_s}"
-            )
 
 
 @dataclass
@@ -219,8 +216,6 @@ class MappingResponse:
                 problem=str(payload["problem"]),
                 mappings=[mapping],
                 objective_values=[best_objective],
-                eval_times=[search_time],
-                wall_time=search_time,
             )
         return cls(
             tag=str(payload["tag"]),
@@ -466,13 +461,6 @@ class MappingEngine:
     ) -> MappingResponse:
         """Score the winner with the true oracle and assemble the response."""
         request = prepared.request
-        if result.n_evaluations == 0:
-            raise RuntimeError(
-                f"searcher {prepared.name!r} returned no evaluations for "
-                f"{request.problem.name!r} — time_budget_s="
-                f"{request.time_budget_s} expired before the first candidate "
-                f"was scored; raise the budget"
-            )
         best = result.best_mapping
         stats = self.oracle.evaluate(best, request.problem)
         norm_edp = stats.edp / self._lower_bound_edp(request.problem)
@@ -510,11 +498,7 @@ class MappingEngine:
         """
         prepared = self._prepare_search(request)
         search_started = time.perf_counter()
-        result = prepared.searcher.run(
-            request.iterations,
-            seed=request.seed,
-            time_budget_s=request.time_budget_s,
-        )
+        result = prepared.searcher.run(request.iterations, seed=request.seed)
         search_time = time.perf_counter() - search_started
         return self._finalize_search(prepared, result, search_time)
 

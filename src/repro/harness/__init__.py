@@ -1,8 +1,8 @@
 """Experiment harness: regenerates the paper's figures and tables.
 
 * :mod:`repro.harness.experiments` — iso-iteration (Figure 5) and iso-time
-  (Figure 6) comparison runners with multi-seed averaging and a shared
-  true-EDP evaluation cache,
+  (Figure 6, on a charged clock) comparison runners with multi-seed
+  averaging and a shared true-EDP evaluation cache,
 * :mod:`repro.harness.summary` — geomean ratio tables (the paper's headline
   1.40x / 1.76x / 1.29x numbers) and gap-to-lower-bound accounting,
 * :mod:`repro.harness.surface` — the Figure 3 cost-surface sweep with
@@ -12,6 +12,8 @@
 """
 
 from repro.harness.experiments import (
+    ORACLE_QUERY_S,
+    SURROGATE_STEP_S,
     ExperimentConfig,
     MethodCurve,
     build_standard_methods,
@@ -20,33 +22,18 @@ from repro.harness.experiments import (
 )
 from repro.harness.summary import RatioSummary, geomean_ratios, summarize_final_quality
 from repro.harness.surface import CostSurface, sweep_cost_surface
-from repro.harness.tables import ascii_curve, fidelity_table, format_table
-from repro.harness.export import (
-    curves_to_csv,
-    curves_to_json,
-    load_curves_json,
-    load_response_json,
-    load_result_json,
-    response_to_json,
-    result_to_json,
-)
+from repro.harness.tables import ascii_curve, format_table
 
 __all__ = [
+    "ORACLE_QUERY_S",
+    "SURROGATE_STEP_S",
     "CostSurface",
     "ExperimentConfig",
     "MethodCurve",
     "RatioSummary",
     "ascii_curve",
     "build_standard_methods",
-    "curves_to_csv",
-    "curves_to_json",
-    "fidelity_table",
     "format_table",
-    "load_curves_json",
-    "load_response_json",
-    "load_result_json",
-    "response_to_json",
-    "result_to_json",
     "geomean_ratios",
     "run_iso_iteration",
     "run_iso_time",

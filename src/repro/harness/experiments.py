@@ -6,12 +6,18 @@ EDP (normalized to the algorithmic minimum) is recorded; curves are averaged
 across runs.  Mind Mappings' own objective is its surrogate, so its visited
 mappings are re-scored with the true cost model *after* the search — exactly
 how the paper plots MM against oracle-driven baselines.
+
+Iso-time runs read no clock.  Each evaluation is charged a fixed time —
+:data:`ORACLE_QUERY_S` for an oracle-driven searcher, :data:`SURROGATE_STEP_S`
+for any other — so a time budget is an evaluation budget per searcher, and
+two runs at one seed plot identical curves on any machine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,30 +26,35 @@ from repro.costmodel.cache import CachedOracle
 from repro.costmodel.lower_bound import algorithmic_minimum
 from repro.costmodel.model import CostModel
 from repro.mapspace.space import MapSpace
-from repro.search.base import SearchResult, Searcher
+from repro.search.base import OracleSearcher, SearchResult, Searcher
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rngs
 from repro.workloads.problem import Problem
 
 #: Builds a searcher for one problem's map space.
 SearcherFactory = Callable[[MapSpace], Searcher]
 
+#: Charged seconds per evaluation of an oracle-driven searcher: one
+#: simulated reference cost-model query (the paper's Timeloop is 150-425x
+#: slower per query than a surrogate step; the analytical oracle here takes
+#: well under a millisecond, so the query's time is charged, not spent).
+ORACLE_QUERY_S = 0.02
+#: Charged seconds per evaluation of any other searcher: one Mind Mappings
+#: step (a solo step on ResNet_Conv4 with the benchmarks' surrogate measured
+#: 0.42-0.54 ms on a 2-vCPU VM).
+SURROGATE_STEP_S = 5e-4
+
 
 @dataclass
 class ExperimentConfig:
     """Shared knobs for figure experiments.
 
-    ``oracle_latency_s`` is the simulated per-query cost of the reference
-    cost model, applied to oracle-driven searchers in iso-time runs (the
-    paper's Timeloop queries are 150-425x slower than surrogate queries; see
-    DESIGN.md substitutions).  The surrogate-driven searcher pays its real
-    wall-clock cost instead.
+    ``iterations`` is the iso-iteration budget; ``time_budget_s`` is the
+    iso-time budget in charged seconds (see :func:`run_iso_time`).
     """
 
     iterations: int = 500
     runs: int = 3
     time_budget_s: float = 2.0
-    oracle_latency_s: float = 0.02
-    time_grid_points: int = 24
 
 
 @dataclass
@@ -52,7 +63,7 @@ class MethodCurve:
 
     method: str
     problem: str
-    grid: np.ndarray  # iteration numbers (iso-iteration) or seconds (iso-time)
+    grid: np.ndarray  # iteration numbers (iso-iteration) or charged seconds (iso-time)
     mean_best_norm_edp: np.ndarray
     std_best_norm_edp: np.ndarray
     runs: int
@@ -92,6 +103,46 @@ def _average_curves(curves: Sequence[np.ndarray]) -> tuple:
     return stacked.mean(axis=0), stacked.std(axis=0), length
 
 
+def _run_methods(
+    problem: Problem,
+    accelerator: Accelerator,
+    methods: Dict[str, SearcherFactory],
+    runs: int,
+    seed: SeedLike,
+    schedule: Callable[[Searcher], Tuple[int, float]],
+) -> Dict[str, MethodCurve]:
+    """Run every method ``runs`` times and average its true-EDP curves.
+
+    ``schedule(searcher)`` gives a run's evaluation budget and the x-axis
+    step per evaluation, so evaluation ``k`` is plotted at ``k * step``.
+    """
+    rng = ensure_rng(seed)
+    space = MapSpace(problem, accelerator)
+    oracle = CachedOracle(CostModel(accelerator))
+    lower_bound = algorithmic_minimum(problem, accelerator).edp
+
+    curves: Dict[str, MethodCurve] = {}
+    for name, factory in methods.items():
+        run_curves: List[np.ndarray] = []
+        for run_rng in spawn_rngs(rng, runs):
+            searcher = factory(space)
+            iterations, step = schedule(searcher)
+            result = searcher.run(iterations, seed=run_rng)
+            run_curves.append(
+                _best_so_far_true(result, oracle, problem, lower_bound)
+            )
+        mean, std, length = _average_curves(run_curves)
+        curves[name] = MethodCurve(
+            method=name,
+            problem=problem.name,
+            grid=np.arange(1, length + 1, dtype=float) * step,
+            mean_best_norm_edp=mean,
+            std_best_norm_edp=std,
+            runs=runs,
+        )
+    return curves
+
+
 def run_iso_iteration(
     problem: Problem,
     accelerator: Accelerator,
@@ -101,30 +152,10 @@ def run_iso_iteration(
 ) -> Dict[str, MethodCurve]:
     """Figure 5 experiment: fixed evaluation budget, quality vs iteration."""
     config = config or ExperimentConfig()
-    rng = ensure_rng(seed)
-    space = MapSpace(problem, accelerator)
-    oracle = CachedOracle(CostModel(accelerator))
-    lower_bound = algorithmic_minimum(problem, accelerator).edp
-
-    curves: Dict[str, MethodCurve] = {}
-    for name, factory in methods.items():
-        run_curves: List[np.ndarray] = []
-        for run_rng in spawn_rngs(rng, config.runs):
-            searcher = factory(space)
-            result = searcher.run(config.iterations, seed=run_rng)
-            run_curves.append(
-                _best_so_far_true(result, oracle, problem, lower_bound)
-            )
-        mean, std, length = _average_curves(run_curves)
-        curves[name] = MethodCurve(
-            method=name,
-            problem=problem.name,
-            grid=np.arange(1, length + 1, dtype=float),
-            mean_best_norm_edp=mean,
-            std_best_norm_edp=std,
-            runs=config.runs,
-        )
-    return curves
+    return _run_methods(
+        problem, accelerator, methods, config.runs, seed,
+        lambda searcher: (config.iterations, 1.0),
+    )
 
 
 def run_iso_time(
@@ -133,67 +164,31 @@ def run_iso_time(
     methods: Dict[str, SearcherFactory],
     config: Optional[ExperimentConfig] = None,
     seed: SeedLike = None,
-    surrogate_methods: Sequence[str] = ("MM",),
 ) -> Dict[str, MethodCurve]:
-    """Figure 6 experiment: fixed wall-clock budget, quality vs time.
+    """Figure 6 experiment: fixed time budget, quality vs charged time.
 
-    Oracle-driven methods are charged ``config.oracle_latency_s`` of
-    simulated latency per query; methods named in ``surrogate_methods`` pay
-    only their real wall-clock cost.  Curves are resampled onto a shared
-    log-spaced time grid (the paper's Figure 6 x-axis is log time).
+    Iso-iteration on a charged clock: a searcher whose evaluations cost
+    ``c`` seconds each (:data:`ORACLE_QUERY_S` for an
+    :class:`~repro.search.base.OracleSearcher`, :data:`SURROGATE_STEP_S`
+    otherwise) runs ``floor(config.time_budget_s / c)`` evaluations — its
+    ``reset`` sees that budget — and evaluation ``k`` is plotted at
+    ``k * c`` seconds.
     """
     config = config or ExperimentConfig()
-    rng = ensure_rng(seed)
-    space = MapSpace(problem, accelerator)
-    oracle = CachedOracle(CostModel(accelerator))
-    lower_bound = algorithmic_minimum(problem, accelerator).edp
-    grid = np.geomspace(
-        max(config.time_budget_s / 200.0, 1e-3),
-        config.time_budget_s,
-        config.time_grid_points,
-    )
 
-    curves: Dict[str, MethodCurve] = {}
-    for name, factory in methods.items():
-        sampled: List[np.ndarray] = []
-        for run_rng in spawn_rngs(rng, config.runs):
-            searcher = factory(space)
-            if name not in surrogate_methods:
-                searcher.simulated_latency_s = config.oracle_latency_s
-            # Generous iteration cap: the time budget is the binding limit.
-            result = searcher.run(
-                max(config.iterations * 50, 1000),
-                seed=run_rng,
-                time_budget_s=config.time_budget_s,
-            )
-            best_curve = _best_so_far_true(result, oracle, problem, lower_bound)
-            times = np.asarray(result.eval_times)
-            sampled.append(_resample_to_grid(times, best_curve, grid))
-        stacked = np.stack(sampled)
-        curves[name] = MethodCurve(
-            method=name,
-            problem=problem.name,
-            grid=grid.copy(),
-            mean_best_norm_edp=stacked.mean(axis=0),
-            std_best_norm_edp=stacked.std(axis=0),
-            runs=config.runs,
+    def schedule(searcher: Searcher) -> Tuple[int, float]:
+        charge = (
+            ORACLE_QUERY_S if isinstance(searcher, OracleSearcher)
+            else SURROGATE_STEP_S
         )
-    return curves
+        # The tolerance keeps a budget that is a whole number of charges
+        # from losing an evaluation to float division (0.58 / 0.02 is
+        # 28.999999999999996).
+        return math.floor(config.time_budget_s / charge + 1e-9), charge
 
-
-def _resample_to_grid(
-    times: np.ndarray, best_curve: np.ndarray, grid: np.ndarray
-) -> np.ndarray:
-    """Step-interpolate a best-so-far curve onto a common time grid.
-
-    Grid points before the first evaluation take the first value (no
-    better information exists yet).
-    """
-    if len(times) == 0:
-        return np.full_like(grid, np.nan)
-    indices = np.searchsorted(times, grid, side="right") - 1
-    indices = np.clip(indices, 0, len(best_curve) - 1)
-    return best_curve[indices]
+    return _run_methods(
+        problem, accelerator, methods, config.runs, seed, schedule
+    )
 
 
 def build_standard_methods(
@@ -241,6 +236,8 @@ def build_standard_methods(
 
 
 __all__ = [
+    "ORACLE_QUERY_S",
+    "SURROGATE_STEP_S",
     "ExperimentConfig",
     "MethodCurve",
     "SearcherFactory",

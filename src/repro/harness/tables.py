@@ -37,34 +37,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def fidelity_table(reports, title: str = "") -> str:
-    """Render :class:`~repro.core.analysis.FidelityReport` rows as a table.
-
-    One row per problem: global correlation, tail correlation, tie-aware
-    Spearman rank agreement (the same
-    :func:`~repro.core.analysis.spearman_rank_correlation` the online
-    validation gate scores candidates with), and mean |error|.  Used by
-    benchmark output and by online-learning reports to show frozen vs
-    fine-tuned surrogates side by side.
-    """
-    rows = [
-        (
-            report.problem,
-            f"{report.samples}",
-            f"{report.correlation:.3f}",
-            f"{report.tail_correlation:.3f}",
-            f"{report.rank_agreement:.3f}",
-            f"{report.mean_abs_error_log2:.2f}",
-        )
-        for report in reports
-    ]
-    return format_table(
-        ("problem", "samples", "corr", "tail corr", "spearman", "|err| log2"),
-        rows,
-        title=title,
-    )
-
-
 def ascii_curve(
     curves: MappingType[str, MethodCurve],
     width: int = 64,
@@ -124,4 +96,4 @@ def ascii_curve(
     return "\n".join(lines)
 
 
-__all__ = ["ascii_curve", "fidelity_table", "format_table"]
+__all__ = ["ascii_curve", "format_table"]

@@ -139,23 +139,17 @@ class ReplayBuffer:
         return bound
 
     def _raw_targets(
-        self,
-        problem: Problem,
-        bound: AlgorithmicMinimum,
-        edps: Sequence[float],
-        stats: object,
+        self, bound: AlgorithmicMinimum, stats: object
     ) -> Optional[np.ndarray]:
-        """Codec target rows from whatever labels the tap captured."""
+        """Codec target rows from the tap's cost statistics (``None`` for an
+        observation without them)."""
         if isinstance(stats, BatchCostStats):
             return self.codec.from_stats_batch(stats, bound, self.encoder.tensors)
         if isinstance(stats, Sequence) and len(stats) and isinstance(stats[0], CostStats):
             return np.stack(
                 [self.codec.from_stats(s, bound, self.encoder.tensors) for s in stats]
             )
-        if self.codec.mode == "edp":
-            # Bare EDPs fully determine an edp-mode target.
-            return self.codec.from_edp_batch(edps, bound)
-        return None  # meta-mode targets need full statistics
+        return None
 
     def ingest(
         self,
@@ -167,7 +161,8 @@ class ReplayBuffer:
         """Convert one tapped observation into whitened pairs and absorb it.
 
         Returns the number of samples absorbed (0 when the observation
-        carried no usable label for this codec mode — counted as skipped).
+        carried no cost statistics — counted as skipped, in either codec
+        mode).
         Runs encoding and whitening here, on the caller's (background)
         thread, never on the serving path.
         """
@@ -180,7 +175,7 @@ class ReplayBuffer:
             return 0
         key = problem_key(problem)
         bound = self._lower_bound(key, problem)
-        targets = self._raw_targets(problem, bound, edps, stats)
+        targets = self._raw_targets(bound, stats)
         if targets is None:
             with self._lock:
                 self._skipped += len(mappings)

@@ -2,9 +2,12 @@
 
 The paper compares search methods on two axes (section 5.2): quality after a
 fixed number of *cost-function evaluations* (iso-iteration) and after a fixed
-*wall-clock time* (iso-time).  :class:`BudgetedObjective` meters both — every
-recorded evaluation counts one iteration and timestamps it — so any searcher
-written against it supports both comparisons for free.
+time (iso-time).  A search has one budget, its evaluations:
+:class:`BudgetedObjective` counts every recorded candidate as one iteration.
+Iso-time runs are iso-iteration runs on a charged clock — each evaluation
+costs its searcher a fixed time (:func:`repro.harness.run_iso_time`) — so no
+search reads a clock, and a seeded run repeats bit for bit on any machine
+and any serving path.
 
 Searchers follow a **batched ask/tell protocol**:
 
@@ -32,7 +35,6 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.mapspace.mapping import Mapping
 from repro.mapspace.space import MapSpace
-from repro.utils import Stopwatch
 from repro.utils.rng import SeedLike
 
 
@@ -42,16 +44,13 @@ class SearchResult:
 
     ``objective_values[i]`` is the searcher's own objective for
     ``mappings[i]`` — the true cost for black-box searchers, the surrogate
-    prediction for Mind Mappings.  ``eval_times[i]`` is cumulative seconds
-    when evaluation ``i`` finished, enabling iso-time re-slicing.
+    prediction for Mind Mappings.
     """
 
     searcher: str
     problem: str
     mappings: List[Mapping] = field(default_factory=list)
     objective_values: List[float] = field(default_factory=list)
-    eval_times: List[float] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def n_evaluations(self) -> int:
@@ -85,17 +84,15 @@ class SearchResult:
     def to_dict(self) -> dict:
         """JSON-compatible dict of the full trace (inverse of :meth:`from_dict`).
 
-        Mappings serialize via :meth:`Mapping.to_dict`, so engine responses
-        and harness traces export through one codec
-        (:func:`repro.harness.export.result_to_json`).
+        Mappings serialize via :meth:`Mapping.to_dict`; an engine response
+        embeds this dict as its trace (``MappingResponse.to_dict(
+        include_trace=True)``, the wire form of :mod:`repro.serve.codec`).
         """
         return {
             "searcher": self.searcher,
             "problem": self.problem,
             "mappings": [mapping.to_dict() for mapping in self.mappings],
             "objective_values": [float(v) for v in self.objective_values],
-            "eval_times": [float(t) for t in self.eval_times],
-            "wall_time": float(self.wall_time),
         }
 
     @classmethod
@@ -106,91 +103,45 @@ class SearchResult:
             problem=str(payload["problem"]),
             mappings=[Mapping.from_dict(m) for m in payload["mappings"]],
             objective_values=[float(v) for v in payload["objective_values"]],
-            eval_times=[float(t) for t in payload["eval_times"]],
-            wall_time=float(payload["wall_time"]),
         )
 
 
 class BudgetedObjective:
-    """Meters an objective function by evaluations and wall-clock.
+    """Meters an objective function by evaluations.
 
     ``objective`` is the batch evaluator (whole batch in, one value per
     candidate out); the ask/tell driver calls :meth:`evaluate_many` for
     every batch of candidates.  All bookkeeping for :class:`SearchResult`
     happens here so individual searchers stay focused on their heuristics.
     Metering is *per candidate*: each evaluated mapping counts one
-    iteration, is charged one ``simulated_latency_s`` of virtual time, and
-    gets its own timestamp.
+    iteration.
     """
 
     def __init__(
         self,
         objective: Callable[[Sequence[Mapping]], Sequence[float]],
         max_evaluations: int,
-        time_budget_s: Optional[float] = None,
-        simulated_latency_s: float = 0.0,
     ) -> None:
         if max_evaluations < 1:
             raise ValueError(f"max_evaluations must be >= 1, got {max_evaluations}")
-        if simulated_latency_s < 0:
-            raise ValueError("simulated_latency_s must be >= 0")
         self._objective = objective
         self.max_evaluations = max_evaluations
-        self.time_budget_s = time_budget_s
-        self.simulated_latency_s = simulated_latency_s
         self.mappings: List[Mapping] = []
         self.values: List[float] = []
-        self.times: List[float] = []
-        self._stopwatch = Stopwatch().start()
-        self._virtual_time = 0.0
-
-    @property
-    def elapsed(self) -> float:
-        """Wall-clock plus accumulated simulated oracle latency.
-
-        The paper's cost oracle (Timeloop) is 150-425x slower per query than
-        the surrogate; our from-scratch analytical oracle is microseconds.
-        Iso-time experiments therefore charge a configurable virtual latency
-        per oracle query to preserve the paper's time economics without
-        actually sleeping (see DESIGN.md, substitutions).
-        """
-        return self._stopwatch.elapsed + self._virtual_time
 
     def evaluate_many(self, mappings: Sequence[Mapping]) -> List[float]:
-        """Evaluate + record a batch, truncated to what the budget affords.
+        """Evaluate + record a batch, truncated to the remaining iterations.
 
         Returns the values for the recorded *prefix* of ``mappings`` (the
-        caller pairs them back with ``mappings[:len(values)]``).  Truncation
-        mirrors a one-at-a-time ``while not exhausted: evaluate`` loop, per
-        candidate:
-
-        * never more candidates than ``remaining`` iterations;
-        * under a time budget, recording stops at the first candidate past
-          the deadline — with simulated oracle latency the batch is also
-          pre-shrunk to what the remaining virtual time affords, so the
-          overshoot is at most one candidate's latency (wall-clock elapses
-          inside an evaluation, so the final in-flight candidate may land
-          past the deadline, as it would in any real deployment).
-          Candidates the objective computed but the deadline cut are
-          discarded unrecorded.
-
-        Each recorded candidate is metered individually: one iteration, one
-        latency charge, one timestamp.  With virtual latency the timestamps
-        step per candidate; pure wall-clock batches share their batch's
-        completion time (they really did finish together).  Raises
-        ``RuntimeError`` when the evaluation budget is already spent — that
-        would give a searcher more iterations than its competitors.
+        caller pairs them back with ``mappings[:len(values)]``): never more
+        candidates than ``remaining``, as a one-at-a-time
+        ``while not exhausted: evaluate`` loop would record.  Raises
+        ``RuntimeError`` when the budget is already spent — that would give
+        a searcher more iterations than its competitors.
         """
         if self.used >= self.max_evaluations:
             raise RuntimeError("evaluation budget exhausted")
-        limit = self.remaining
-        if self.time_budget_s is not None and self.simulated_latency_s > 0:
-            time_left = self.time_budget_s - self.elapsed
-            affordable = max(
-                int(math.ceil(time_left / self.simulated_latency_s)), 1
-            )
-            limit = min(limit, affordable)
-        batch = list(mappings[:limit])
+        batch = list(mappings[: self.remaining])
         if not batch:
             return []
         values = [float(v) for v in self._objective(batch)]
@@ -199,19 +150,9 @@ class BudgetedObjective:
                 f"batch objective returned {len(values)} values for "
                 f"{len(batch)} mappings"
             )
-        recorded: List[float] = []
-        for mapping, value in zip(batch, values):
-            if recorded and (
-                self.time_budget_s is not None
-                and self.elapsed >= self.time_budget_s
-            ):
-                break
-            self._virtual_time += self.simulated_latency_s
-            self.mappings.append(mapping)
-            self.values.append(value)
-            self.times.append(self.elapsed)
-            recorded.append(value)
-        return recorded
+        self.mappings.extend(batch)
+        self.values.extend(values)
+        return values
 
     @property
     def used(self) -> int:
@@ -219,11 +160,7 @@ class BudgetedObjective:
 
     @property
     def exhausted(self) -> bool:
-        if self.used >= self.max_evaluations:
-            return True
-        if self.time_budget_s is not None and self.elapsed >= self.time_budget_s:
-            return True
-        return False
+        return self.used >= self.max_evaluations
 
     @property
     def remaining(self) -> int:
@@ -236,8 +173,6 @@ class BudgetedObjective:
             problem=problem,
             mappings=list(self.mappings),
             objective_values=list(self.values),
-            eval_times=list(self.times),
-            wall_time=self.elapsed,
         )
 
 
@@ -256,9 +191,6 @@ class Searcher(abc.ABC):
     log2-EDP for black-box baselines, the surrogate prediction for Mind
     Mappings); ``run()`` wires it into the budget.  ``name`` labels results
     in figures.
-    ``simulated_latency_s`` charges a virtual per-query cost against the
-    time budget — used by iso-time experiments to model an expensive cost
-    oracle (the paper's Timeloop) without sleeping.
     """
 
     name: str = "searcher"
@@ -266,7 +198,6 @@ class Searcher(abc.ABC):
     def __init__(self, space: MapSpace) -> None:
         self.space = space
         self.problem = space.problem
-        self.simulated_latency_s: float = 0.0
 
     # ------------------------------------------------------------------
     # Objective
@@ -306,32 +237,18 @@ class Searcher(abc.ABC):
     # Driver
     # ------------------------------------------------------------------
 
-    def make_budget(
-        self,
-        iterations: int,
-        time_budget_s: Optional[float] = None,
-    ) -> BudgetedObjective:
-        """A budget wired to this searcher's objective and oracle latency."""
-        return BudgetedObjective(
-            self.objective_batch,
-            iterations,
-            time_budget_s,
-            simulated_latency_s=self.simulated_latency_s,
-        )
+    def make_budget(self, iterations: int) -> BudgetedObjective:
+        """A budget of ``iterations`` wired to this searcher's objective."""
+        return BudgetedObjective(self.objective_batch, iterations)
 
-    def run(
-        self,
-        iterations: int,
-        seed: SeedLike = None,
-        time_budget_s: Optional[float] = None,
-    ) -> SearchResult:
+    def run(self, iterations: int, seed: SeedLike = None) -> SearchResult:
         """The generic ask/tell driver loop.
 
         Every searcher runs through this exact loop (the parity tests pin
         it): reset state, then ask → evaluate the batch against the budget →
         tell, until the budget is exhausted or ``ask`` returns nothing.
         """
-        budget = self.make_budget(iterations, time_budget_s)
+        budget = self.make_budget(iterations)
         self.reset(seed, iterations=iterations)
         while not budget.exhausted:
             batch = self.ask()

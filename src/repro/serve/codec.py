@@ -14,6 +14,7 @@ uses to collapse duplicate in-flight requests.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any, Dict, Hashable, Mapping as MappingType, NamedTuple, Optional
 
@@ -83,22 +84,32 @@ def request_to_dict(request: MappingRequest) -> Dict[str, Any]:
         "searcher": request.searcher,
         "iterations": request.iterations,
         "seed": request.seed,
-        "time_budget_s": request.time_budget_s,
         "searcher_config": config,
         "tag": request.tag,
     }
 
 
+#: A request's wire fields: the keys :func:`request_to_dict` writes.
+_REQUEST_FIELDS = frozenset(f.name for f in dataclasses.fields(MappingRequest))
+
+
 def request_from_dict(payload: MappingType[str, Any]) -> MappingRequest:
-    """Rebuild a request (revalidates via ``MappingRequest.__post_init__``)."""
+    """Rebuild a request (revalidates via ``MappingRequest.__post_init__``).
+
+    Raises ``ValueError`` for a key outside the wire fields, so a client
+    that sends a field this server does not honour is refused rather than
+    served a different search.
+    """
+    problem = problem_from_dict(payload["problem"])
+    unknown = sorted(set(payload) - _REQUEST_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown request fields: {', '.join(unknown)}")
     seed = payload.get("seed")
-    budget = payload.get("time_budget_s")
     return MappingRequest(
-        problem=problem_from_dict(payload["problem"]),
+        problem=problem,
         searcher=str(payload.get("searcher", "gradient")),
         iterations=int(payload.get("iterations", 500)),
         seed=None if seed is None else int(seed),
-        time_budget_s=None if budget is None else float(budget),
         searcher_config=dict(payload.get("searcher_config", {})),
         tag=str(payload.get("tag", "")),
     )
@@ -188,13 +199,12 @@ def request_key(request: MappingRequest) -> Optional[Hashable]:
     Two requests share a key exactly when the engine is guaranteed to
     produce the same response for both (up to the opaque ``tag``, which is
     re-stamped per caller): same problem, same canonical searcher, same
-    budget, same config, and an explicit seed.  Unseeded or time-budgeted
-    requests are not idempotent — their results depend on entropy or
-    wall-clock — and configs that don't canonicalize through JSON (live
-    objects) have no stable identity; all of those return ``None`` and are
-    never collapsed.
+    budget, same config, and an explicit seed.  Unseeded requests are not
+    idempotent — their results depend on entropy — and configs that don't
+    canonicalize through JSON (live objects) have no stable identity; both
+    return ``None`` and are never collapsed.
     """
-    if request.seed is None or request.time_budget_s is not None:
+    if request.seed is None:
         return None
     try:
         config = json.dumps(dict(request.searcher_config), sort_keys=True)

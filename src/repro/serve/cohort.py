@@ -22,9 +22,9 @@ is bitwise independent of its batchmates, over any problems (pinned by
 ``tests/test_surrogate_pass_parity.py``) — so a search's full trace and
 response are bit-identical to serving it solo.
 
-Cohort-ineligible requests (caller-supplied cost models, wall-clock time
-budgets) run through the same loop as cohorts of one: a single member
-never prewarms, so its loop is exactly :meth:`Searcher.run`'s.
+Cohort-ineligible requests (those whose caller supplies a cost model) run
+through the same loop as cohorts of one: a single member never prewarms,
+so its loop is exactly :meth:`Searcher.run`'s.
 :func:`run_cohort` is the one search loop of the serving path, and
 :meth:`MappingEngine.map` stays the solo reference.
 
@@ -35,14 +35,10 @@ the shared prewarm kernels and its own kernel spans nest under it.  Its
 ``search_rounds_s`` stage is settled once, at finish: the span's wall
 time minus the ``kernel_s`` and ``prewarm_s`` that accrued inside it.
 
-**Timing semantics.**  Bit-identity covers mappings, statistics, and
-objective traces — not clocks.  A cohort member's ``search_time_s``,
-``result.wall_time``, and ``eval_times`` are wall-clock measurements of a
-*shared* execution, so they include the rounds of interleaved cohort
-mates — exactly the latency the request actually experienced on a batched
-server.  Iso-time *experiments* should keep driving ``searcher.run``
-directly (as ``repro.harness`` does); serving timestamps describe service,
-not isolated compute.
+**Timing semantics.**  A search's budget is its evaluations, never a
+clock, so bit-identity covers every field of a response except its
+timings.  A cohort member's ``search_time_s`` is the wall time of a
+*shared* execution, including its cohort mates' interleaved rounds.
 """
 
 from __future__ import annotations
@@ -66,8 +62,7 @@ class _Member:
     trace's ``search`` span.
 
     Built when the cohort starts: the span opens at ``started``, then the
-    budget (and with it a time budget's clock) and the searcher's reset
-    run in :meth:`Searcher.run`'s order.
+    budget and the searcher's reset run in :meth:`Searcher.run`'s order.
     """
 
     def __init__(
@@ -95,9 +90,7 @@ class _Member:
                 "search", start=started, members=cohort_size
             )
         request = prepared.request
-        self.budget = self.searcher.make_budget(
-            request.iterations, request.time_budget_s
-        )
+        self.budget = self.searcher.make_budget(request.iterations)
         self.searcher.reset(request.seed, iterations=request.iterations)
 
     def close_search(self) -> None:
@@ -123,16 +116,10 @@ def _handle_at(index: int) -> Optional[obs_trace.TraceHandle]:
     return None if handle is None or handle.closed else handle
 
 
-def coalescible(engine: MappingEngine, prepared: PreparedSearch) -> bool:
-    """True when this search may join the lockstep cohort.
-
-    Requires no wall-clock time budget (deadline truncation depends on
-    elapsed time, which coalescing would change), and either a
-    ``gradient`` searcher or the engine's own memoizing oracle on the
-    search path (the prewarm writes there).
-    """
-    if prepared.request.time_budget_s is not None:
-        return False
+def coalescible(prepared: PreparedSearch) -> bool:
+    """True when this search may join the lockstep cohort: a ``gradient``
+    searcher, or the engine's own memoizing oracle on the search path (the
+    prewarm writes there)."""
     return (
         isinstance(prepared.searcher, GradientSearcher)
         or prepared.uses_engine_oracle
@@ -267,7 +254,7 @@ def serve_batch(
         finally:
             if handle is not None:
                 handle.close_span(span_id, stage="prepare_s")
-        if coalescible(engine, prepared):
+        if coalescible(prepared):
             lockstep.append((index, prepared))
         else:
             cohorts.append([(index, prepared)])

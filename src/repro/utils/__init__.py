@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG handling, math helpers, timers.
+"""Shared utilities: deterministic RNG handling and math helpers.
 
 Every stochastic component in the library accepts either an integer seed or
 a :class:`numpy.random.Generator`; :func:`ensure_rng` normalizes both into a
@@ -17,10 +17,8 @@ from repro.utils.mathx import (
     prod,
     round_to_nearest,
 )
-from repro.utils.timing import Stopwatch
 
 __all__ = [
-    "Stopwatch",
     "clamp",
     "divisors",
     "ensure_rng",

@@ -1,10 +1,16 @@
 """Tests for the experiment harness: runners, summaries, surface, tables."""
 
+import dataclasses
+import math
+import time
+
 import numpy as np
 import pytest
 
 from repro.costmodel import CostModel
 from repro.harness import (
+    ORACLE_QUERY_S,
+    SURROGATE_STEP_S,
     ExperimentConfig,
     MethodCurve,
     ascii_curve,
@@ -16,7 +22,6 @@ from repro.harness import (
     summarize_final_quality,
     sweep_cost_surface,
 )
-from repro.harness.experiments import _resample_to_grid
 from repro.harness.summary import gap_to_lower_bound
 from repro.search import RandomSearcher, SimulatedAnnealingSearcher
 
@@ -52,45 +57,157 @@ class TestIsoIteration:
         )
 
 
+def _spied(methods, log):
+    """Wrap each factory so its searchers log the budget ``reset`` receives
+    and the evaluations each ``run`` records."""
+
+    def spy(name, factory):
+        def build(space):
+            searcher = factory(space)
+            reset, run = searcher.reset, searcher.run
+
+            def spy_reset(seed=None, iterations=None):
+                log.append((name, "reset", iterations))
+                reset(seed, iterations=iterations)
+
+            def spy_run(iterations, seed=None):
+                result = run(iterations, seed=seed)
+                log.append((name, "evaluated", result.n_evaluations))
+                return result
+
+            searcher.reset, searcher.run = spy_reset, spy_run
+            return searcher
+
+        return build
+
+    return {name: spy(name, factory) for name, factory in methods.items()}
+
+
 class TestIsoTime:
-    def test_produces_time_curves(self, cnn_problem, accelerator, small_methods):
+    """Iso-time is iso-iteration on a charged clock: no clock is read."""
+
+    BUDGET_S = 0.1
+
+    @pytest.fixture(scope="class")
+    def methods(self, accelerator, trained_mm):
+        return build_standard_methods(
+            accelerator, trained_mm.surrogate, ga_population=4
+        )
+
+    @pytest.mark.parametrize("name", ["MM", "SA", "GA", "RL", "Random"])
+    def test_curve_is_the_iso_iteration_curve_at_its_budget(
+        self, cnn_problem, accelerator, methods, name
+    ):
+        """The charged clock only rescales the x-axis: each run's ``reset``
+        receives and its search spends ``floor(budget / charge)``
+        evaluations, and at one seed the iso-time curve is the method's
+        iso-iteration curve at that count, value for value."""
+        charge = SURROGATE_STEP_S if name == "MM" else ORACLE_QUERY_S
+        evaluations = math.floor(self.BUDGET_S / charge)
+        one = {name: methods[name]}
+        log = []
+        # ``iterations`` bounds iso-iteration runs only.
         config = ExperimentConfig(
-            iterations=50, runs=2, time_budget_s=0.15, oracle_latency_s=0.002,
-            time_grid_points=8,
+            iterations=1, runs=2, time_budget_s=self.BUDGET_S
         )
-        curves = run_iso_time(cnn_problem, accelerator, small_methods, config, seed=0)
-        for curve in curves.values():
-            assert len(curve.grid) == 8
-            assert curve.grid[-1] == pytest.approx(0.15)
-            assert all(np.diff(curve.mean_best_norm_edp) <= 1e-12)
-
-    def test_latency_reduces_evaluations(self, cnn_problem, accelerator):
-        """Charging oracle latency must reduce how many evals fit."""
-        model = CostModel(accelerator)
-        from repro.mapspace import MapSpace
-
-        space = MapSpace(cnn_problem, accelerator)
-        fast = RandomSearcher(space, model)
-        slow = RandomSearcher(space, model)
-        slow.simulated_latency_s = 0.05
-        fast_result = fast.run(10_000, seed=0, time_budget_s=0.3)
-        slow_result = slow.run(10_000, seed=0, time_budget_s=0.3)
-        assert slow_result.n_evaluations < fast_result.n_evaluations
-        assert slow_result.n_evaluations <= 7  # ~0.3 / 0.05
-
-
-class TestResample:
-    def test_step_interpolation(self):
-        times = np.array([1.0, 2.0, 3.0])
-        curve = np.array([5.0, 4.0, 2.0])
-        grid = np.array([0.5, 1.5, 2.5, 9.0])
+        timed = run_iso_time(
+            cnn_problem, accelerator, _spied(one, log), config, seed=3
+        )[name]
+        assert [(kind, n) for _, kind, n in log] == [
+            ("reset", evaluations), ("evaluated", evaluations),
+        ] * config.runs
+        counted = run_iso_iteration(
+            cnn_problem, accelerator, one,
+            ExperimentConfig(iterations=evaluations, runs=2), seed=3,
+        )[name]
+        assert np.array_equal(
+            timed.mean_best_norm_edp, counted.mean_best_norm_edp
+        )
+        assert np.array_equal(timed.std_best_norm_edp, counted.std_best_norm_edp)
+        # Evaluation k lands at k charges; the last one within budget.
         np.testing.assert_array_equal(
-            _resample_to_grid(times, curve, grid), [5.0, 5.0, 4.0, 2.0]
+            timed.grid, np.arange(1, evaluations + 1) * charge
         )
+        assert timed.grid[-1] <= self.BUDGET_S
 
-    def test_empty_curve(self):
-        out = _resample_to_grid(np.array([]), np.array([]), np.array([1.0]))
-        assert np.isnan(out).all()
+    @pytest.mark.parametrize(
+        ("name", "budget_s", "evaluations"),
+        [("Random", 0.58, 29), ("MM", 0.0215, 43)],
+    )
+    def test_whole_number_of_charges_buys_every_evaluation(
+        self, cnn_problem, accelerator, methods, name, budget_s, evaluations
+    ):
+        """A budget of exactly ``evaluations`` charges buys all of them,
+        though its float quotient falls just short (0.58 / 0.02 is
+        28.999999999999996)."""
+        curve = run_iso_time(
+            cnn_problem, accelerator, {name: methods[name]},
+            ExperimentConfig(runs=1, time_budget_s=budget_s), seed=0,
+        )[name]
+        assert len(curve.grid) == evaluations
+
+    def test_charge_follows_the_searcher_class_not_its_label(
+        self, cnn_problem, accelerator, methods
+    ):
+        """An oracle searcher pays a query and any other searcher a
+        surrogate step, whatever label the figure gives it."""
+        swapped = {"MM": methods["Random"], "Random": methods["MM"]}
+        curves = run_iso_time(
+            cnn_problem, accelerator, swapped,
+            ExperimentConfig(runs=1, time_budget_s=self.BUDGET_S), seed=0,
+        )
+        for label, charge in (("MM", ORACLE_QUERY_S), ("Random", SURROGATE_STEP_S)):
+            evaluations = math.floor(self.BUDGET_S / charge)
+            np.testing.assert_array_equal(
+                curves[label].grid, np.arange(1, evaluations + 1) * charge
+            )
+
+    def test_budget_under_one_query_buys_surrogate_steps_only(
+        self, cnn_problem, accelerator, methods
+    ):
+        """Half a query's charge still buys Mind Mappings its steps, but no
+        oracle searcher gets an evaluation: its run is refused, never
+        plotted as an empty curve."""
+        config = ExperimentConfig(runs=1, time_budget_s=ORACLE_QUERY_S / 2)
+        curve = run_iso_time(
+            cnn_problem, accelerator, {"MM": methods["MM"]}, config, seed=0
+        )["MM"]
+        assert len(curve.grid) == math.floor(ORACLE_QUERY_S / 2 / SURROGATE_STEP_S)
+        for name in ("SA", "GA", "RL", "Random"):
+            with pytest.raises(ValueError, match="max_evaluations"):
+                run_iso_time(
+                    cnn_problem, accelerator, {name: methods[name]}, config,
+                    seed=0,
+                )
+
+    def test_reads_no_clock(self, cnn_problem, accelerator, methods, monkeypatch):
+        """Every method's run and re-scoring completes with the process
+        clocks stopped: nothing on the iso-time path reads the time."""
+
+        def stopped(*args, **kwargs):
+            raise AssertionError("the iso-time path read a clock")
+
+        for clock in ("time", "time_ns", "perf_counter", "perf_counter_ns",
+                      "monotonic", "monotonic_ns", "process_time"):
+            monkeypatch.setattr(time, clock, stopped)
+        curves = run_iso_time(
+            cnn_problem, accelerator, methods,
+            ExperimentConfig(runs=1, time_budget_s=self.BUDGET_S), seed=2,
+        )
+        monkeypatch.undo()
+        assert set(curves) == {"MM", "SA", "GA", "RL", "Random"}
+
+
+class TestExperimentConfig:
+    def test_three_knobs(self):
+        """The budgets are an evaluation count and charged seconds; the
+        wall-clock knobs are gone, not silently accepted."""
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "iterations", "runs", "time_budget_s",
+        ]
+        for retired in ("oracle_latency_s", "time_grid_points"):
+            with pytest.raises(TypeError):
+                ExperimentConfig(**{retired: 1})
 
 
 class TestSummaries:
@@ -153,29 +270,6 @@ class TestTables:
     def test_format_table_validates_width(self):
         with pytest.raises(ValueError):
             format_table(("a",), [("1", "2")])
-
-    def test_fidelity_table_renders_reports(self):
-        from repro.core.analysis import FidelityReport
-        from repro.harness import fidelity_table
-
-        reports = [
-            FidelityReport(
-                problem="p1", samples=60, correlation=0.91,
-                tail_correlation=0.55, tail_fraction=0.2,
-                rank_agreement=0.87, mean_abs_error_log2=0.42,
-            ),
-            FidelityReport(
-                problem="p2", samples=60, correlation=0.78,
-                tail_correlation=0.31, tail_fraction=0.2,
-                rank_agreement=0.70, mean_abs_error_log2=0.80,
-            ),
-        ]
-        text = fidelity_table(reports, title="fidelity")
-        lines = text.splitlines()
-        assert lines[0] == "fidelity"
-        assert "spearman" in lines[1]
-        assert any("p1" in line and "0.870" in line for line in lines)
-        assert any("p2" in line and "0.700" in line for line in lines)
 
     def test_ascii_curve_renders(self):
         curve = MethodCurve(

@@ -81,22 +81,17 @@ class TestIngest:
         for value in truth:
             assert np.min(np.abs(expected - value)) < 1e-6
 
-    def test_bare_edp_skipped_in_meta_mode(self):
-        buffer = ReplayBuffer(_surrogate("meta"), ACCEL)
+    @pytest.mark.parametrize("mode", ["meta", "edp"])
+    def test_bare_edp_skipped(self, mode):
+        """The learner's tap always sends cost statistics; an observation
+        without them is skipped whatever the codec mode."""
+        buffer = ReplayBuffer(_surrogate(mode), ACCEL)
         mappings, batch = _priced(PROBLEM_A, 8, seed=4)
         absorbed = buffer.ingest(
             PROBLEM_A, mappings, [float(v) for v in batch.edp], None
         )
         assert absorbed == 0
         assert buffer.snapshot()["skipped"] == 8
-
-    def test_bare_edp_used_in_edp_mode(self):
-        buffer = ReplayBuffer(_surrogate("edp"), ACCEL)
-        mappings, batch = _priced(PROBLEM_A, 8, seed=5)
-        absorbed = buffer.ingest(
-            PROBLEM_A, mappings, [float(v) for v in batch.edp], None
-        )
-        assert absorbed == 8
 
     def test_wrong_algorithm_rejected(self):
         from repro.workloads import make_gemm

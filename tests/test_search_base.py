@@ -29,23 +29,6 @@ class TestBudgetedObjective:
         with pytest.raises(RuntimeError):
             budget.evaluate_many([3])
 
-    def test_simulated_latency_charges_time(self):
-        budget = BudgetedObjective(_objective, 100, time_budget_s=1.0,
-                                   simulated_latency_s=0.4)
-        budget.evaluate_many([1])
-        budget.evaluate_many([2])
-        budget.evaluate_many([3])
-        # 3 * 0.4s of virtual time > 1.0s budget
-        assert budget.exhausted
-        assert budget.used == 3
-
-    def test_times_monotone(self):
-        budget = BudgetedObjective(_objective, 5, simulated_latency_s=0.01)
-        for i in range(5):
-            budget.evaluate_many([i])
-        assert budget.times == sorted(budget.times)
-        assert budget.times[-1] >= 0.05
-
     def test_result_freezes_trace(self):
         budget = BudgetedObjective(_objective, 3)
         budget.evaluate_many([3])
@@ -59,8 +42,13 @@ class TestBudgetedObjective:
     def test_invalid_args_raise(self):
         with pytest.raises(ValueError):
             BudgetedObjective(_objective, 0)
-        with pytest.raises(ValueError):
-            BudgetedObjective(_objective, 1, simulated_latency_s=-1.0)
+
+    def test_clock_parameters_removed(self):
+        """Evaluations are the one budget: the wall-clock deadline and the
+        per-query latency charge are gone, not silently ignored."""
+        for retired in ("time_budget_s", "simulated_latency_s"):
+            with pytest.raises(TypeError):
+                BudgetedObjective(_objective, 3, **{retired: 1.0})
 
 
 class TestSearchResult:
@@ -70,8 +58,6 @@ class TestSearchResult:
             problem="p",
             mappings=["a", "b", "c", "d"],
             objective_values=[4.0, 1.0, 3.0, 2.0],
-            eval_times=[0.1, 0.2, 0.3, 0.4],
-            wall_time=0.4,
         )
 
     def test_best_tracking(self):
@@ -108,8 +94,6 @@ class TestSearchResultSerialization:
             problem="p",
             mappings=[mapping, mapping],
             objective_values=[4.0, 1.0],
-            eval_times=[0.1, 0.2],
-            wall_time=0.25,
         )
         restored = SearchResult.from_dict(result.to_dict())
         assert restored == result
@@ -124,8 +108,6 @@ class TestSearchResultSerialization:
             problem="p",
             mappings=[mapping],
             objective_values=[1.5],
-            eval_times=[0.05],
-            wall_time=0.1,
         )
         payload = json.loads(json.dumps(result.to_dict()))
         assert SearchResult.from_dict(payload) == result

@@ -18,7 +18,6 @@ def _common_checks(result, space, iterations):
     assert result.n_evaluations == iterations
     assert all(space.is_member(m) for m in result.mappings)
     assert all(math.isfinite(v) for v in result.objective_values)
-    assert result.eval_times == sorted(result.eval_times)
 
 
 class TestRandomSearcher:

@@ -1,5 +1,6 @@
 """Wire codec: problem/request round-trips, MappingResponse.from_dict identity."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.costmodel.stats import CostStats, TensorLevelEnergy
 from repro.engine import MappingRequest, MappingResponse
+from repro.engine.registry import searcher_names
 from repro.mapspace import MapSpace, Mapping
 from repro.costmodel.accelerator import small_accelerator
 from repro.search import SearchResult
@@ -72,6 +74,31 @@ class TestRequestCodec:
         assert request.iterations == 500
         assert request.seed is None
 
+    def test_wire_fields_are_the_request_fields(self):
+        """The encoder writes every request field and nothing else, so the
+        decoder's unknown-field check refuses exactly what no request
+        carries."""
+        request = MappingRequest(PROBLEM, searcher="random", iterations=5, seed=1)
+        assert set(request_to_dict(request)) == {
+            field.name for field in dataclasses.fields(MappingRequest)
+        }
+
+    @pytest.mark.parametrize(
+        ("extra", "named"),
+        [
+            ({"time_budget_s": None}, "time_budget_s"),
+            ({"iteration": 5}, "iteration"),
+            ({"priority": "high"}, "priority"),
+            ({"zeta": 1, "alpha": 2}, "alpha, zeta"),
+        ],
+        ids=["retired_field", "misspelled_field", "map_call_field",
+             "named_in_order"],
+    )
+    def test_unknown_field_raises(self, extra, named):
+        payload = {"problem": problem_to_dict(PROBLEM), **extra}
+        with pytest.raises(ValueError, match=f"^unknown request fields: {named}$"):
+            request_from_dict(payload)
+
 
 class TestMapCallCodec:
     """``map_call_from_dict``: the one decode of a map call's payload."""
@@ -116,9 +143,17 @@ class TestMapCallCodec:
             (lambda p: p.update(priority="urgent"), "urgent"),
             (lambda p: p["request"].update(searcher="no-such-searcher"),
              "no-such-searcher"),
+            # An unknown field is refused, never dropped: a client still
+            # sending the retired time budget must not silently get a
+            # full-iteration search.
+            (lambda p: p["request"].update(time_budget_s=None),
+             "unknown request fields: time_budget_s"),
+            (lambda p: p["request"].update(time_budget_s=1.0),
+             "unknown request fields: time_budget_s"),
         ],
         ids=["no_request", "request_not_a_dict", "no_problem",
-             "unknown_priority", "unregistered_searcher"],
+             "unknown_priority", "unregistered_searcher",
+             "time_budget_null", "time_budget"],
     )
     def test_bad_payload_raises_bad_request(self, mutate, needle):
         payload = self._payload()
@@ -153,13 +188,16 @@ class TestRequestKey:
         ):
             assert request_key(base) != request_key(other)
 
+    def test_every_seeded_request_has_a_key(self):
+        """A seeded request's response depends on its fields alone, so no
+        searcher's seeded requests are kept out of duplicate collapsing."""
+        for name in sorted(searcher_names()):
+            request = MappingRequest(PROBLEM, searcher=name, iterations=5, seed=1)
+            assert request_key(request) is not None, name
+
     def test_non_idempotent_requests_have_no_key(self):
         assert request_key(
             MappingRequest(PROBLEM, searcher="random", iterations=5, seed=None)
-        ) is None
-        assert request_key(
-            MappingRequest(PROBLEM, searcher="random", iterations=5, seed=1,
-                           time_budget_s=1.0)
         ) is None
         assert request_key(
             MappingRequest(PROBLEM, searcher="random", iterations=5, seed=1,
@@ -178,10 +216,9 @@ def responses(draw):
     n_trace = draw(st.integers(min_value=1, max_value=4))
     mappings = [_mapping(draw(st.integers(0, 7))) for _ in range(n_trace)]
     values = [draw(finite) for _ in range(n_trace)]
-    times = sorted(draw(finite) for _ in range(n_trace))
     result = SearchResult(
         searcher="Random", problem=PROBLEM.name, mappings=mappings,
-        objective_values=values, eval_times=times, wall_time=draw(finite),
+        objective_values=values,
     )
     records = tuple(
         TensorLevelEnergy(tensor, level, draw(finite), draw(finite))
@@ -226,7 +263,6 @@ class TestResponseCodec:
         assert restored.n_evaluations == response.n_evaluations
         assert restored.result.mappings == response.result.mappings
         assert restored.result.objective_values == response.result.objective_values
-        assert restored.result.eval_times == response.result.eval_times
         assert restored.provenance == response.provenance
         assert restored.to_dict(include_trace=True) == payload
 

@@ -8,6 +8,7 @@ from repro.core.surrogate import Surrogate
 from repro.costmodel import CostModel
 from repro.costmodel.accelerator import small_accelerator
 from repro.engine import EngineConfig, MappingEngine, MappingRequest
+from repro.engine.registry import searcher_names
 from repro.mapspace import MapSpace
 from repro.serve.cohort import coalescible, serve_batch
 from repro.workloads import make_conv1d, problem_by_name
@@ -80,14 +81,24 @@ class TestEligibility:
         prepared = engine._prepare_search(
             MappingRequest(PROBLEM, searcher="random", iterations=5, seed=0)
         )
-        assert coalescible(engine, prepared)
+        assert coalescible(prepared)
 
-    def test_time_budgeted_requests_run_solo(self, engine):
-        prepared = engine._prepare_search(
-            MappingRequest(PROBLEM, searcher="random", iterations=5, seed=0,
-                           time_budget_s=10.0)
+    @pytest.mark.parametrize(
+        "name", sorted(set(searcher_names()) - {"gradient"})
+    )
+    def test_every_seeded_oracle_search_joins_the_cohort(self, engine, name):
+        """With no clock in any budget, every seeded request on the
+        engine's oracle is coalescible, and its cohort stays bit-identical
+        to solo serving."""
+        requests = [
+            MappingRequest(PROBLEM, searcher=name, iterations=12, seed=s,
+                           tag=f"{name}-{s}")
+            for s in range(2)
+        ]
+        assert all(
+            coalescible(engine._prepare_search(request)) for request in requests
         )
-        assert not coalescible(engine, prepared)
+        assert_same_as_solo(engine, requests, serve_batch(engine, requests))
 
     def test_caller_supplied_oracle_runs_solo(self, engine):
         requests = [
@@ -97,7 +108,7 @@ class TestEligibility:
             )
             for s in range(3)
         ]
-        assert not coalescible(engine, engine._prepare_search(requests[0]))
+        assert not coalescible(engine._prepare_search(requests[0]))
         # ... and serve_batch runs each as a cohort of one, bit-identical
         # to solo serving.
         assert_same_as_solo(engine, requests, serve_batch(engine, requests))
@@ -106,14 +117,7 @@ class TestEligibility:
         prepared = mm_engine._prepare_search(
             MappingRequest(PROBLEM, searcher="gradient", iterations=5, seed=0)
         )
-        assert coalescible(mm_engine, prepared)
-
-    def test_time_budgeted_gradient_runs_solo(self, mm_engine):
-        prepared = mm_engine._prepare_search(
-            MappingRequest(PROBLEM, searcher="gradient", iterations=5, seed=0,
-                           time_budget_s=10.0)
-        )
-        assert not coalescible(mm_engine, prepared)
+        assert coalescible(prepared)
 
 
 class TestServeBatch:
@@ -145,8 +149,8 @@ class TestServeBatch:
 
     def test_mixed_batch_runs_every_request_through_cohorts(self, mm_engine):
         """A ``gradient`` request joins the lockstep cohort beside the
-        oracle searches, and a time-budgeted request runs as a cohort of
-        one: input order holds, and every response equals solo
+        oracle searches, and a request with its own cost model runs as a
+        cohort of one: input order holds, and every response equals solo
         ``engine.map``."""
         engine = mm_engine
         other = make_conv1d("cohort_other", w=48, r=3)
@@ -157,17 +161,23 @@ class TestServeBatch:
                            seed=1, tag="gradient"),
             MappingRequest(other, searcher="genetic", iterations=24, seed=2,
                            tag="genetic"),
-            MappingRequest(other, searcher="annealing", iterations=20,
-                           seed=3, time_budget_s=60.0, tag="budgeted"),
+            MappingRequest(
+                other, searcher="annealing", iterations=20, seed=3,
+                searcher_config={"cost_model": CostModel(engine.accelerator)},
+                tag="own_oracle",
+            ),
         ]
-        assert coalescible(engine, engine._prepare_search(requests[1]))
+        assert coalescible(engine._prepare_search(requests[1]))
+        assert not coalescible(engine._prepare_search(requests[3]))
         assert_same_as_solo(engine, requests, serve_batch(engine, requests))
 
-    def test_time_budget_member_served_inside_batch(self, engine):
+    def test_own_oracle_member_served_inside_batch(self, engine):
         requests = [
             MappingRequest(PROBLEM, searcher="random", iterations=10, seed=0),
-            MappingRequest(PROBLEM, searcher="random", iterations=10, seed=1,
-                           time_budget_s=30.0),
+            MappingRequest(
+                PROBLEM, searcher="random", iterations=10, seed=1,
+                searcher_config={"cost_model": CostModel(engine.accelerator)},
+            ),
         ]
         responses = serve_batch(engine, requests)
         assert all(r.stats.edp > 0 for r in responses)
